@@ -48,6 +48,14 @@ func TestCallGraphEdgeKinds(t *testing.T) {
 		t.Error("direct missing static edge to leaf")
 	}
 
+	// Calls through generic instantiations resolve to the declarations.
+	generic := node("callgraph.generic")
+	for _, callee := range []string{"callgraph.newBox", "callgraph.box.get", "callgraph.leaf"} {
+		if !edgeTo(generic, EdgeStatic, callee) {
+			t.Errorf("generic missing static edge to %s", callee)
+		}
+	}
+
 	// Interface call resolves to every implementation in the module.
 	viaIface := node("callgraph.viaIface")
 	for _, impl := range []string{"callgraph.english.Greet", "callgraph.french.Greet"} {

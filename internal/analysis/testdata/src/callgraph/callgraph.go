@@ -41,10 +41,25 @@ func invoke() int {
 	return f()
 }
 
+// box and newBox exercise generics: calls through an instantiation
+// (explicit or inferred) must edge to the declared function or method.
+type box[T any] struct{ v T }
+
+func (b *box[T]) get() T { return b.v }
+
+func newBox[T any](v T) *box[T] { return &box[T]{v: v} }
+
+func generic() int {
+	b := newBox[int](leaf())
+	_ = newBox("inferred")
+	return b.get()
+}
+
 func entry() string {
 	_ = direct()
 	_ = indirect()
 	_ = invoke()
+	_ = generic()
 	return viaIface(english{})
 }
 

@@ -15,10 +15,19 @@ func usedObject(info *types.Info, id *ast.Ident) types.Object {
 
 // calleeFunc resolves a call expression to the *types.Func it invokes
 // (package function or method), or nil for builtins, conversions, and
-// calls through function-typed values.
+// calls through function-typed values. Calls of generic functions and
+// of methods on instantiated generic types resolve to the declared
+// function, the one the call graph has a node for.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) { // explicit instantiation: f[T](...)
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(fun).(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:
@@ -27,7 +36,10 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	fn, _ := usedObject(info, id).(*types.Func)
-	return fn
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // isPkgCall reports whether call invokes pkgPath.name (e.g. "time".Now).

@@ -61,27 +61,6 @@ func (w *Writer) Reset() {
 	w.nbit = 0
 }
 
-// Clone returns an independent copy of the writer's current state. The
-// MORC compressor uses this for trial compression: a line is test-appended
-// to every active log and only the winning log commits.
-func (w *Writer) Clone() *Writer {
-	return &Writer{buf: append([]byte(nil), w.buf...), nbit: w.nbit}
-}
-
-// Truncate discards bits beyond n. n must not exceed Len.
-func (w *Writer) Truncate(n int) {
-	if n < 0 || n > w.nbit {
-		panic(fmt.Sprintf("bitstream: Truncate(%d) of %d bits", n, w.nbit))
-	}
-	w.nbit = n
-	nb := (n + 7) / 8
-	w.buf = w.buf[:nb]
-	if n&7 != 0 && nb > 0 {
-		// Zero the tail of the final partial byte so future writes OR cleanly.
-		w.buf[nb-1] &= ^byte(0) << uint(8-(n&7))
-	}
-}
-
 // Reader consumes bits MSB-first from a byte slice.
 type Reader struct {
 	buf  []byte

@@ -58,54 +58,6 @@ func TestLenAndByteLen(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0xAA, 8)
-	c := w.Clone()
-	c.WriteBits(0xFF, 8)
-	if w.Len() != 8 {
-		t.Fatal("clone write affected original length")
-	}
-	w.WriteBits(0x55, 8)
-	r := NewReader(w.Bytes(), w.Len())
-	if v, _ := r.ReadBits(16); v != 0xAA55 {
-		t.Fatalf("original corrupted: %x", v)
-	}
-	rc := NewReader(c.Bytes(), c.Len())
-	if v, _ := rc.ReadBits(16); v != 0xAAFF {
-		t.Fatalf("clone corrupted: %x", v)
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0xFFFF, 16)
-	w.Truncate(5)
-	if w.Len() != 5 {
-		t.Fatalf("len after truncate = %d", w.Len())
-	}
-	// After truncation, new writes must not be polluted by old bits.
-	w.WriteBits(0, 11)
-	r := NewReader(w.Bytes(), w.Len())
-	if v, _ := r.ReadBits(16); v != 0xF800 {
-		t.Fatalf("post-truncate stream = %04x, want f800", v)
-	}
-}
-
-func TestTruncateToZero(t *testing.T) {
-	w := NewWriter()
-	w.WriteBits(0x1234, 16)
-	w.Truncate(0)
-	if w.Len() != 0 || w.ByteLen() != 0 {
-		t.Fatal("truncate to zero")
-	}
-	w.WriteBits(0x7, 3)
-	r := NewReader(w.Bytes(), w.Len())
-	if v, _ := r.ReadBits(3); v != 7 {
-		t.Fatalf("got %d", v)
-	}
-}
-
 func TestReset(t *testing.T) {
 	w := NewWriter()
 	w.WriteBits(0xDEAD, 16)

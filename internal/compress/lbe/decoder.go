@@ -1,7 +1,6 @@
 package lbe
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"morc/internal/compress/bitstream"
@@ -14,9 +13,9 @@ import (
 // start of the stream only — the property that gives MORC its variable,
 // position-dependent decompression latency (§2.2).
 type Decoder struct {
-	cfg   Config
+	ptr   [4]int // match-pointer width per level
 	r     *bitstream.Reader
-	dicts [4]*dict
+	dicts dicts
 	out   int // total bytes decoded
 }
 
@@ -26,12 +25,7 @@ func NewDecoder(cfg Config, data []byte, nbits int) *Decoder {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	d := &Decoder{cfg: cfg, r: bitstream.NewReader(data, nbits)}
-	d.dicts[lvl32] = newDict(4, cfg.Dict32)
-	d.dicts[lvl64] = newDict(8, cfg.Dict64)
-	d.dicts[lvl128] = newDict(16, cfg.Dict128)
-	d.dicts[lvl256] = newDict(32, cfg.Dict256)
-	return d
+	return &Decoder{ptr: cfg.ptrWidths(), r: bitstream.NewReader(data, nbits), dicts: newDicts(cfg)}
 }
 
 // OutputBytes returns the number of uncompressed bytes produced so far.
@@ -47,64 +41,19 @@ func (d *Decoder) Next(n int) ([]byte, error) {
 	if n <= 0 || n%32 != 0 {
 		return nil, fmt.Errorf("lbe: Next(%d) must be a positive multiple of 32", n)
 	}
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		chunk, err := d.decodeChunk()
-		if err != nil {
+	out := make([]byte, n)
+	for off := 0; off < n; off += 32 {
+		var c chunk // regions decoded as zero symbols stay zero
+		var failed failedRegions
+		if err := d.decodeRegion(&c, lvl256, 0, &failed); err != nil {
 			return nil, err
 		}
-		out = append(out, chunk...)
+		// Mirror the encoder's post-chunk allocation.
+		d.dicts.allocFailed(&c, &failed)
+		c.store(out[off:])
 	}
 	d.out += n
 	return out, nil
-}
-
-func (d *Decoder) ptrBitsFor(lvl int) int {
-	switch lvl {
-	case lvl32:
-		return ptrBits(d.cfg.Dict32)
-	case lvl64:
-		return ptrBits(d.cfg.Dict64)
-	case lvl128:
-		return ptrBits(d.cfg.Dict128)
-	default:
-		return ptrBits(d.cfg.Dict256)
-	}
-}
-
-func (d *Decoder) decodeChunk() ([]byte, error) {
-	chunk := make([]byte, 32)
-	var failed [][2]int
-	if err := d.decodeRegion(chunk, lvl256, 0, &failed); err != nil {
-		return nil, err
-	}
-	// Mirror the encoder's post-chunk allocation.
-	for lvl := lvl64; lvl <= lvl256; lvl++ {
-		for _, f := range failed {
-			if f[0] != lvl {
-				continue
-			}
-			g := granBytes(lvl)
-			region := chunk[f[1] : f[1]+g]
-			if d.representable(region) {
-				d.dicts[lvl].add(region)
-			}
-		}
-	}
-	return chunk, nil
-}
-
-func (d *Decoder) representable(region []byte) bool {
-	for off := 0; off < len(region); off += 4 {
-		w := region[off : off+4]
-		if isZero(w) {
-			continue
-		}
-		if _, ok := d.dicts[lvl32].lookup(w); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // readSymbol decodes one prefix code from Table 3.
@@ -192,96 +141,62 @@ func symLevel(s Symbol) int {
 	}
 }
 
-func (d *Decoder) decodeRegion(chunk []byte, lvl, off int, failed *[][2]int) error {
-	g := granBytes(lvl)
-	region := chunk[off : off+g]
-
+func (d *Decoder) decodeRegion(c *chunk, lvl, i int, failed *failedRegions) error {
 	sym, err := d.readSymbol()
 	if err != nil {
 		return err
 	}
-	sl := symLevel(sym)
-	if sl > lvl {
-		return fmt.Errorf("lbe: symbol %v at level %d region (corrupt stream)", sym, lvl)
-	}
-	if sl < lvl {
-		// The region failed at this granularity; the symbol belongs to the
-		// first sub-region. Rewind is not possible with our reader, so we
-		// decode the already-read symbol inline for the first half and then
-		// recurse normally for the rest.
-		*failed = append(*failed, [2]int{lvl, off})
-		half := g / 2
-		if err := d.decodeRegionWithSymbol(chunk, lvl-1, off, sym, failed); err != nil {
-			return err
-		}
-		return d.decodeRegion(chunk, lvl-1, off+half, failed)
-	}
-	return d.applySymbol(region, lvl, sym)
+	return d.decodeRegionWithSymbol(c, lvl, i, sym, failed)
 }
 
-// decodeRegionWithSymbol is decodeRegion where the first symbol has
-// already been consumed from the stream.
-func (d *Decoder) decodeRegionWithSymbol(chunk []byte, lvl, off int, sym Symbol, failed *[][2]int) error {
-	g := granBytes(lvl)
-	region := chunk[off : off+g]
+// decodeRegionWithSymbol decodes region i of level lvl whose first
+// symbol has already been consumed from the stream. A symbol below the
+// region's level means the region failed at this granularity and the
+// symbol belongs to its first half.
+func (d *Decoder) decodeRegionWithSymbol(c *chunk, lvl, i int, sym Symbol, failed *failedRegions) error {
 	sl := symLevel(sym)
 	if sl > lvl {
 		return fmt.Errorf("lbe: symbol %v at level %d region (corrupt stream)", sym, lvl)
 	}
 	if sl < lvl {
-		*failed = append(*failed, [2]int{lvl, off})
-		half := g / 2
-		if err := d.decodeRegionWithSymbol(chunk, lvl-1, off, sym, failed); err != nil {
+		failed.add(lvl, i)
+		if err := d.decodeRegionWithSymbol(c, lvl-1, 2*i, sym, failed); err != nil {
 			return err
 		}
-		return d.decodeRegion(chunk, lvl-1, off+half, failed)
+		return d.decodeRegion(c, lvl-1, 2*i+1, failed)
 	}
-	return d.applySymbol(region, lvl, sym)
+	return d.applySymbol(c, lvl, i, sym)
 }
 
 // applySymbol materializes a symbol whose level matches the region.
-func (d *Decoder) applySymbol(region []byte, lvl int, sym Symbol) error {
-	switch {
-	case sym.IsZero():
-		for i := range region {
-			region[i] = 0
-		}
+func (d *Decoder) applySymbol(c *chunk, lvl, i int, sym Symbol) error {
+	litBits := 0
+	switch sym {
+	case SymZ32, SymZ64, SymZ128, SymZ256:
 		return nil
-	case sym == SymM32 || sym == SymM64 || sym == SymM128 || sym == SymM256:
-		idx, err := d.r.ReadBits(d.ptrBitsFor(lvl))
+	case SymM32, SymM64, SymM128, SymM256:
+		idx, err := d.r.ReadBits(d.ptr[lvl])
 		if err != nil {
 			return err
 		}
-		dd := d.dicts[lvl]
-		if int(idx) >= len(dd.entries) {
-			return fmt.Errorf("lbe: match pointer %d beyond dictionary of %d (corrupt stream)", idx, len(dd.entries))
+		if !d.dicts.load(c, lvl, i, int(idx)) {
+			return fmt.Errorf("lbe: match pointer %d beyond dictionary of %d (corrupt stream)", idx, d.dicts.lens()[lvl])
 		}
-		copy(region, dd.entries[idx])
 		return nil
-	case sym == SymU8:
-		v, err := d.r.ReadBits(8)
-		if err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(region, uint32(v))
-		d.dicts[lvl32].add(region)
-		return nil
-	case sym == SymU16:
-		v, err := d.r.ReadBits(16)
-		if err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(region, uint32(v))
-		d.dicts[lvl32].add(region)
-		return nil
-	case sym == SymU32:
-		v, err := d.r.ReadBits(32)
-		if err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(region, uint32(v))
-		d.dicts[lvl32].add(region)
-		return nil
+	case SymU8:
+		litBits = 8
+	case SymU16:
+		litBits = 16
+	case SymU32:
+		litBits = 32
+	default:
+		return fmt.Errorf("lbe: unhandled symbol %v", sym)
 	}
-	return fmt.Errorf("lbe: unhandled symbol %v", sym)
+	v, err := d.r.ReadBits(litBits)
+	if err != nil {
+		return err
+	}
+	c.setWord(i, uint32(v))
+	d.dicts.d32.add(uint32(v))
+	return nil
 }

@@ -34,7 +34,10 @@ func padBlocks(data []byte) [][]byte {
 // that runs a dropped trial Append before each commit, one that never
 // trials — and asserts the committed streams are identical (trial state
 // must not leak), the stream decodes back to the exact input from the
-// start, and bit accounting matches what each commit reported.
+// start, and bit accounting matches what each commit reported. It then
+// drives the same blocks through trial/drop/commit interleavings picked
+// by the fuzz data, against the reference encoder, under the default and
+// a quickly frozen configuration.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 64))
@@ -86,6 +89,18 @@ func FuzzRoundTrip(f *testing.F) {
 			if !bytes.Equal(out, b) {
 				t.Fatalf("block %d round-trip mismatch:\n in  % x\n out % x", i, b, out)
 			}
+		}
+
+		for _, cfg := range []Config{DefaultConfig(), tinyConfig} {
+			dr := newDiffRun(t, cfg)
+			for k, b := range blocks {
+				op := byte(k) * 0x9d
+				if len(data) > 0 {
+					op += data[k*7%len(data)]
+				}
+				dr.step(op, b, blocks[(k+1)%len(blocks)])
+			}
+			dr.finish()
 		}
 	})
 }

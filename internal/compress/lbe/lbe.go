@@ -25,12 +25,14 @@
 // Dictionaries freeze when full, exactly like C-Pack's.
 //
 // The Encoder supports trial appends: MORC compresses an inserted line
-// into all active logs but commits only the winner (§3.2.3), so Append
-// returns a pending state that the caller either commits or discards.
+// into all active logs but commits only the winner (§3.2.3). A trial
+// (TrialBits, or Append for a committable Pending) only counts bits: it
+// adds its dictionary entries in place and rolls them back when it ends,
+// so it allocates nothing and leaves the encoder unchanged. Committing
+// encodes the block again, for real, into the one log that keeps it.
 package lbe
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"morc/internal/compress/bitstream"
@@ -141,6 +143,11 @@ func (c Config) validate() error {
 	return nil
 }
 
+// ptrWidths returns the match-pointer width of each level's dictionary.
+func (c Config) ptrWidths() [4]int {
+	return [4]int{ptrBits(c.Dict32), ptrBits(c.Dict64), ptrBits(c.Dict128), ptrBits(c.Dict256)}
+}
+
 // ptrBits returns the pointer width for a dictionary with n entries.
 func ptrBits(n int) int {
 	b := 0
@@ -153,104 +160,38 @@ func ptrBits(n int) int {
 	return b
 }
 
-// dict is one granularity's dictionary: insertion-ordered entries with a
-// content index. Entries never change once inserted (append-only, frozen
-// when full), matching the stream-preservation requirement of §2.2.
-type dict struct {
-	gran    int // bytes per entry: 4, 8, 16, 32
-	cap     int
-	entries []string
-	index   map[string]int
-}
-
-func newDict(gran, capacity int) *dict {
-	return &dict{gran: gran, cap: capacity, index: make(map[string]int, capacity)}
-}
-
-func (d *dict) lookup(b []byte) (int, bool) {
-	i, ok := d.index[string(b)]
-	return i, ok
-}
-
-func (d *dict) full() bool { return len(d.entries) >= d.cap }
-
-// add inserts b if there is room and it is not already present. The
-// membership probe uses the conversion-keyed map read (alloc-free); the
-// string is materialized only when the entry is actually inserted.
-func (d *dict) add(b []byte) {
-	if d.full() {
-		return
-	}
-	if _, ok := d.index[string(b)]; ok {
-		return
-	}
-	//morclint:ignore hotalloc dictionary insert retains the key; the copy happens once per new entry, not per access
-	d.addString(string(b))
-}
-
-// addString is add for callers that already hold the key as a string
-// (Commit replaying pending adds), skipping the []byte round-trip.
-func (d *dict) addString(s string) {
-	if d.full() {
-		return
-	}
-	if _, ok := d.index[s]; ok {
-		return
-	}
-	d.index[s] = len(d.entries)
-	d.entries = append(d.entries, s)
-}
-
-func (d *dict) clone() *dict {
-	nd := &dict{gran: d.gran, cap: d.cap, entries: append([]string(nil), d.entries...),
-		index: make(map[string]int, len(d.index))}
-	for k, v := range d.index {
-		nd.index[k] = v
-	}
-	return nd
-}
-
 // Encoder compresses a stream of 32-byte-multiple blocks, maintaining
 // dictionary state across appends (one Encoder per MORC log).
 type Encoder struct {
-	cfg    Config
-	w      *bitstream.Writer
-	dicts  [4]*dict // index by granularity level: 0=32b word .. 3=256b
-	stats  SymbolStats
-	inLen  int // uncompressed bytes appended
-	frozen bool
+	ptr   [4]int // match-pointer width per level
+	w     bitstream.Writer
+	dicts dicts
+	stats SymbolStats
+	inLen int // uncompressed bytes appended
+
+	// State of the encode in progress.
+	commit bool // write bits and count symbols, and keep new entries
+	bits   int  // bits the encode has produced so far
+	c      chunk
+	failed failedRegions
 }
-
-const (
-	lvl32 = iota
-	lvl64
-	lvl128
-	lvl256
-)
-
-func granBytes(lvl int) int { return 4 << uint(lvl) }
 
 // NewEncoder returns an empty encoder with the given configuration.
 func NewEncoder(cfg Config) *Encoder {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	e := &Encoder{cfg: cfg, w: bitstream.NewWriter()}
-	e.dicts[lvl32] = newDict(4, cfg.Dict32)
-	e.dicts[lvl64] = newDict(8, cfg.Dict64)
-	e.dicts[lvl128] = newDict(16, cfg.Dict128)
-	e.dicts[lvl256] = newDict(32, cfg.Dict256)
-	return e
+	return &Encoder{ptr: cfg.ptrWidths(), dicts: newDicts(cfg)}
 }
 
-// Clone returns a deep copy, used by multi-log trial compression when the
-// caller needs full what-if isolation.
-func (e *Encoder) Clone() *Encoder {
-	ne := &Encoder{cfg: e.cfg, w: e.w.Clone(), stats: e.stats, inLen: e.inLen}
-	for i, d := range e.dicts {
-		ne.dicts[i] = d.clone()
-	}
-	return ne
+// Reset empties the encoder for reuse with the same configuration,
+// keeping its allocated storage. A Pending from before the reset must
+// not be committed after it.
+func (e *Encoder) Reset() {
+	e.w.Reset()
+	e.dicts.reset()
+	e.stats = SymbolStats{}
+	e.inLen = 0
 }
 
 // Bits returns the compressed stream length in bits.
@@ -265,89 +206,31 @@ func (e *Encoder) InputBytes() int { return e.inLen }
 // Stats returns a copy of the symbol usage counters.
 func (e *Encoder) Stats() SymbolStats { return e.stats }
 
-// Pending captures the result of a trial append: the bits the block would
-// occupy and the dictionary mutations it would make. Commit applies it.
+// Pending is a trial append that can be committed: the bits the block
+// would occupy against the encoder state it was sized on. Commit encodes
+// the block again, so the block must not change before Commit.
 type Pending struct {
 	enc      *Encoder
 	startBit int
-	bits     []pendBit
-	adds     [4][]string // new dictionary entries per level, in order
-	stats    SymbolStats
-	inLen    int
+	bits     int
+	block    []byte
 	applied  bool
 }
 
-type pendBit struct {
-	v uint64
-	n int
-}
-
 // Bits returns the number of compressed bits this append would add.
-func (p *Pending) Bits() int {
-	total := 0
-	for _, b := range p.bits {
-		total += b.n
-	}
-	return total
-}
+func (p *Pending) Bits() int { return p.bits }
 
-type pendState struct {
-	p *Pending
-	// overlay lookup for entries added during this append
-	addIdx [4]map[string]int
-}
-
-func (ps *pendState) lookup(lvl int, b []byte) (int, bool) {
-	if i, ok := ps.p.enc.dicts[lvl].lookup(b); ok {
-		return i, true
-	}
-	if i, ok := ps.addIdx[lvl][string(b)]; ok {
-		return i, true
-	}
-	return 0, false
-}
-
-func (ps *pendState) full(lvl int) bool {
-	d := ps.p.enc.dicts[lvl]
-	return len(d.entries)+len(ps.p.adds[lvl]) >= d.cap
-}
-
-func (ps *pendState) add(lvl int, b []byte) {
-	if ps.full(lvl) {
-		return
-	}
-	if _, ok := ps.lookup(lvl, b); ok {
-		return
-	}
-	d := ps.p.enc.dicts[lvl]
-	idx := len(d.entries) + len(ps.p.adds[lvl])
-	//morclint:ignore hotalloc pending-add retains the key; one copy per new dictionary entry, shared by the slice and the index
-	s := string(b)
-	ps.p.adds[lvl] = append(ps.p.adds[lvl], s)
-	ps.addIdx[lvl][s] = idx
-}
-
-func (ps *pendState) emit(v uint64, n int) {
-	ps.p.bits = append(ps.p.bits, pendBit{v, n})
-}
+// TrialBits returns the number of bits appending block (length a positive
+// multiple of 32) would add. The encoder is left unchanged and nothing
+// is allocated.
+func (e *Encoder) TrialBits(block []byte) int { return e.encode(block, false) }
 
 // Append trial-compresses block (length must be a positive multiple of 32)
 // against the encoder's current state, returning a Pending that the caller
 // commits with Commit or simply drops. The encoder state is unmodified
 // until Commit.
 func (e *Encoder) Append(block []byte) *Pending {
-	if len(block) == 0 || len(block)%32 != 0 {
-		panic(fmt.Sprintf("lbe: Append block of %d bytes (need positive multiple of 32)", len(block)))
-	}
-	p := &Pending{enc: e, startBit: e.w.Len(), inLen: len(block)}
-	ps := &pendState{p: p}
-	for i := range ps.addIdx {
-		ps.addIdx[i] = make(map[string]int)
-	}
-	for off := 0; off < len(block); off += 32 {
-		e.encodeChunk(ps, block[off:off+32])
-	}
-	return p
+	return &Pending{enc: e, startBit: e.w.Len(), bits: e.TrialBits(block), block: block}
 }
 
 // Commit applies a pending append produced by this encoder. A Pending may
@@ -363,33 +246,58 @@ func (e *Encoder) Commit(p *Pending) {
 	if p.startBit != e.w.Len() {
 		panic("lbe: encoder advanced since Append; pending is stale")
 	}
-	for _, b := range p.bits {
-		e.w.WriteBits(b.v, b.n)
+	if e.encode(p.block, true) != p.bits {
+		panic("lbe: block changed between Append and Commit")
 	}
-	for lvl, adds := range p.adds {
-		for _, s := range adds {
-			e.dicts[lvl].addString(s)
-		}
-	}
-	e.stats.Add(p.stats)
-	e.inLen += p.inLen
 	p.applied = true
 }
 
-// AppendCommit is the one-shot form used when no trial is needed.
-func (e *Encoder) AppendCommit(block []byte) int {
-	p := e.Append(block)
-	e.Commit(p)
-	return p.Bits()
+// AppendCommit is the one-shot form used when no trial is needed. It
+// returns the bits added and allocates only to grow the stream.
+func (e *Encoder) AppendCommit(block []byte) int { return e.encode(block, true) }
+
+// encode compresses block chunk by chunk against the current state and
+// returns its size in bits. A commit writes the bits, counts the symbols
+// and keeps the new dictionary entries; a trial only counts bits and
+// truncates the dictionaries back to their lengths on entry, which
+// removes exactly the entries it added because dictionaries are
+// append-only.
+func (e *Encoder) encode(block []byte, commit bool) int {
+	if len(block) == 0 || len(block)%32 != 0 {
+		panic(fmt.Sprintf("lbe: Append block of %d bytes (need positive multiple of 32)", len(block)))
+	}
+	saved := e.dicts.lens()
+	e.commit, e.bits = commit, 0
+	for off := 0; off < len(block); off += 32 {
+		e.c = loadChunk(block[off:])
+		e.failed.n = 0
+		e.encodeRegion(lvl256, 0)
+		// Post-chunk allocation (paper: "before compressing the next 256b
+		// chunk, LBE allocates dictionary entries for any of the
+		// 64/128/256b chunks that failed to compress").
+		e.dicts.allocFailed(&e.c, &e.failed)
+	}
+	if commit {
+		e.inLen += len(block)
+	} else {
+		e.dicts.truncate(saved)
+	}
+	return e.bits
 }
 
-func isZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return false
-		}
+func (e *Encoder) emit(v uint64, n int) {
+	e.bits += n
+	if e.commit {
+		e.w.WriteBits(v, n)
 	}
-	return true
+}
+
+func (e *Encoder) emitSym(s Symbol) {
+	c := symCode[s]
+	e.emit(uint64(c.v), c.n)
+	if e.commit {
+		e.stats[s]++
+	}
 }
 
 // symbol codes from Table 3: value and bit-width of the prefix.
@@ -412,100 +320,39 @@ var (
 	mSym = [4]Symbol{SymM32, SymM64, SymM128, SymM256}
 )
 
-// encodeChunk compresses one 32-byte chunk and performs post-chunk
-// dictionary allocation for failed large blocks.
-func (e *Encoder) encodeChunk(ps *pendState, chunk []byte) {
-	var failed [][2]int // (level, offset) of regions that failed to compress
-	e.encodeRegion(ps, chunk, lvl256, 0, &failed)
-	// Post-chunk allocation (paper: "before compressing the next 256b
-	// chunk, LBE allocates dictionary entries for any of the 64/128/256b
-	// chunks that failed to compress"). Children first so parents can be
-	// expressed as trees over existing entries.
-	for lvl := lvl64; lvl <= lvl256; lvl++ {
-		for _, f := range failed {
-			if f[0] != lvl {
-				continue
-			}
-			g := granBytes(lvl)
-			region := chunk[f[1] : f[1]+g]
-			if e.representable(ps, region) {
-				ps.add(lvl, region)
-			}
-		}
-	}
-}
-
-// representable reports whether every 32-bit word of region is zero or
-// present in the 32-bit dictionary — the condition for a binary-tree
-// entry at a larger granularity to have valid leaf pointers.
-func (e *Encoder) representable(ps *pendState, region []byte) bool {
-	for off := 0; off < len(region); off += 4 {
-		w := region[off : off+4]
-		if isZero(w) {
-			continue
-		}
-		if _, ok := ps.lookup(lvl32, w); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *Encoder) ptrBitsFor(lvl int) int {
-	switch lvl {
-	case lvl32:
-		return ptrBits(e.cfg.Dict32)
-	case lvl64:
-		return ptrBits(e.cfg.Dict64)
-	case lvl128:
-		return ptrBits(e.cfg.Dict128)
-	default:
-		return ptrBits(e.cfg.Dict256)
-	}
-}
-
-func (ps *pendState) emitSym(s Symbol) {
-	c := symCode[s]
-	ps.emit(uint64(c.v), c.n)
-	ps.p.stats[s]++
-}
-
-// encodeRegion compresses region (granBytes(lvl) bytes at offset off of
-// the chunk). It records failed 64/128/256-bit regions for post-chunk
-// dictionary allocation.
-func (e *Encoder) encodeRegion(ps *pendState, chunk []byte, lvl, off int, failed *[][2]int) {
-	g := granBytes(lvl)
-	region := chunk[off : off+g]
-	if isZero(region) {
-		ps.emitSym(zSym[lvl])
+// encodeRegion compresses region i of level lvl of the current chunk,
+// recording the 64/128/256-bit regions that fail to compress as one
+// symbol for post-chunk dictionary allocation.
+func (e *Encoder) encodeRegion(lvl, i int) {
+	if e.c.isZero(lvl, i) {
+		e.emitSym(zSym[lvl])
 		return
 	}
-	if idx, ok := ps.lookup(lvl, region); ok {
-		ps.emitSym(mSym[lvl])
-		ps.emit(uint64(idx), e.ptrBitsFor(lvl))
+	if idx, ok := e.dicts.lookup(&e.c, lvl, i); ok {
+		e.emitSym(mSym[lvl])
+		e.emit(uint64(idx), e.ptr[lvl])
 		return
 	}
 	if lvl > lvl32 {
-		*failed = append(*failed, [2]int{lvl, off})
-		half := g / 2
-		e.encodeRegion(ps, chunk, lvl-1, off, failed)
-		e.encodeRegion(ps, chunk, lvl-1, off+half, failed)
+		e.failed.add(lvl, i)
+		e.encodeRegion(lvl-1, 2*i)
+		e.encodeRegion(lvl-1, 2*i+1)
 		return
 	}
 	// 32-bit literal with upper-zero truncation (u8/u16/u32). Words are
 	// interpreted little-endian, matching the x86 memory images the paper
 	// traces: a small integer has zero bytes at the high addresses.
-	w := binary.LittleEndian.Uint32(region)
+	w := e.c.word(i)
 	switch {
 	case w < 1<<8:
-		ps.emitSym(SymU8)
-		ps.emit(uint64(w), 8)
+		e.emitSym(SymU8)
+		e.emit(uint64(w), 8)
 	case w < 1<<16:
-		ps.emitSym(SymU16)
-		ps.emit(uint64(w), 16)
+		e.emitSym(SymU16)
+		e.emit(uint64(w), 16)
 	default:
-		ps.emitSym(SymU32)
-		ps.emit(uint64(w), 32)
+		e.emitSym(SymU32)
+		e.emit(uint64(w), 32)
 	}
-	ps.add(lvl32, region)
+	e.dicts.d32.add(w)
 }

@@ -137,7 +137,7 @@ func TestTrialAppendDoesNotMutate(t *testing.T) {
 	if e.Bits() != before {
 		t.Fatal("Append mutated encoder bits")
 	}
-	if len(e.dicts[lvl32].entries) != 0 {
+	if e.dicts.lens() != [4]int{} {
 		t.Fatal("Append mutated dictionary")
 	}
 	// A second trial of the same data must produce the same size.
@@ -204,7 +204,7 @@ func TestAppendBadSizePanics(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
+func TestResetMatchesFreshEncoder(t *testing.T) {
 	r := rng.New(5)
 	b1 := make([]byte, 64)
 	b2 := make([]byte, 64)
@@ -214,19 +214,28 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	e := NewEncoder(DefaultConfig())
 	e.AppendCommit(b1)
-	c := e.Clone()
-	c.AppendCommit(b2)
-	// Original must still decode to just b1.
-	d := NewDecoder(DefaultConfig(), e.Bytes(), e.Bits())
-	got, err := d.Next(64)
-	if err != nil || !bytes.Equal(got, b1) {
-		t.Fatalf("original corrupted by clone: %v", err)
+	e.AppendCommit(b2)
+	e.Reset()
+	if e.Bits() != 0 || e.InputBytes() != 0 || e.Stats() != (SymbolStats{}) || e.dicts.lens() != [4]int{} {
+		t.Fatalf("Reset left state: %d bits, %d input bytes, stats %v, dictionaries %v",
+			e.Bits(), e.InputBytes(), e.Stats(), e.dicts.lens())
 	}
-	dc := NewDecoder(DefaultConfig(), c.Bytes(), c.Bits())
-	g1, _ := dc.Next(64)
-	g2, err := dc.Next(64)
-	if err != nil || !bytes.Equal(g1, b1) || !bytes.Equal(g2, b2) {
-		t.Fatalf("clone stream wrong: %v", err)
+	// The reset encoder must behave exactly like a fresh one: nothing of
+	// b1 may still match.
+	fresh := NewEncoder(DefaultConfig())
+	for _, b := range [][]byte{b2, b1} {
+		if got, want := e.AppendCommit(b), fresh.AppendCommit(b); got != want {
+			t.Fatalf("reset encoder appended %d bits, fresh encoder %d", got, want)
+		}
+	}
+	if !bytes.Equal(e.Bytes(), fresh.Bytes()) || e.Stats() != fresh.Stats() {
+		t.Fatal("reset encoder's stream differs from a fresh encoder's")
+	}
+	d := NewDecoder(DefaultConfig(), e.Bytes(), e.Bits())
+	for _, want := range [][]byte{b2, b1} {
+		if got, err := d.Next(64); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("reset encoder's stream does not round-trip: %v", err)
+		}
 	}
 }
 

@@ -120,17 +120,11 @@ func NewStream(cfg Config) *Stream {
 	return &Stream{cfg: cfg, w: bitstream.NewWriter()}
 }
 
-// Clone returns an independent copy.
-func (s *Stream) Clone() *Stream {
-	return &Stream{
-		cfg:    s.cfg,
-		w:      s.w.Clone(),
-		bases:  s.bases,
-		have:   s.have,
-		used:   s.used,
-		count:  s.count,
-		starts: append([]int(nil), s.starts...),
-	}
+// Reset empties the stream for reuse with the same configuration,
+// keeping its allocated storage.
+func (s *Stream) Reset() {
+	s.w.Reset()
+	*s = Stream{cfg: s.cfg, w: s.w, starts: s.starts[:0]}
 }
 
 // Bits returns the stream size in bits.

@@ -1,6 +1,7 @@
 package tagdelta
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -203,19 +204,32 @@ func TestOversizedTagPanics(t *testing.T) {
 	s.Append(1 << 11)
 }
 
-func TestClone(t *testing.T) {
+func TestResetMatchesFreshStream(t *testing.T) {
 	cfg := DefaultConfig()
 	s := NewStream(cfg)
 	s.Append(500)
-	c := s.Clone()
-	c.Append(501)
-	if s.Count() != 1 || c.Count() != 2 {
-		t.Fatalf("counts: %d, %d", s.Count(), c.Count())
+	s.Append(9000)
+	s.Invalidate(0)
+	s.Reset()
+	if s.Bits() != 0 || s.Count() != 0 {
+		t.Fatalf("Reset left %d bits, %d tags", s.Bits(), s.Count())
 	}
-	s.Append(502)
-	got, _, err := Decode(cfg, s.Bytes(), s.Bits(), 2)
-	if err != nil || got[1] != 502 {
-		t.Fatalf("original stream corrupted: %v %v", got, err)
+	// No base may survive the reset: the first tag must escape again,
+	// exactly as in a fresh stream.
+	fresh := NewStream(cfg)
+	for _, tag := range []uint64{501, 502, 9001} {
+		if got, want := s.Append(tag), fresh.Append(tag); got != want {
+			t.Fatalf("tag %d: reset stream appended %d bits, fresh stream %d", tag, got, want)
+		}
+	}
+	s.Invalidate(1)
+	fresh.Invalidate(1)
+	if !bytes.Equal(s.Bytes(), fresh.Bytes()) {
+		t.Fatalf("reset stream %x, fresh stream %x", s.Bytes(), fresh.Bytes())
+	}
+	got, valid, err := Decode(cfg, s.Bytes(), s.Bits(), 3)
+	if err != nil || got[2] != 9001 || valid[1] {
+		t.Fatalf("reset stream decodes to %v %v (%v)", got, valid, err)
 	}
 }
 

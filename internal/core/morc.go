@@ -74,6 +74,14 @@ type Cache struct {
 	// unlimited-mode index (UnlimitedTags): addr -> lmt slot is replaced
 	// by a plain map to (log, line).
 	unlIndex map[uint64][2]int32
+	trials   []trial // per-insert scratch, one per active log
+}
+
+// trial is one active log's sizing of the line being inserted.
+type trial struct {
+	dataBits int
+	bits     int // data + tag growth: the storage the append consumes
+	fits     bool
 }
 
 // New builds a MORC cache, panicking on invalid configuration (a
@@ -83,7 +91,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numLogs := cfg.CacheBytes / cfg.LogBytes
-	c := &Cache{cfg: cfg}
+	c := &Cache{cfg: cfg, trials: make([]trial, cfg.ActiveLogs)}
 	c.logs = make([]*logT, numLogs)
 	for i := range c.logs {
 		c.logs[i] = &logT{
@@ -214,11 +222,12 @@ func (c *Cache) lmtLookup(addr uint64) int {
 }
 
 // lmtValidWays returns addr's valid candidate entries (an aliased miss
-// must decode every pointed-to log's tags before declaring the miss).
-func (c *Cache) lmtValidWays(addr uint64) []int {
-	var cand [8]int
-	var ways []int
-	for _, i := range c.lmtCandidates(addr, cand[:0]) {
+// must decode every pointed-to log's tags before declaring the miss),
+// filtering the candidates in place in buf.
+func (c *Cache) lmtValidWays(addr uint64, buf []int) []int {
+	cands := c.lmtCandidates(addr, buf)
+	ways := cands[:0]
+	for _, i := range cands {
 		if c.lmt[i].valid {
 			ways = append(ways, i)
 		}
@@ -300,7 +309,8 @@ func (c *Cache) locate(addr uint64) (logIdx, lineIdx int, ok bool, missExtra int
 		e.seq = c.seq
 		return int(e.logIdx), int(e.lineIdx), true, 0
 	}
-	ways := c.lmtValidWays(addr)
+	var buf [8]int
+	ways := c.lmtValidWays(addr, buf[:0])
 	if len(ways) == 0 {
 		c.st.FastMisses++
 		return 0, 0, false, 0
@@ -435,15 +445,15 @@ func (c *Cache) allocLMT(addr uint64) (int, []cache.Writeback) {
 
 // --- log management ----------------------------------------------------
 
-// trialFit sizes appending (tag, data) to lg. fits reports whether the
-// log can accept it; dataBits is the compressed data growth.
-func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) (p *lbe.Pending, dataBits, tagBits int, fits bool) {
+// trialFit sizes appending (tag, data) to lg without changing it. fits
+// reports whether the log can accept it; dataBits is the compressed data
+// growth.
+func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) (dataBits, tagBits int, fits bool) {
 	if c.cfg.DisableCompression {
 		dataBits = cache.LineSize * 8
-		return nil, dataBits, 0, lg.rawBytes+cache.LineSize <= c.cfg.LogBytes
+		return dataBits, 0, lg.rawBytes+cache.LineSize <= c.cfg.LogBytes
 	}
-	p = lg.enc.Append(data)
-	dataBits = p.Bits()
+	dataBits = lg.enc.TrialBits(data)
 	tagBits = lg.tags.TrialBits(tag)
 	capBits := c.cfg.LogBytes * 8
 	switch {
@@ -456,7 +466,7 @@ func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) (p *lbe.Pending, dat
 			lg.tags.Bits()+tagBits <= c.cfg.TagBytesPerLog*8
 	}
 	c.st.Compressions++
-	return p, dataBits, tagBits, fits
+	return dataBits, tagBits, fits
 }
 
 // append compresses the line into the best active log (content-aware
@@ -464,16 +474,10 @@ func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) (p *lbe.Pending, dat
 func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache.Writeback) {
 	tag := cache.LineTag(la)
 
-	type trial struct {
-		slot    int // index into c.actives
-		pending *lbe.Pending
-		bits    int // data + tag growth: the storage the append consumes
-		fits    bool
-	}
-	trials := make([]trial, len(c.actives))
+	trials := c.trials
 	for i, li := range c.actives {
-		p, db, tb, fits := c.trialFit(c.logs[li], tag, data)
-		trials[i] = trial{slot: i, pending: p, bits: db + tb, fits: fits}
+		db, tb, fits := c.trialFit(c.logs[li], tag, data)
+		trials[i] = trial{dataBits: db, bits: db + tb, fits: fits}
 	}
 
 	best, worst := -1, -1
@@ -500,11 +504,11 @@ func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache
 		}
 		wbs = c.recycle(fullest)
 		li := c.actives[fullest]
-		p, _, _, fits := c.trialFit(c.logs[li], tag, data)
+		db, _, fits := c.trialFit(c.logs[li], tag, data)
 		if !fits {
 			panic(fmt.Sprintf("core: line does not fit in an empty %dB log", c.cfg.LogBytes))
 		}
-		idx := c.commitAppend(li, p, tag, la, data)
+		idx := c.commitAppend(li, db, tag, la, data)
 		return li, idx, wbs
 	}
 
@@ -526,7 +530,7 @@ func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache
 	}
 
 	li := c.actives[choice]
-	idx := c.commitAppend(li, trials[choice].pending, tag, la, data)
+	idx := c.commitAppend(li, trials[choice].dataBits, tag, la, data)
 	return li, idx, wbs
 }
 
@@ -541,14 +545,17 @@ func (c *Cache) occBits(lg *logT) int {
 	return lg.enc.Bits()
 }
 
-// commitAppend applies a pending compression to log li and records the
-// line. p is nil in DisableCompression mode.
-func (c *Cache) commitAppend(li int, p *lbe.Pending, tag, la uint64, data []byte) int {
+// commitAppend compresses the line into log li, the one log that keeps
+// it, and records the line. dataBits is the log's trial size of the
+// line, which the real encode must reproduce.
+func (c *Cache) commitAppend(li, dataBits int, tag, la uint64, data []byte) int {
 	lg := c.logs[li]
 	if c.cfg.DisableCompression {
 		lg.rawBytes += cache.LineSize
 	} else {
-		lg.enc.Commit(p)
+		if got := lg.enc.AppendCommit(data); got != dataBits {
+			panic(fmt.Sprintf("core: log %d encoded a line in %d bits, its trial sized it at %d", lg.id, got, dataBits))
+		}
 		tb := lg.tags.Append(tag)
 		c.st.TagBitsAppended += uint64(tb)
 		if tb >= 40 {
@@ -676,12 +683,12 @@ func (c *Cache) retireInvalid(lg *logT) {
 	c.resetLog(lg)
 }
 
-// resetLog aggregates the retiring encoder's symbol stats and reinstalls
-// empty streams.
+// resetLog aggregates the retiring encoder's symbol stats and empties
+// the log's streams in place.
 func (c *Cache) resetLog(lg *logT) {
 	c.symTotal.Add(lg.enc.Stats())
-	lg.enc = lbe.NewEncoder(c.cfg.LBE)
-	lg.tags = tagdelta.NewStream(c.cfg.Tag)
+	lg.enc.Reset()
+	lg.tags.Reset()
 	lg.lines = lg.lines[:0]
 	lg.valid = 0
 	lg.rawBytes = 0
