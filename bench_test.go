@@ -450,7 +450,7 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 			Seq: i, EndInstr: uint64(i+1) * 10_000, Instr: 10_000,
 			Cycles: 12_000, LLCReads: 400, LLCHits: 300, LLCMisses: 100,
 			CompRatio: 2.1, RatioSamples: 4,
-			Cores:     []telemetry.CoreEpoch{{Instr: 10_000, Cycles: 12_000}},
+			Cores: []telemetry.CoreEpoch{{Instr: 10_000, Cycles: 12_000}},
 		})
 	}
 

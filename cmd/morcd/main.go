@@ -80,7 +80,7 @@ func main() {
 		scheme    = flag.String("scheme", "MORC", "LLC scheme for workload/mix jobs")
 		budget    = flag.String("budget", "quick", "simulation budget: quick|full")
 		epoch     = flag.Uint64("telemetry", 0, "record a telemetry epoch every N instructions (0 = off)")
-		wait      = flag.Bool("wait", false, "poll until the job finishes and print the final view")
+		wait      = flag.Bool("wait", false, "long-poll until the job finishes and print the final view")
 		cancelID  = flag.String("cancel", "", "cancel the given job id instead of submitting")
 		traceID   = flag.String("trace", "", "print the given job's trace instead of submitting")
 	)
@@ -247,7 +247,7 @@ func runClient(baseURL, workload, mix, expID, scheme, budget, cancelID, traceID 
 	if !wait {
 		return printJSON(v)
 	}
-	v, err = c.Wait(ctx, v.ID, 250*time.Millisecond)
+	v, err = c.Wait(ctx, v.ID)
 	if err != nil {
 		return err
 	}

@@ -170,7 +170,7 @@ func runLoad(ctx context.Context, baseURL string, cfg loadConfig) (*loadStats, e
 					io.Copy(io.Discard, body)
 				}()
 			}
-			final, err := cl.Wait(ctx, v.ID, 25*time.Millisecond)
+			final, err := cl.Wait(ctx, v.ID)
 			e2e := time.Since(t0)
 			sseWG.Wait()
 			mu.Lock()

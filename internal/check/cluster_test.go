@@ -59,7 +59,7 @@ func runSweep(t *testing.T, ctx context.Context, baseURL string, specs []server.
 	}
 	out := make([][]byte, len(specs))
 	for i, id := range ids {
-		v, err := cl.Wait(ctx, id, 50*time.Millisecond)
+		v, err := cl.Wait(ctx, id)
 		if err != nil {
 			t.Fatalf("wait %s: %v", id, err)
 		}
@@ -83,7 +83,6 @@ func testClusterConfig(peers ...string) cluster.Config {
 		FailThreshold: 2,
 		BackoffBase:   100 * time.Millisecond,
 		BackoffMax:    time.Second,
-		PollInterval:  25 * time.Millisecond,
 		SubmitTimeout: 2 * time.Second,
 		MaxRequeues:   8,
 		NewClient: func(u string) *client.Client {
@@ -200,7 +199,7 @@ func TestClusterSweepSurvivesPeerKill(t *testing.T) {
 	doomed.SetBlackhole(true)
 
 	for i, id := range ids {
-		v, err := cl.Wait(ctx, id, 50*time.Millisecond)
+		v, err := cl.Wait(ctx, id)
 		if err != nil {
 			t.Fatalf("wait %s: %v", id, err)
 		}
@@ -269,7 +268,7 @@ func TestClusterProxyStreamsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if _, err := cl.Wait(ctx, v.ID, 50*time.Millisecond); err != nil {
+	if _, err := cl.Wait(ctx, v.ID); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
 	pv := placementOf(t, coordTS.URL, v.ID)

@@ -43,7 +43,7 @@ func traceOf(t *testing.T, ctx context.Context, baseURL string, spec server.JobS
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	final, err := cl.Wait(ctx, v.ID, 25*time.Millisecond)
+	final, err := cl.Wait(ctx, v.ID)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}

@@ -13,9 +13,11 @@
 //     exactly once per failure (the job's epoch increments), and any
 //     result the old peer later delivers loses the fence and is
 //     discarded deterministically;
-//   - job status, cancel, SSE event streams, and telemetry timeseries
-//     are proxied to the owning peer — streams byte-for-byte, so a
-//     client cannot tell a coordinator from the worker behind it.
+//   - job status comes from a long-poll each runner keeps parked on the
+//     owning peer, so a result lands as soon as the peer has it; cancel,
+//     SSE event streams, and telemetry timeseries are proxied to the
+//     peer — streams byte-for-byte, so a client cannot tell a
+//     coordinator from the worker behind it.
 //
 // morcd simulations are pure functions of (spec), so a sweep submitted
 // to a coordinator returns results byte-identical to a single-node run
@@ -63,11 +65,9 @@ type Config struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 
-	// PollInterval is the cadence runners poll remote jobs at
-	// (default 150ms).
-	PollInterval time.Duration
 	// SubmitTimeout bounds one dispatch round-trip including the
-	// client's retries (default 15s).
+	// client's retries (default 15s). A runner long-polls its job on the
+	// peer in windows of half of it.
 	SubmitTimeout time.Duration
 	// MaxRequeues is how many failovers one job survives before it is
 	// failed (default 3).
@@ -102,9 +102,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 30 * time.Second
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 150 * time.Millisecond
 	}
 	if cfg.SubmitTimeout <= 0 {
 		cfg.SubmitTimeout = 15 * time.Second
@@ -223,6 +220,7 @@ func (c *Coordinator) SubmitTraced(spec server.JobSpec, parent obs.SpanContext, 
 	}
 	c.nextID++
 	j := newCJob(fmt.Sprintf("c%06d", c.nextID), spec, span, queueSp)
+	j.metrics = c.metrics
 	c.jobs[j.id] = j
 	c.order = append(c.order, j.id)
 	c.mu.Unlock()
@@ -324,7 +322,6 @@ func (c *Coordinator) Cancel(id string) (*cjob, bool) {
 	act, peerURL, remoteID := j.requestCancel()
 	switch act {
 	case cancelFinished:
-		c.metrics.finished(server.StatusCancelled)
 		c.log.Info("job cancelled while pending", "job", j.id)
 	case cancelRemote:
 		if cl := c.reg.clientFor(peerURL); cl != nil {
@@ -384,10 +381,11 @@ func (c *Coordinator) peerCall(f func(context.Context) (server.JobView, error)) 
 	return f(ctx)
 }
 
-// runOne dispatches one claimed job to the peer and polls it to a
-// terminal state. Every mutation of j is fenced by the epoch taken at
-// claim time, so a failover while this runner is mid-flight turns the
-// rest of its work into no-ops.
+// runOne dispatches one claimed job to the peer and long-polls it to a
+// terminal state, so the result lands as soon as the peer has it. Every
+// mutation of j is fenced by the epoch taken at claim time, so a
+// failover while this runner is mid-flight turns the rest of its work
+// into no-ops.
 func (c *Coordinator) runOne(peerURL string, j *cjob) {
 	epoch, prevPeer, dispatchSC, ok := j.claim(peerURL)
 	if !ok {
@@ -425,17 +423,15 @@ func (c *Coordinator) runOne(peerURL string, j *cjob) {
 	}
 	c.log.Info("job dispatched", "job", j.id, "peer", peerURL, "remote", v.ID, "epoch", epoch, "stolen", stolen)
 
+	// Each long-poll parks on the peer until the job ends or the window
+	// passes, which leaves the round-trip half of SubmitTimeout.
+	wait := c.cfg.SubmitTimeout / 2
 	for {
-		select {
-		case <-time.After(c.cfg.PollInterval):
-		case <-c.baseCtx.Done():
-			return
-		}
 		if !j.ownedAt(epoch) {
 			return // failed over (by the prober) or finished elsewhere
 		}
 		rv, err := c.peerCall(func(ctx context.Context) (server.JobView, error) {
-			return cl.Job(ctx, v.ID)
+			return cl.Poll(ctx, v.ID, wait)
 		})
 		if err != nil {
 			if c.baseCtx.Err() != nil {
@@ -458,7 +454,6 @@ func (c *Coordinator) runOne(peerURL string, j *cjob) {
 			continue
 		}
 		if j.adopt(epoch, rv) {
-			c.metrics.finished(rv.Status)
 			c.log.Info("job finished", "job", j.id, "peer", peerURL, "status", string(rv.Status))
 		} else {
 			c.reg.lateResult(peerURL)
@@ -477,7 +472,6 @@ func (c *Coordinator) runOne(peerURL string, j *cjob) {
 func (c *Coordinator) requeueOrFail(j *cjob, epoch uint64, reason string) {
 	ok, finishedAs, fromPeer := j.requeue(epoch, c.cfg.MaxRequeues, reason)
 	if finishedAs != "" {
-		c.metrics.finished(finishedAs)
 		c.log.Warn("job finished during failover", "job", j.id, "status", string(finishedAs), "reason", reason)
 		return
 	}

@@ -38,7 +38,6 @@ func testClusterCfg(peers ...string) Config {
 		FailThreshold: 2,
 		BackoffBase:   100 * time.Millisecond,
 		BackoffMax:    time.Second,
-		PollInterval:  25 * time.Millisecond,
 		SubmitTimeout: 2 * time.Second,
 		MaxRequeues:   3,
 		NewClient: func(u string) *client.Client {
@@ -94,7 +93,7 @@ func TestClusterSubmitAndComplete(t *testing.T) {
 		ids = append(ids, v.ID)
 	}
 	for _, id := range ids {
-		v, err := cl.Wait(ctx, id, 25*time.Millisecond)
+		v, err := cl.Wait(ctx, id)
 		if err != nil {
 			t.Fatalf("wait %s: %v", id, err)
 		}
@@ -161,7 +160,7 @@ func TestFailoverToHealthyPeer(t *testing.T) {
 	}
 	c.AddPeer(alive.URL())
 
-	final, err := cl.Wait(ctx, v.ID, 25*time.Millisecond)
+	final, err := cl.Wait(ctx, v.ID)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
@@ -247,7 +246,7 @@ func TestMidRunPeerKillFailsOver(t *testing.T) {
 	doomed.SetBlackhole(true)
 	c.AddPeer(alive.URL())
 
-	final, err := cl.Wait(ctx, v.ID, 50*time.Millisecond)
+	final, err := cl.Wait(ctx, v.ID)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
@@ -362,7 +361,7 @@ func TestCancelRunningJobPropagatesToPeer(t *testing.T) {
 	if _, err := cl.Cancel(ctx, v.ID); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
-	final, err := cl.Wait(ctx, v.ID, 25*time.Millisecond)
+	final, err := cl.Wait(ctx, v.ID)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
@@ -397,7 +396,7 @@ func TestJoinEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	final, err := cl.Wait(ctx, v.ID, 25*time.Millisecond)
+	final, err := cl.Wait(ctx, v.ID)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
@@ -432,7 +431,7 @@ func TestMetricsExposition(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if _, err := cl.Wait(ctx, v.ID, 25*time.Millisecond); err != nil {
+	if _, err := cl.Wait(ctx, v.ID); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
 
@@ -469,7 +468,7 @@ func TestPlacementEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if _, err := cl.Wait(ctx, v.ID, 25*time.Millisecond); err != nil {
+	if _, err := cl.Wait(ctx, v.ID); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
 

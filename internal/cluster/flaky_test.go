@@ -40,7 +40,7 @@ func TestSweepSurvivesTransientFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		final, err := cl.Wait(ctx, v.ID, 25*time.Millisecond)
+		final, err := cl.Wait(ctx, v.ID)
 		if err != nil {
 			t.Fatalf("wait %d: %v", i, err)
 		}
@@ -53,6 +53,45 @@ func TestSweepSurvivesTransientFaults(t *testing.T) {
 	}
 	if !c.reg.isUp(p.URL()) {
 		t.Fatal("peer ejected despite only transient faults")
+	}
+}
+
+// TestRunnerLongPollsItsPeer: a runner learns of its job's completion
+// from a long-poll the peer answers when the job ends, so a ~400ms job
+// costs the peer its submit and a long-poll or two; a fixed 25ms poll
+// would make over a dozen requests.
+func TestRunnerLongPollsItsPeer(t *testing.T) {
+	p := startPeer(t)
+	// Windows long enough that even a race-instrumented run of the job
+	// fits in one.
+	cfg := testClusterCfg(p.URL())
+	cfg.SubmitTimeout = 20 * time.Second
+	cfg.NewClient = func(u string) *client.Client {
+		return &client.Client{BaseURL: u, HTTPClient: &http.Client{Timeout: 20 * time.Second}, Retries: 1}
+	}
+	_, ts := startCoordinator(t, cfg)
+	cl := client.New(ts.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	spec := fastSpec()
+	spec.Config = []byte(`{"WarmupInstr": 10000, "MeasureInstr": 1500000}`)
+	v, err := cl.Submit(ctx, spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	final, err := cl.Wait(ctx, v.ID)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if final.Status != server.StatusDone {
+		t.Fatalf("job finished %s (%s)", final.Status, final.Error)
+	}
+	if final.DurationSec < 0.25 {
+		t.Fatalf("job ran %.3fs; it must outlast ten 25ms polls for this test to mean anything", final.DurationSec)
+	}
+	if n := p.Requests(); n > 3 {
+		t.Fatalf("peer served %d requests for one job, want <= 3 (submit + long-polls)", n)
 	}
 }
 
@@ -101,7 +140,7 @@ func TestMidSSEDisconnectAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if _, err := cl.Wait(ctx, v.ID, 25*time.Millisecond); err != nil {
+	if _, err := cl.Wait(ctx, v.ID); err != nil {
 		t.Fatalf("wait: %v", err)
 	}
 
@@ -228,7 +267,7 @@ func TestResurrectedPeerRerunsUnderNewEpoch(t *testing.T) {
 	}
 	p.SetBlackhole(false)
 
-	final, err := cl.Wait(ctx, v.ID, 25*time.Millisecond)
+	final, err := cl.Wait(ctx, v.ID)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}

@@ -96,11 +96,22 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	}{views})
 }
 
+// handleJob serves GET /v1/jobs/{id}, with the ?wait= long-poll of a
+// single morcd: the answer comes when the cluster job reaches a terminal
+// state, the window passes, or coordination stops.
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
+	wait, err := server.ParseWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	j, ok := c.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
+	}
+	if !server.LongPoll(r.Context(), wait, j.done, c.baseCtx.Done()) {
+		return // the client went away
 	}
 	writeJSON(w, http.StatusOK, j.serveView())
 }

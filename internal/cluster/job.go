@@ -23,6 +23,7 @@ type cjob struct {
 	id      string
 	spec    server.JobSpec
 	created time.Time
+	metrics *cmetrics // counts the outcome; nil in unit tests
 
 	mu        sync.Mutex
 	epoch     uint64 // current dispatch generation (starts at 1)
@@ -113,15 +114,24 @@ func (j *cjob) updateView(epoch uint64, v server.JobView) {
 	j.view = v
 }
 
-// endSpansLocked closes every open coordinator-side span as the job
-// reaches terminal state st. Callers hold j.mu.
-func (j *cjob) endSpansLocked(st server.Status) {
+// finishLocked lands the job's final view v: it closes every open
+// coordinator-side span and counts the outcome before it closes done,
+// so nothing that observes the job finish (a status read, a long-poll
+// woken by done) can see it missing from the counters. Callers hold
+// j.mu.
+func (j *cjob) finishLocked(v server.JobView) {
+	j.terminal = true
+	j.view = v
 	j.dispatchSp.End()
 	j.dispatchSp = nil
 	j.queueSp.End()
 	j.queueSp = nil
-	j.span.SetAttr("status", string(st))
+	j.span.SetAttr("status", string(v.Status))
 	j.span.End()
+	if j.metrics != nil {
+		j.metrics.finished(v.Status)
+	}
+	close(j.done)
 }
 
 // adopt lands a terminal remote view. False means the result lost the
@@ -133,10 +143,7 @@ func (j *cjob) adopt(epoch uint64, v server.JobView) bool {
 	if j.terminal || epoch != j.epoch {
 		return false
 	}
-	j.terminal = true
-	j.view = v
-	j.endSpansLocked(v.Status)
-	close(j.done)
+	j.finishLocked(v)
 	return true
 }
 
@@ -146,7 +153,7 @@ func (j *cjob) adopt(epoch uint64, v server.JobView) bool {
 // polling runner both race here) a no-op. When this call itself
 // finishes the job — failover budget exhausted, or a cancel raced the
 // failover — finishedAs carries the terminal status for the caller to
-// account.
+// log.
 func (j *cjob) requeue(epoch uint64, maxRequeues int, reason string) (ok bool, finishedAs server.Status, fromPeer string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -164,21 +171,15 @@ func (j *cjob) requeue(epoch uint64, maxRequeues int, reason string) (ok bool, f
 	j.dispatchSp.End()
 	j.dispatchSp = nil
 	if j.requeues > maxRequeues {
-		j.terminal = true
 		v := j.pendingViewLocked(server.StatusFailed)
 		v.Error = "job failed over too many times: " + reason
-		j.view = v
-		j.endSpansLocked(server.StatusFailed)
-		close(j.done)
+		j.finishLocked(v)
 		return false, server.StatusFailed, fromPeer
 	}
 	if j.cancelled {
 		// Cancel raced the failover: finish as cancelled instead of
 		// re-dispatching work nobody wants.
-		j.terminal = true
-		j.view = j.pendingViewLocked(server.StatusCancelled)
-		j.endSpansLocked(server.StatusCancelled)
-		close(j.done)
+		j.finishLocked(j.pendingViewLocked(server.StatusCancelled))
 		return false, server.StatusCancelled, fromPeer
 	}
 	j.view = j.pendingViewLocked(server.StatusQueued)
@@ -205,10 +206,7 @@ func (j *cjob) requestCancel() (act cancelAction, peerURL, remoteID string) {
 		return cancelNone, "", ""
 	case j.peer == "":
 		j.cancelled = true
-		j.terminal = true
-		j.view = j.pendingViewLocked(server.StatusCancelled)
-		j.endSpansLocked(server.StatusCancelled)
-		close(j.done)
+		j.finishLocked(j.pendingViewLocked(server.StatusCancelled))
 		return cancelFinished, "", ""
 	case j.remoteID == "":
 		j.cancelled = true

@@ -45,7 +45,7 @@ func TestClusterTraceMergedWithPeer(t *testing.T) {
 	if v.TraceID != sc.TraceID.String() {
 		t.Fatalf("cluster job trace %s did not adopt the client's %s", v.TraceID, sc.TraceID)
 	}
-	done, err := cl.Wait(ctx, v.ID, 25*time.Millisecond)
+	done, err := cl.Wait(ctx, v.ID)
 	if err != nil || done.Status != server.StatusDone {
 		t.Fatalf("wait: %v status=%s err=%s", err, done.Status, done.Error)
 	}
@@ -149,7 +149,7 @@ func TestClusterOverview(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Wait(ctx, v.ID, 25*time.Millisecond); err != nil {
+	if _, err := cl.Wait(ctx, v.ID); err != nil {
 		t.Fatal(err)
 	}
 

@@ -30,6 +30,10 @@
 // adds its dictionary entries in place and rolls them back when it ends,
 // so it allocates nothing and leaves the encoder unchanged. Committing
 // encodes the block again, for real, into the one log that keeps it.
+//
+// Only appending needs the dictionaries; a decoder rebuilds them from
+// the stream. HandOff closes an encoder and moves its dictionaries to
+// another, so MORC holds one set per active log, not one per log.
 package lbe
 
 import (
@@ -162,10 +166,15 @@ func ptrBits(n int) int {
 
 // Encoder compresses a stream of 32-byte-multiple blocks, maintaining
 // dictionary state across appends (one Encoder per MORC log).
+//
+// An encoder that has handed its dictionaries off (HandOff) is closed:
+// it keeps its stream, bit count and symbol counts, but appending to it
+// panics. The zero Encoder is closed and empty; it can only be opened by
+// receiving another encoder's dictionaries.
 type Encoder struct {
 	ptr   [4]int // match-pointer width per level
 	w     bitstream.Writer
-	dicts dicts
+	dicts *dicts // nil while closed
 	stats SymbolStats
 	inLen int // uncompressed bytes appended
 
@@ -181,18 +190,43 @@ func NewEncoder(cfg Config) *Encoder {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	return &Encoder{ptr: cfg.ptrWidths(), dicts: newDicts(cfg)}
+	d := newDicts(cfg)
+	return &Encoder{ptr: cfg.ptrWidths(), dicts: &d}
 }
 
 // Reset empties the encoder for reuse with the same configuration,
-// keeping its allocated storage. A Pending from before the reset must
-// not be committed after it.
+// keeping its allocated storage; a closed encoder stays closed. A
+// Pending from before the reset must not be committed after it.
 func (e *Encoder) Reset() {
 	e.w.Reset()
-	e.dicts.reset()
+	if e.dicts != nil {
+		e.dicts.reset()
+	}
 	e.stats = SymbolStats{}
 	e.inLen = 0
 }
+
+// HandOff closes e and gives its dictionaries, emptied, to the empty,
+// closed encoder to, which can then append a fresh stream; e may be to
+// itself once its stream is reset. e keeps its stream for decoding (a
+// decoder rebuilds the dictionaries from the stream) and its symbol
+// counts. Nothing is allocated: MORC keeps one dictionary set per active
+// log and passes it from each log it closes to the log that replaces it.
+func (e *Encoder) HandOff(to *Encoder) {
+	if e.dicts == nil {
+		panic("lbe: HandOff from a closed encoder")
+	}
+	if to.w.Len() != 0 || (to != e && to.dicts != nil) {
+		panic("lbe: HandOff to an encoder that holds dictionaries or a stream")
+	}
+	d := e.dicts
+	d.reset()
+	e.dicts = nil
+	to.ptr, to.dicts = e.ptr, d
+}
+
+// Closed reports whether the encoder has no dictionaries to append with.
+func (e *Encoder) Closed() bool { return e.dicts == nil }
 
 // Bits returns the compressed stream length in bits.
 func (e *Encoder) Bits() int { return e.w.Len() }
@@ -265,6 +299,9 @@ func (e *Encoder) AppendCommit(block []byte) int { return e.encode(block, true) 
 func (e *Encoder) encode(block []byte, commit bool) int {
 	if len(block) == 0 || len(block)%32 != 0 {
 		panic(fmt.Sprintf("lbe: Append block of %d bytes (need positive multiple of 32)", len(block)))
+	}
+	if e.dicts == nil {
+		panic("lbe: Append to a closed encoder")
 	}
 	saved := e.dicts.lens()
 	e.commit, e.bits = commit, 0

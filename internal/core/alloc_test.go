@@ -6,6 +6,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"morc/internal/cache"
@@ -62,5 +63,20 @@ func TestSteadyStateInsertAllocs(t *testing.T) {
 		if err := c.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestNewAllocatesDictionariesPerActiveLog bounds building the 2 MB
+// LLC of a 16-core system: its 8 active logs get LBE dictionaries, not
+// all 4096 logs. A set per log would make this 50 MB; the LMT alone is
+// 8 MB.
+func TestNewAllocatesDictionariesPerActiveLog(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New(DefaultConfig(2 << 20))
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Errorf("New(DefaultConfig(2 MB)) allocated %.1f MB, want < 16 MB", float64(got)/(1<<20))
 	}
 }

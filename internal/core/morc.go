@@ -35,7 +35,10 @@ type lineRec struct {
 	lmtIdx  int    // owning LMT entry (meaningful while valid)
 }
 
-// logT is one fixed-size log.
+// logT is one fixed-size log. Only active logs are compressed into, so
+// only their encoders hold LBE dictionaries; a closed log keeps its
+// stream, bit count and symbol counts, and reading it decompresses the
+// stream, which rebuilds the dictionaries.
 type logT struct {
 	id        int
 	enc       *lbe.Encoder
@@ -92,23 +95,21 @@ func New(cfg Config) *Cache {
 	}
 	numLogs := cfg.CacheBytes / cfg.LogBytes
 	c := &Cache{cfg: cfg, trials: make([]trial, cfg.ActiveLogs)}
+	// Open the first ActiveLogs logs, each with the one dictionary set its
+	// slot will ever have; stamp the rest closed in order so the FIFO
+	// victim sequence is deterministic.
 	c.logs = make([]*logT, numLogs)
 	for i := range c.logs {
-		c.logs[i] = &logT{
-			id:   i,
-			enc:  lbe.NewEncoder(cfg.LBE),
-			tags: tagdelta.NewStream(cfg.Tag),
+		lg := &logT{id: i, tags: tagdelta.NewStream(cfg.Tag)}
+		if i < cfg.ActiveLogs {
+			lg.enc, lg.active = lbe.NewEncoder(cfg.LBE), true
+			c.actives = append(c.actives, i)
+		} else {
+			lg.enc = new(lbe.Encoder) // closed and empty
+			c.seq++
+			lg.closedSeq = c.seq
 		}
-	}
-	// Open the first ActiveLogs logs; stamp the rest closed in order so
-	// the FIFO victim sequence is deterministic.
-	for i := 0; i < cfg.ActiveLogs; i++ {
-		c.logs[i].active = true
-		c.actives = append(c.actives, i)
-	}
-	for i := cfg.ActiveLogs; i < numLogs; i++ {
-		c.seq++
-		c.logs[i].closedSeq = c.seq
+		c.logs[i] = lg
 	}
 	if cfg.UnlimitedTags {
 		c.unlIndex = make(map[uint64][2]int32)
@@ -577,7 +578,8 @@ func (c *Cache) commitAppend(li, dataBits int, tag, la uint64, data []byte) int 
 
 // recycle closes the active log at slot (index into c.actives), selects a
 // victim log — preferring all-invalid closed logs, else FIFO — flushes it
-// if needed, and installs the fresh log in the slot.
+// if needed, and installs the fresh log in the slot with the slot's
+// dictionaries, emptied. The closing log can be its own victim.
 func (c *Cache) recycle(slot int) []cache.Writeback {
 	closing := c.logs[c.actives[slot]]
 	closing.active = false
@@ -593,6 +595,7 @@ func (c *Cache) recycle(slot int) []cache.Writeback {
 		c.st.LogReuses++
 		c.retireInvalid(victim)
 	}
+	closing.enc.HandOff(victim.enc)
 	victim.active = true
 	victim.closedSeq = 0
 	c.actives[slot] = victim.id

@@ -259,6 +259,81 @@ func TestLogReusePriority(t *testing.T) {
 	}
 }
 
+// TestOnlyActiveLogsHoldDictionaries: a cache has exactly ActiveLogs
+// LBE dictionary sets, which move from log to log as logs recycle, and
+// appending to a closed log's encoder is a bug that panics.
+func TestOnlyActiveLogsHoldDictionaries(t *testing.T) {
+	c := New(smallConfig())
+	r := rng.New(10)
+	line := lineVal(r, 1)
+	for round := 0; round < 3; round++ {
+		open := 0
+		for _, lg := range c.logs {
+			if !lg.enc.Closed() {
+				open++
+				continue
+			}
+			bits := lg.enc.Bits()
+			if !panics(func() { lg.enc.AppendCommit(line) }) || !panics(func() { lg.enc.TrialBits(line) }) {
+				t.Fatalf("round %d: appending to closed log %d did not panic", round, lg.id)
+			}
+			if lg.enc.Bits() != bits {
+				t.Fatalf("round %d: a refused append grew closed log %d", round, lg.id)
+			}
+		}
+		if open != c.cfg.ActiveLogs {
+			t.Fatalf("round %d: %d logs hold dictionaries, want %d", round, open, c.cfg.ActiveLogs)
+		}
+		for i := 0; i < 300; i++ {
+			c.Fill(uint64(round*300+i)*cache.LineSize, lineVal(r, i%3))
+		}
+	}
+	if c.MorcStats().LogEvictions == 0 {
+		t.Fatal("no log was recycled")
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClosingLogCanBeItsOwnVictim drives recycle into handing a slot's
+// dictionaries from a log to itself: with two logs and one active, a
+// valid line pins the closed log, so once the active log holds only
+// stale copies it is the one all-invalid log to reuse.
+func TestClosingLogCanBeItsOwnVictim(t *testing.T) {
+	cfg := DefaultConfig(1024)
+	cfg.ActiveLogs = 1
+	c := New(cfg)
+	r := rng.New(11)
+	pinned := lineVal(r, 2)
+	c.Fill(0, pinned)
+	last := lineVal(r, 2)
+	for i := 0; i < 100; i++ {
+		last = lineVal(r, 2)
+		c.WriteBack(cache.LineSize, last)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("write-back %d: %v", i, err)
+		}
+	}
+	// Log 0 never left the closed set, so every reuse after the first
+	// was log 1 reclaiming itself.
+	if st := c.MorcStats(); st.LogEvictions != 0 || st.LogReuses < 3 || c.actives[0] != 1 {
+		t.Fatalf("evictions %d, reuses %d, active log %d: want log 1 reusing itself", st.LogEvictions, st.LogReuses, c.actives[0])
+	}
+	if got := c.Read(0); !got.Hit || !bytes.Equal(got.Data, pinned) {
+		t.Fatal("pinned line lost")
+	}
+	if got := c.Read(cache.LineSize); !got.Hit || !bytes.Equal(got.Data, last) {
+		t.Fatal("rewritten line lost")
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
 func TestCompressionRatioAboveOneForCompressibleData(t *testing.T) {
 	c := New(smallConfig())
 	r := rng.New(10)

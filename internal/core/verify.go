@@ -71,6 +71,9 @@ func (c *Cache) CheckInvariants() error {
 }
 
 func (c *Cache) checkLog(lg *logT) error {
+	if lg.enc.Closed() == lg.active {
+		return fmt.Errorf("active %v, but its encoder closed %v: exactly the active logs hold dictionaries", lg.active, lg.enc.Closed())
+	}
 	validCount := 0
 	for i := range lg.lines {
 		if lg.lines[i].valid {

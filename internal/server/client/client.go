@@ -1,7 +1,8 @@
 // Package client is the typed Go client for morcd, the simulation job
 // server. It wraps the JSON API of morc/internal/server with timeouts,
-// retry-with-backoff on transient failures, and a poll-until-terminal
-// helper, so Go callers (and morcd -submit) never hand-roll HTTP.
+// retry-with-backoff on transient failures, and a wait-until-terminal
+// helper built on the server's long-poll, so Go callers (and morcd
+// -submit) never hand-roll HTTP.
 package client
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"morc/internal/obs"
@@ -183,9 +185,30 @@ func (c *Client) Status(ctx context.Context) (server.StatusView, error) {
 
 // Job fetches a job's current status/result.
 func (c *Client) Job(ctx context.Context, id string) (server.JobView, error) {
+	return c.Poll(ctx, id, 0)
+}
+
+// Poll long-polls a job (GET /v1/jobs/{id}?wait=): the server answers
+// as soon as the job reaches a terminal state, or with its current view
+// once wait has passed. wait is capped at half the client's HTTP
+// timeout, so an answer sent when the window closes still arrives in
+// time, and at server.MaxWait.
+func (c *Client) Poll(ctx context.Context, id string, wait time.Duration) (server.JobView, error) {
+	path := "/v1/jobs/" + id
+	if wait = min(wait, c.maxWait()); wait > 0 {
+		path += "?" + url.Values{"wait": {wait.String()}}.Encode()
+	}
 	var v server.JobView
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, nil, &v)
+	err := c.do(ctx, http.MethodGet, path, nil, nil, &v)
 	return v, err
+}
+
+// maxWait is the longest long-poll window the client asks for.
+func (c *Client) maxWait() time.Duration {
+	if c.HTTPClient != nil && c.HTTPClient.Timeout > 0 {
+		return min(server.MaxWait, c.HTTPClient.Timeout/2)
+	}
+	return server.MaxWait
 }
 
 // Jobs lists every job the server knows about.
@@ -204,25 +227,18 @@ func (c *Client) Cancel(ctx context.Context, id string) (server.JobView, error) 
 	return v, err
 }
 
-// Wait polls the job every interval until it reaches a terminal state or
-// ctx is done. Poll errors are transient by construction (do retries),
-// so a failed poll aborts the wait.
-func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (server.JobView, error) {
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
+// Wait long-polls the job until it reaches a terminal state or ctx is
+// done, so it returns as soon as the job finishes, making one request
+// per long-poll window while the job runs. Poll errors are transient by
+// construction (do retries), so a failed poll aborts the wait.
+func (c *Client) Wait(ctx context.Context, id string) (server.JobView, error) {
 	for {
-		v, err := c.Job(ctx, id)
-		if err != nil {
-			return v, err
-		}
-		if v.Status.Terminal() {
-			return v, nil
-		}
-		select {
-		case <-time.After(interval):
-		case <-ctx.Done():
+		v, err := c.Poll(ctx, id, c.maxWait())
+		if ctx.Err() != nil {
 			return v, ctx.Err()
+		}
+		if err != nil || v.Status.Terminal() {
+			return v, err
 		}
 	}
 }

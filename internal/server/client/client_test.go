@@ -38,7 +38,7 @@ func TestSubmitWaitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Wait(ctx, v.ID, 20*time.Millisecond)
+	final, err := c.Wait(ctx, v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestClientCancel(t *testing.T) {
 	if _, err := c.Cancel(ctx, v.ID); err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Wait(ctx, v.ID, 20*time.Millisecond)
+	final, err := c.Wait(ctx, v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestWaitContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	_, err = c.Wait(ctx, v.ID, 20*time.Millisecond)
+	_, err = c.Wait(ctx, v.ID)
 	if err != context.DeadlineExceeded {
 		t.Fatalf("Wait = %v, want DeadlineExceeded", err)
 	}

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -92,10 +94,18 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	wait, err := ParseWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
+	}
+	if !LongPoll(r.Context(), wait, j.Done(), s.baseCtx.Done()) {
+		return // the client went away: there is no one to answer
 	}
 	// Result payloads can be large (full telemetry series, experiment
 	// tables); encode time is part of the user-visible latency and gets
@@ -103,6 +113,47 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	writeJSON(w, http.StatusOK, j.View())
 	s.metrics.spanObserved("encode", time.Since(t0))
+}
+
+// MaxWait caps the long-poll window of GET /v1/jobs/{id}?wait=, which
+// bounds how long one request can hold a connection and a goroutine.
+const MaxWait = 30 * time.Second
+
+// ParseWait reads the ?wait= long-poll window of a job status request
+// (a Go duration such as "5s"; absent means answer at once). A malformed,
+// negative or over-MaxWait window is an error, for a 400.
+func ParseWait(r *http.Request) (time.Duration, error) {
+	q := r.URL.Query().Get("wait")
+	if q == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q)
+	if err != nil {
+		return 0, fmt.Errorf("bad wait: %w", err)
+	}
+	if d < 0 || d > MaxWait {
+		return 0, fmt.Errorf("wait %v out of range [0, %v]", d, MaxWait)
+	}
+	return d, nil
+}
+
+// LongPoll parks a job status request until the job is done, wait
+// elapses, or stop closes (the server is stopping), whichever is first;
+// the caller then answers with the job's view as it stands. It reports
+// false when ctx, the request's context, ends first: the client is gone
+// and nothing should be written.
+func LongPoll(ctx context.Context, wait time.Duration, done, stop <-chan struct{}) bool {
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case <-done:
+		case <-t.C:
+		case <-stop:
+		case <-ctx.Done():
+		}
+	}
+	return ctx.Err() == nil
 }
 
 // handleTrace serves GET /v1/jobs/{id}/trace: the job's span tree as

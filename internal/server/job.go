@@ -413,12 +413,14 @@ func (j *Job) endSpansLocked(st Status, res *sim.Result) time.Duration {
 }
 
 // finish transitions running → terminal. No-op if already terminal.
-// Returns the run span's duration.
-func (j *Job) finish(st Status, res *sim.Result, tables []*exp.Table, errMsg string) time.Duration {
+// The outcome is counted in m before done closes, so nothing that
+// observes the job finish (a status read, a long-poll woken by done) can
+// see it missing from the metrics.
+func (j *Job) finish(st Status, res *sim.Result, tables []*exp.Table, errMsg string, m *metrics) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status.Terminal() {
-		return 0
+		return
 	}
 	j.status = st
 	j.result = res
@@ -428,37 +430,39 @@ func (j *Job) finish(st Status, res *sim.Result, tables []*exp.Table, errMsg str
 	if st == StatusDone {
 		j.progress = 1
 	}
-	runDur := j.endSpansLocked(st, res)
+	m.spanObserved("run", j.endSpansLocked(st, res))
+	if res != nil && res.Sampling != nil {
+		m.sampledJob(len(res.Sampling.Windows), res.Sampling.SpeedupX)
+	}
+	m.jobFinished(st, schemeLabel(j.Spec), j.finished.Sub(j.started).Seconds())
 	close(j.done)
-	return runDur
 }
 
 // requestCancel asks the job to stop. A queued job is cancelled
-// immediately (the worker will skip it); a running job has its context
-// cancelled and reaches the cancelled state when the simulator notices.
-// fromQueue reports whether this call itself finished the job (so the
-// caller, not a worker, must account for it); ok is false if the job was
-// already terminal.
-func (j *Job) requestCancel() (fromQueue, ok bool) {
+// immediately, and counted in m because no worker will report it (the
+// worker skips it); a running job has its context cancelled and reaches
+// the cancelled state when the simulator notices. Terminal jobs are left
+// untouched.
+func (j *Job) requestCancel(m *metrics) {
 	j.mu.Lock()
 	if j.status.Terminal() {
 		j.mu.Unlock()
-		return false, false
+		return
 	}
 	if j.status == StatusQueued {
 		j.status = StatusCancelled
 		j.finished = time.Now()
 		j.endSpansLocked(StatusCancelled, nil)
+		m.jobFinished(StatusCancelled, "", -1)
 		close(j.done)
 		j.mu.Unlock()
-		return true, true
+		return
 	}
 	cancel := j.cancel
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	return false, true
 }
 
 // JobView is the JSON representation served by GET /v1/jobs/{id}.

@@ -8,7 +8,7 @@
 //
 //	POST   /v1/jobs                  submit a JobSpec  → 202 JobView (429 when the queue is full)
 //	GET    /v1/jobs                  list all jobs     → {"jobs": [JobView...]}
-//	GET    /v1/jobs/{id}             job status/result → JobView
+//	GET    /v1/jobs/{id}             job status/result → JobView (?wait=5s long-polls: answers when the job ends or the window passes)
 //	DELETE /v1/jobs/{id}             cancel            → JobView
 //	GET    /v1/jobs/{id}/events      SSE stream: epoch/progress/done events
 //	GET    /v1/jobs/{id}/timeseries  telemetry series (JSON, ?format=ndjson)
@@ -230,10 +230,7 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	if !ok {
 		return nil, false
 	}
-	if fromQueue, _ := j.requestCancel(); fromQueue {
-		// Cancelled straight from the queue: no worker will report it.
-		s.metrics.jobFinished(StatusCancelled, "", -1)
-	}
+	j.requestCancel(s.metrics)
 	return j, true
 }
 
@@ -265,15 +262,9 @@ func (s *Server) runJob(j *Job) {
 	s.log.Info("job started", "job", j.ID, "kind", schemeLabel(j.Spec))
 
 	st, res, tables, errMsg := s.execute(ctx, j)
-	runDur := j.finish(st, res, tables, errMsg)
-	s.metrics.spanObserved("run", runDur)
-	if res != nil && res.Sampling != nil {
-		s.metrics.sampledJob(len(res.Sampling.Windows), res.Sampling.SpeedupX)
-	}
-	v := j.View()
-	s.metrics.jobFinished(st, schemeLabel(j.Spec), v.DurationSec)
+	j.finish(st, res, tables, errMsg, s.metrics)
 	s.log.Info("job finished", "job", j.ID, "status", string(st),
-		"duration_sec", v.DurationSec, "error", errMsg)
+		"duration_sec", j.View().DurationSec, "error", errMsg)
 }
 
 // schemeLabel is the metrics label for a job's wall-time histogram.
