@@ -18,21 +18,24 @@ type Writer struct {
 func NewWriter() *Writer { return &Writer{} }
 
 // WriteBits appends the low n bits of v, most significant first.
-// n must be in [0, 64].
+// n must be in [0, 64]. It fills the last byte's free bits, then whole
+// bytes, so it takes at most nine steps.
 func (w *Writer) WriteBits(v uint64, n int) {
 	if n < 0 || n > 64 {
 		panic(fmt.Sprintf("bitstream: WriteBits n=%d", n))
 	}
-	for i := n - 1; i >= 0; i-- {
-		bit := (v >> uint(i)) & 1
-		byteIdx := w.nbit >> 3
-		if byteIdx == len(w.buf) {
+	for n > 0 {
+		used := w.nbit & 7
+		if used == 0 {
 			w.buf = append(w.buf, 0)
 		}
-		if bit != 0 {
-			w.buf[byteIdx] |= 1 << uint(7-(w.nbit&7))
-		}
-		w.nbit++
+		take := min(8-used, n)
+		n -= take
+		// The next take bits of v sit at [n, n+take); the mask drops the
+		// bits above them, including any set above the requested width.
+		bits := byte(v>>uint(n)) & (1<<uint(take) - 1)
+		w.buf[len(w.buf)-1] |= bits << uint(8-used-take)
+		w.nbit += take
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 
 // FuzzRoundTrip interprets the fuzz data as a sequence of (width,
 // value) write operations, writes them MSB-first, and asserts the
-// reader returns every value masked to its width, that bit positions
-// and lengths account exactly, and that reading past the end fails.
+// stream is bit for bit what the bit-at-a-time writer it replaced
+// produces, the reader returns every value masked to its width, bit
+// positions and lengths account exactly, and reading past the end
+// fails.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0xff, 64, 1, 2, 3, 4, 5, 6, 7, 8, 33, 0xaa, 0xbb, 0xcc, 0xdd, 0xee})
@@ -23,7 +25,7 @@ func FuzzRoundTrip(f *testing.F) {
 			v uint64
 		}
 		var ops []op
-		w := NewWriter()
+		w, oracle := NewWriter(), NewWriter()
 		total := 0
 		for off := 0; off < len(data); {
 			n := int(data[off] % 65)
@@ -37,6 +39,8 @@ func FuzzRoundTrip(f *testing.F) {
 				want = v & (1<<uint(n) - 1)
 			}
 			w.WriteBits(v, n)
+			writeBitsLoop(oracle, v, n)
+			sameOutput(t, w, oracle)
 			total += n
 			if w.Len() != total {
 				t.Fatalf("after %d ops: Len=%d, wrote %d bits", len(ops)+1, w.Len(), total)

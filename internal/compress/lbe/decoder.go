@@ -44,12 +44,12 @@ func (d *Decoder) Next(n int) ([]byte, error) {
 	out := make([]byte, n)
 	for off := 0; off < n; off += 32 {
 		var c chunk // regions decoded as zero symbols stay zero
-		var failed failedRegions
-		if err := d.decodeRegion(&c, lvl256, 0, &failed); err != nil {
+		var cs chunkState
+		if err := d.decodeRegion(&c, lvl256, 0, &cs); err != nil {
 			return nil, err
 		}
 		// Mirror the encoder's post-chunk allocation.
-		d.dicts.allocFailed(&c, &failed)
+		d.dicts.allocFailed(&c, &cs)
 		c.store(out[off:])
 	}
 	d.out += n
@@ -141,38 +141,40 @@ func symLevel(s Symbol) int {
 	}
 }
 
-func (d *Decoder) decodeRegion(c *chunk, lvl, i int, failed *failedRegions) error {
+func (d *Decoder) decodeRegion(c *chunk, lvl, i int, cs *chunkState) error {
 	sym, err := d.readSymbol()
 	if err != nil {
 		return err
 	}
-	return d.decodeRegionWithSymbol(c, lvl, i, sym, failed)
+	return d.decodeRegionWithSymbol(c, lvl, i, sym, cs)
 }
 
 // decodeRegionWithSymbol decodes region i of level lvl whose first
 // symbol has already been consumed from the stream. A symbol below the
 // region's level means the region failed at this granularity and the
-// symbol belongs to its first half.
-func (d *Decoder) decodeRegionWithSymbol(c *chunk, lvl, i int, sym Symbol, failed *failedRegions) error {
+// symbol belongs to its first half. It records the chunk state the
+// encoder did: failed regions and known words.
+func (d *Decoder) decodeRegionWithSymbol(c *chunk, lvl, i int, sym Symbol, cs *chunkState) error {
 	sl := symLevel(sym)
 	if sl > lvl {
 		return fmt.Errorf("lbe: symbol %v at level %d region (corrupt stream)", sym, lvl)
 	}
 	if sl < lvl {
-		failed.add(lvl, i)
-		if err := d.decodeRegionWithSymbol(c, lvl-1, 2*i, sym, failed); err != nil {
+		cs.failed[lvl] |= 1 << i
+		if err := d.decodeRegionWithSymbol(c, lvl-1, 2*i, sym, cs); err != nil {
 			return err
 		}
-		return d.decodeRegion(c, lvl-1, 2*i+1, failed)
+		return d.decodeRegion(c, lvl-1, 2*i+1, cs)
 	}
-	return d.applySymbol(c, lvl, i, sym)
+	return d.applySymbol(c, lvl, i, sym, cs)
 }
 
 // applySymbol materializes a symbol whose level matches the region.
-func (d *Decoder) applySymbol(c *chunk, lvl, i int, sym Symbol) error {
+func (d *Decoder) applySymbol(c *chunk, lvl, i int, sym Symbol, cs *chunkState) error {
 	litBits := 0
 	switch sym {
 	case SymZ32, SymZ64, SymZ128, SymZ256:
+		cs.known |= regionWords(lvl, i)
 		return nil
 	case SymM32, SymM64, SymM128, SymM256:
 		idx, err := d.r.ReadBits(d.ptr[lvl])
@@ -182,6 +184,7 @@ func (d *Decoder) applySymbol(c *chunk, lvl, i int, sym Symbol) error {
 		if !d.dicts.load(c, lvl, i, int(idx)) {
 			return fmt.Errorf("lbe: match pointer %d beyond dictionary of %d (corrupt stream)", idx, d.dicts.lens()[lvl])
 		}
+		cs.known |= regionWords(lvl, i)
 		return nil
 	case SymU8:
 		litBits = 8
@@ -196,7 +199,12 @@ func (d *Decoder) applySymbol(c *chunk, lvl, i int, sym Symbol) error {
 	if err != nil {
 		return err
 	}
-	c.setWord(i, uint32(v))
-	d.dicts.d32.add(uint32(v))
+	w := uint32(v)
+	c.setWord(i, w)
+	// A stream the Encoder wrote never repeats a literal the dictionary
+	// holds; a corrupt one may, and the word is then known all the same.
+	if _, at, ok := d.dicts.d32.find(w, hash32(w)); ok || d.dicts.d32.insertAt(w, at) {
+		cs.known |= 1 << i
+	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package lbe
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Granularity levels: a region at level lvl is 4<<lvl bytes.
 const (
@@ -49,50 +52,107 @@ func (c *chunk) isZero(lvl, i int) bool {
 	return c[0]|c[1]|c[2]|c[3] == 0
 }
 
+// regionWords returns the mask of the 32-bit words region i of level
+// lvl covers.
+func regionWords(lvl, i int) uint8 {
+	return uint8((1<<(1<<lvl) - 1) << (i << lvl))
+}
+
 // dict is one granularity's dictionary: insertion-ordered entries with a
 // content index. Entries never change once inserted (append-only, frozen
 // when full), matching the stream-preservation requirement of §2.2, so
 // truncating to an earlier length undoes exactly the later insertions.
-// Both are sized for a full dictionary up front, so inserting never
-// allocates.
+//
+// The index is a linear-probing table of at least twice the capacity,
+// so a probe always ends at an empty slot. Each slot holds its key and
+// 1-based entry index (0 marks an empty slot), and each entry records
+// the slot it landed in. Every key took the first empty slot on its
+// probe path, so clearing the slots of the newest entries returns the
+// table to exactly the state it had before they were inserted: lookups
+// need no tombstones. Everything is sized at construction, so inserting
+// never allocates.
 type dict[K comparable] struct {
 	cap     int
 	entries []K
-	index   map[K]int32
+	slots   []int32 // slots[j]: the table slot entry j landed in
+	table   []slot[K]
+	shift   uint // a key's home slot is the top bits of its hash
+}
+
+type slot[K comparable] struct {
+	key K
+	idx int32 // 1-based entry index; 0 when empty
 }
 
 func newDict[K comparable](capacity int) dict[K] {
-	return dict[K]{cap: capacity, entries: make([]K, 0, capacity), index: make(map[K]int32, capacity)}
+	size := 2
+	for size < 2*capacity {
+		size *= 2
+	}
+	return dict[K]{
+		cap:     capacity,
+		entries: make([]K, 0, capacity),
+		slots:   make([]int32, 0, capacity),
+		table:   make([]slot[K], size),
+		shift:   uint(64 - bits.TrailingZeros(uint(size))),
+	}
 }
 
-func (d *dict[K]) lookup(k K) (int, bool) {
-	i, ok := d.index[k]
-	return int(i), ok
+// find returns k's entry index if present, else the empty slot where k
+// would be inserted. h is k's hash.
+func (d *dict[K]) find(k K, h uint64) (idx, at int, ok bool) {
+	mask := len(d.table) - 1
+	for s := int(h >> d.shift); ; s = (s + 1) & mask {
+		e := &d.table[s]
+		if e.idx == 0 {
+			return 0, s, false
+		}
+		if e.key == k {
+			return int(e.idx) - 1, s, true
+		}
+	}
+}
+
+// insertAt appends k as a new entry at at, the empty slot find just
+// returned for it, reporting false if the dictionary is full.
+func (d *dict[K]) insertAt(k K, at int) bool {
+	if len(d.entries) >= d.cap {
+		return false
+	}
+	d.entries = append(d.entries, k)
+	d.slots = append(d.slots, int32(at))
+	d.table[at] = slot[K]{key: k, idx: int32(len(d.entries))}
+	return true
 }
 
 // add inserts k if there is room and it is not already present.
-func (d *dict[K]) add(k K) {
+func (d *dict[K]) add(k K, h uint64) {
 	if len(d.entries) >= d.cap {
 		return
 	}
-	if _, ok := d.index[k]; ok {
-		return
+	if _, at, ok := d.find(k, h); !ok {
+		d.insertAt(k, at)
 	}
-	d.index[k] = int32(len(d.entries))
-	d.entries = append(d.entries, k)
 }
 
+// truncate drops the entries from n on, clearing their slots newest
+// first.
 func (d *dict[K]) truncate(n int) {
-	for _, k := range d.entries[n:] {
-		delete(d.index, k)
+	for j := len(d.entries) - 1; j >= n; j-- {
+		d.table[d.slots[j]].idx = 0
 	}
 	d.entries = d.entries[:n]
+	d.slots = d.slots[:n]
 }
 
-func (d *dict[K]) reset() {
-	clear(d.index)
-	d.entries = d.entries[:0]
-}
+// Hashes of the four key types: Fibonacci hashing, whose top bits pick
+// the home slot.
+const fib = 0x9e3779b97f4a7c15
+
+func hash32(w uint32) uint64     { return uint64(w) * fib }
+func hash64(q uint64) uint64     { return q * fib }
+func hash128(a, b uint64) uint64 { return (a*fib ^ b) * fib }
+func hash256(c *chunk) uint64    { return (((c[0]*fib^c[1])*fib^c[2])*fib ^ c[3]) * fib }
 
 // dicts holds the four granularities' dictionaries, keyed on the region
 // values themselves. The Encoder and the Decoder share it, so both sides
@@ -115,15 +175,20 @@ func newDicts(cfg Config) dicts {
 
 // lookup returns the index of region i of level lvl of c.
 func (d *dicts) lookup(c *chunk, lvl, i int) (int, bool) {
+	var idx int
+	var ok bool
 	switch lvl {
 	case lvl32:
-		return d.d32.lookup(c.word(i))
+		w := c.word(i)
+		idx, _, ok = d.d32.find(w, hash32(w))
 	case lvl64:
-		return d.d64.lookup(c[i])
+		idx, _, ok = d.d64.find(c[i], hash64(c[i]))
 	case lvl128:
-		return d.d128.lookup([2]uint64{c[2*i], c[2*i+1]})
+		idx, _, ok = d.d128.find([2]uint64{c[2*i], c[2*i+1]}, hash128(c[2*i], c[2*i+1]))
+	default:
+		idx, _, ok = d.d256.find(*c, hash256(c))
 	}
-	return d.d256.lookup(*c)
+	return idx, ok
 }
 
 // load writes entry idx of level lvl into region i of c, reporting
@@ -157,55 +222,40 @@ func (d *dicts) truncate(n [4]int) {
 	d.d256.truncate(n[lvl256])
 }
 
-func (d *dicts) reset() {
-	d.d32.reset()
-	d.d64.reset()
-	d.d128.reset()
-	d.d256.reset()
-}
+func (d *dicts) reset() { d.truncate([4]int{}) }
 
-// failedRegions lists, in encoding order, the 64/128/256-bit regions of
-// a chunk that did not compress as a single symbol: at most 1+2+4.
-type failedRegions struct {
-	n int
-	r [7]struct{ lvl, i uint8 }
-}
-
-func (f *failedRegions) add(lvl, i int) {
-	f.r[f.n].lvl, f.r[f.n].i = uint8(lvl), uint8(i)
-	f.n++
+// chunkState is what the post-chunk allocation needs to know about the
+// chunk just coded, gathered from its symbols as they are coded.
+type chunkState struct {
+	// failed[lvl] bit i: region i of level lvl (64/128/256-bit) did not
+	// compress as a single symbol.
+	failed [4]uint8
+	// known bit w: word w is zero or in the 32-bit dictionary — it lies
+	// in a zero or matched region of any level (a tree entry's words are
+	// all known when it is allocated), or it is a literal that was
+	// inserted.
+	known uint8
 }
 
 // allocFailed performs LBE's post-chunk allocation: an entry for every
-// failed region whose 32-bit words are all zero or in the 32-bit
-// dictionary (the condition for a binary-tree entry to have valid leaf
-// pointers). Children go first so parents can be expressed as trees
-// over existing entries.
-func (d *dicts) allocFailed(c *chunk, f *failedRegions) {
-	if f.n == 0 {
-		return
-	}
-	var known uint8 // bit w: word w is zero or in the 32-bit dictionary
-	for w := 0; w < 8; w++ {
-		if x := c.word(w); x == 0 {
-			known |= 1 << w
-		} else if _, ok := d.d32.index[x]; ok {
-			known |= 1 << w
-		}
-	}
+// failed region whose 32-bit words are all known (the condition for a
+// binary-tree entry to have valid leaf pointers). Children go first so
+// parents can be expressed as trees over existing entries; within a
+// level, regions go in address order.
+func (d *dicts) allocFailed(c *chunk, cs *chunkState) {
 	for lvl := lvl64; lvl <= lvl256; lvl++ {
-		for _, r := range f.r[:f.n] {
-			words := uint8(1<<(1<<lvl)-1) << (int(r.i) << lvl)
-			if int(r.lvl) != lvl || known&words != words {
+		for f := cs.failed[lvl]; f != 0; f &= f - 1 {
+			i := bits.TrailingZeros8(f)
+			if words := regionWords(lvl, i); cs.known&words != words {
 				continue
 			}
 			switch lvl {
 			case lvl64:
-				d.d64.add(c[r.i])
+				d.d64.add(c[i], hash64(c[i]))
 			case lvl128:
-				d.d128.add([2]uint64{c[2*r.i], c[2*r.i+1]})
+				d.d128.add([2]uint64{c[2*i], c[2*i+1]}, hash128(c[2*i], c[2*i+1]))
 			default:
-				d.d256.add(*c)
+				d.d256.add(*c, hash256(c))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package lbe
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"morc/internal/rng"
@@ -151,6 +152,9 @@ func (d *diffRun) compare() {
 	if d.enc.InputBytes() != d.ref.InputBytes() {
 		t.Fatalf("InputBytes %d, reference %d", d.enc.InputBytes(), d.ref.InputBytes())
 	}
+	if err := checkTables(d.enc.dicts); err != nil {
+		t.Fatal(err)
+	}
 	for lvl, want := range d.ref.dicts {
 		got := entryBytes(d.enc.dicts, lvl)
 		if len(got) != len(want.entries) {
@@ -182,6 +186,51 @@ func (d *diffRun) finish() {
 	if dec.BitPos() != d.enc.Bits() {
 		t.Fatalf("decoder stopped at bit %d of %d", dec.BitPos(), d.enc.Bits())
 	}
+	if err := checkTables(&dec.dicts); err != nil {
+		t.Fatalf("decoder: %v", err)
+	}
+}
+
+// checkTables verifies each dictionary's probe table against its
+// entries: every entry sits at the slot it recorded, no other slot is
+// occupied, and a lookup of every entry's value finds that entry.
+func checkTables(d *dicts) error {
+	for lvl, err := range []error{checkTable(&d.d32), checkTable(&d.d64), checkTable(&d.d128), checkTable(&d.d256)} {
+		if err != nil {
+			return fmt.Errorf("level %d: %w", lvl, err)
+		}
+	}
+	for lvl, n := range d.lens() {
+		for j := 0; j < n; j++ {
+			var c chunk
+			d.load(&c, lvl, 0, j)
+			if idx, ok := d.lookup(&c, lvl, 0); !ok || idx != j {
+				return fmt.Errorf("level %d: looking up entry %d finds %d (found %v)", lvl, j, idx, ok)
+			}
+		}
+	}
+	return nil
+}
+
+func checkTable[K comparable](d *dict[K]) error {
+	if len(d.slots) != len(d.entries) {
+		return fmt.Errorf("%d recorded slots for %d entries", len(d.slots), len(d.entries))
+	}
+	occupied := 0
+	for _, s := range d.table {
+		if s.idx != 0 {
+			occupied++
+		}
+	}
+	if occupied != len(d.entries) {
+		return fmt.Errorf("%d occupied slots for %d entries", occupied, len(d.entries))
+	}
+	for j, k := range d.entries {
+		if s := d.table[d.slots[j]]; s.idx != int32(j+1) || s.key != k {
+			return fmt.Errorf("entry %d is not at its recorded slot %d (slot holds entry %d)", j, d.slots[j], s.idx-1)
+		}
+	}
+	return nil
 }
 
 // entryBytes renders a level's dictionary entries as the bytes they

@@ -182,7 +182,7 @@ type Encoder struct {
 	commit bool // write bits and count symbols, and keep new entries
 	bits   int  // bits the encode has produced so far
 	c      chunk
-	failed failedRegions
+	cs     chunkState
 }
 
 // NewEncoder returns an empty encoder with the given configuration.
@@ -307,12 +307,16 @@ func (e *Encoder) encode(block []byte, commit bool) int {
 	e.commit, e.bits = commit, 0
 	for off := 0; off < len(block); off += 32 {
 		e.c = loadChunk(block[off:])
-		e.failed.n = 0
+		e.cs = chunkState{}
 		e.encodeRegion(lvl256, 0)
 		// Post-chunk allocation (paper: "before compressing the next 256b
 		// chunk, LBE allocates dictionary entries for any of the
-		// 64/128/256b chunks that failed to compress").
-		e.dicts.allocFailed(&e.c, &e.failed)
+		// 64/128/256b chunks that failed to compress"). A trial's last
+		// chunk skips it: the truncate below would drop the entries
+		// before anything read them.
+		if commit || off+32 < len(block) {
+			e.dicts.allocFailed(&e.c, &e.cs)
+		}
 	}
 	if commit {
 		e.inLen += len(block)
@@ -359,27 +363,37 @@ var (
 
 // encodeRegion compresses region i of level lvl of the current chunk,
 // recording the 64/128/256-bit regions that fail to compress as one
-// symbol for post-chunk dictionary allocation.
+// symbol, and the words known to the 32-bit dictionary, for post-chunk
+// dictionary allocation.
 func (e *Encoder) encodeRegion(lvl, i int) {
 	if e.c.isZero(lvl, i) {
 		e.emitSym(zSym[lvl])
-		return
-	}
-	if idx, ok := e.dicts.lookup(&e.c, lvl, i); ok {
-		e.emitSym(mSym[lvl])
-		e.emit(uint64(idx), e.ptr[lvl])
+		e.cs.known |= regionWords(lvl, i)
 		return
 	}
 	if lvl > lvl32 {
-		e.failed.add(lvl, i)
+		if idx, ok := e.dicts.lookup(&e.c, lvl, i); ok {
+			e.emitSym(mSym[lvl])
+			e.emit(uint64(idx), e.ptr[lvl])
+			e.cs.known |= regionWords(lvl, i)
+			return
+		}
+		e.cs.failed[lvl] |= 1 << i
 		e.encodeRegion(lvl-1, 2*i)
 		e.encodeRegion(lvl-1, 2*i+1)
+		return
+	}
+	w := e.c.word(i)
+	idx, at, ok := e.dicts.d32.find(w, hash32(w))
+	if ok {
+		e.emitSym(SymM32)
+		e.emit(uint64(idx), e.ptr[lvl32])
+		e.cs.known |= 1 << i
 		return
 	}
 	// 32-bit literal with upper-zero truncation (u8/u16/u32). Words are
 	// interpreted little-endian, matching the x86 memory images the paper
 	// traces: a small integer has zero bytes at the high addresses.
-	w := e.c.word(i)
 	switch {
 	case w < 1<<8:
 		e.emitSym(SymU8)
@@ -391,5 +405,7 @@ func (e *Encoder) encodeRegion(lvl, i int) {
 		e.emitSym(SymU32)
 		e.emit(uint64(w), 32)
 	}
-	e.dicts.d32.add(w)
+	if e.dicts.d32.insertAt(w, at) {
+		e.cs.known |= 1 << i
+	}
 }

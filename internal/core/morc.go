@@ -49,6 +49,9 @@ type logT struct {
 	closedSeq uint64 // FIFO stamp set when the log is closed
 	lastTouch uint64 // recency stamp (reads and appends), for LogLRU
 	rawBytes  int    // occupancy when DisableCompression is set
+	// prev and next link the log into the Cache's closed FIFO while it
+	// is closed and holds valid lines.
+	prev, next *logT
 }
 
 // lmtEntry is a Line-Map Table entry: state bits + log index. The owner
@@ -66,10 +69,23 @@ type lmtEntry struct {
 }
 
 // Cache is a MORC last-level cache.
+//
+// Every closed log is in exactly one victim structure, so picking a
+// victim costs O(log n) instead of a scan of all logs:
+//   - logs[fresh:], the never-opened logs: empty, and closed before any
+//     other, so they are reclaimed first, in index order;
+//   - reuse, a min-heap on closedSeq of the closed all-invalid logs;
+//   - the FIFO from fifoHead to fifoTail of the other closed logs, in
+//     closing order. A log moves from the FIFO to reuse when its last
+//     valid line is invalidated; closed logs never gain lines.
 type Cache struct {
 	cfg      Config
 	logs     []*logT
 	actives  []int // indices into logs
+	fresh    int   // logs[fresh:] have never been opened
+	reuse    []*logT
+	fifoHead *logT
+	fifoTail *logT
 	lmt      []lmtEntry
 	seq      uint64 // global recency / FIFO counter
 	st       Stats
@@ -94,7 +110,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numLogs := cfg.CacheBytes / cfg.LogBytes
-	c := &Cache{cfg: cfg, trials: make([]trial, cfg.ActiveLogs)}
+	c := &Cache{cfg: cfg, trials: make([]trial, cfg.ActiveLogs), fresh: cfg.ActiveLogs}
 	// Open the first ActiveLogs logs, each with the one dictionary set its
 	// slot will ever have; stamp the rest closed in order so the FIFO
 	// victim sequence is deterministic.
@@ -408,6 +424,10 @@ func (c *Cache) invalidateLine(logIdx, lineIdx int) {
 	if !c.cfg.DisableCompression {
 		lg.tags.Invalidate(lineIdx)
 	}
+	if !lg.active && lg.valid == 0 {
+		c.fifoRemove(lg)
+		c.pushReuse(lg)
+	}
 }
 
 // allocLMT returns a free candidate entry for addr, evicting the LRU
@@ -585,6 +605,11 @@ func (c *Cache) recycle(slot int) []cache.Writeback {
 	closing.active = false
 	c.seq++
 	closing.closedSeq = c.seq
+	if closing.valid == 0 {
+		c.pushReuse(closing)
+	} else {
+		c.fifoPush(closing)
+	}
 
 	victim := c.pickVictim()
 	var wbs []cache.Writeback
@@ -602,41 +627,98 @@ func (c *Cache) recycle(slot int) []cache.Writeback {
 	return wbs
 }
 
-// pickVictim selects the log to reclaim: the oldest all-invalid closed
-// log if any (reuse priority, §3.2.1), else by the configured policy —
-// oldest-closed (FIFO, the paper's default) or least-recently-touched
-// (LRU).
+// pickVictim selects the log to reclaim and takes it out of the victim
+// structures: the oldest all-invalid closed log if any (reuse priority,
+// §3.2.1) — a never-opened log before any other — else by the
+// configured policy: oldest-closed (FIFO, the paper's default) or
+// least-recently-touched (LRU).
 func (c *Cache) pickVictim() *logT {
-	var reuse, victim *logT
-	for _, lg := range c.logs {
-		if lg.active {
-			continue
-		}
-		if lg.valid == 0 {
-			if reuse == nil || lg.closedSeq < reuse.closedSeq {
-				reuse = lg
+	if c.fresh < len(c.logs) {
+		c.fresh++
+		return c.logs[c.fresh-1]
+	}
+	if len(c.reuse) > 0 {
+		return c.popReuse()
+	}
+	victim := c.fifoHead
+	if c.cfg.LogReplacement == LogLRU {
+		// An ablation no workload runs, so it keeps the scan.
+		victim = nil
+		for _, lg := range c.logs {
+			if !lg.active && (victim == nil || lg.lastTouch < victim.lastTouch) {
+				victim = lg
 			}
 		}
-		if victim == nil || c.logRank(lg) < c.logRank(victim) {
-			victim = lg
-		}
-	}
-	if reuse != nil {
-		return reuse
 	}
 	if victim == nil {
 		panic("core: no closed log to reclaim (ActiveLogs too large)")
 	}
+	c.fifoRemove(victim)
 	return victim
 }
 
-// logRank orders closed logs for victim selection under the configured
-// replacement policy (lower = evicted first).
-func (c *Cache) logRank(lg *logT) uint64 {
-	if c.cfg.LogReplacement == LogLRU {
-		return lg.lastTouch
+// fifoPush appends a closing log that holds valid lines to the FIFO.
+func (c *Cache) fifoPush(lg *logT) {
+	lg.prev, lg.next = c.fifoTail, nil
+	if c.fifoTail != nil {
+		c.fifoTail.next = lg
+	} else {
+		c.fifoHead = lg
 	}
-	return lg.closedSeq
+	c.fifoTail = lg
+}
+
+// fifoRemove unlinks lg from the FIFO.
+func (c *Cache) fifoRemove(lg *logT) {
+	if lg.prev != nil {
+		lg.prev.next = lg.next
+	} else {
+		c.fifoHead = lg.next
+	}
+	if lg.next != nil {
+		lg.next.prev = lg.prev
+	} else {
+		c.fifoTail = lg.prev
+	}
+	lg.prev, lg.next = nil, nil
+}
+
+// pushReuse adds a closed all-invalid log to the reuse heap.
+func (c *Cache) pushReuse(lg *logT) {
+	h := append(c.reuse, lg)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].closedSeq <= h[i].closedSeq {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	c.reuse = h
+}
+
+// popReuse removes and returns the oldest-closed log of the reuse heap.
+func (c *Cache) popReuse() *logT {
+	h := c.reuse
+	top, n := h[0], len(h)-1
+	h[0], h[n] = h[n], nil
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].closedSeq < h[m].closedSeq {
+			m = r
+		}
+		if h[i].closedSeq <= h[m].closedSeq {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	c.reuse = h
+	return top
 }
 
 // flush performs a whole-log eviction: sequentially decompress, write

@@ -12,10 +12,14 @@ import (
 // CheckInvariants verifies the structural invariants listed in DESIGN.md:
 // every log's compressed data stream decodes back to exactly the line
 // data recorded, the compressed tag stream decodes to the line tags with
-// matching validity, occupancy never exceeds capacity, and the LMT and
-// logs agree about which lines are live. It is O(cache contents) and
+// matching validity, occupancy never exceeds capacity, the LMT and logs
+// agree about which lines are live, and every closed log is in the one
+// victim structure its state calls for. It is O(cache contents) and
 // meant for tests.
 func (c *Cache) CheckInvariants() error {
+	if err := c.checkVictims(); err != nil {
+		return err
+	}
 	validLines := 0
 	for _, lg := range c.logs {
 		if err := c.checkLog(lg); err != nil {
@@ -66,6 +70,61 @@ func (c *Cache) CheckInvariants() error {
 	}
 	if validEntries != validLines {
 		return fmt.Errorf("%d valid LMT entries but %d valid lines", validEntries, validLines)
+	}
+	return nil
+}
+
+// checkVictims verifies the victim structures against the logs: the
+// never-opened logs are empty, the reuse heap holds exactly the other
+// closed all-invalid logs in heap order, and the FIFO exactly the closed
+// logs with valid lines, in closing order.
+func (c *Cache) checkVictims() error {
+	inFIFO := make([]bool, len(c.logs))
+	var prev *logT
+	for lg := c.fifoHead; lg != nil; lg = lg.next {
+		if inFIFO[lg.id] {
+			return fmt.Errorf("victim FIFO: log %d linked twice", lg.id)
+		}
+		inFIFO[lg.id] = true
+		if lg.prev != prev {
+			return fmt.Errorf("victim FIFO: log %d has a broken back link", lg.id)
+		}
+		if prev != nil && prev.closedSeq >= lg.closedSeq {
+			return fmt.Errorf("victim FIFO: log %d (closed %d) after log %d (closed %d)", lg.id, lg.closedSeq, prev.id, prev.closedSeq)
+		}
+		prev = lg
+	}
+	if c.fifoTail != prev {
+		return fmt.Errorf("victim FIFO: tail is not the last linked log")
+	}
+	inReuse := make([]bool, len(c.logs))
+	for i, lg := range c.reuse {
+		if inReuse[lg.id] {
+			return fmt.Errorf("reuse heap: log %d held twice", lg.id)
+		}
+		inReuse[lg.id] = true
+		if p := c.reuse[(i-1)/2]; i > 0 && p.closedSeq > lg.closedSeq {
+			return fmt.Errorf("reuse heap: log %d (closed %d) below log %d (closed %d)", lg.id, lg.closedSeq, p.id, p.closedSeq)
+		}
+	}
+	for _, lg := range c.logs {
+		var want string
+		switch {
+		case lg.id >= c.fresh:
+			want = "never opened"
+			if lg.active || len(lg.lines) != 0 {
+				return fmt.Errorf("log %d: never opened, but active %v with %d lines", lg.id, lg.active, len(lg.lines))
+			}
+		case lg.active:
+			want = "active"
+		case lg.valid == 0:
+			want = "reuse"
+		default:
+			want = "FIFO"
+		}
+		if inReuse[lg.id] != (want == "reuse") || inFIFO[lg.id] != (want == "FIFO") {
+			return fmt.Errorf("log %d: %s, but in reuse heap %v, in FIFO %v", lg.id, want, inReuse[lg.id], inFIFO[lg.id])
+		}
 	}
 	return nil
 }

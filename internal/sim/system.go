@@ -295,26 +295,35 @@ func (s *System) transferBytes(data []byte) int {
 	return n
 }
 
-// run advances all cores (oldest first) until each reaches its per-core
-// instruction target, or ctx is cancelled (checked every checkEvery
-// accesses so the hot loop stays select-free).
+// run advances all cores (oldest first: least local time, the lowest
+// index on a tie) until each reaches its per-core instruction target, or
+// ctx is cancelled (checked every checkEvery accesses so the hot loop
+// stays select-free).
 func (s *System) run(ctx context.Context) error {
 	done := ctx.Done()
 	steps := 0
-	for {
-		var pick *coreState
-		for _, c := range s.cores {
-			if c.instr >= c.target {
-				continue
-			}
-			if pick == nil || c.now < pick.now {
-				pick = c
-			}
+	// ready holds the cores short of their target; only the one stepped
+	// moves, so each step costs a sift-down of the root. total is the
+	// instruction count across all cores.
+	ready := make(coreHeap, 0, len(s.cores))
+	var total uint64
+	for _, c := range s.cores {
+		total += c.instr
+		if c.instr < c.target {
+			ready = append(ready, c)
 		}
-		if pick == nil {
-			return nil
-		}
+	}
+	ready.init()
+	for len(ready) > 0 {
+		pick := ready[0]
+		before := pick.instr
 		s.step(pick)
+		total += pick.instr - before
+		if pick.instr >= pick.target {
+			ready.pop()
+		} else {
+			ready.down(0)
+		}
 		if pick.instr >= pick.snapAt {
 			s.windowSnap(pick)
 		}
@@ -326,19 +335,11 @@ func (s *System) run(ctx context.Context) error {
 			default:
 			}
 			if s.OnProgress != nil {
-				var instr uint64
-				for _, c := range s.cores {
-					instr += c.instr
-				}
-				total := s.totalTarget()
-				s.OnProgress(clampProgress(instr, total), total)
+				target := s.totalTarget()
+				s.OnProgress(clampProgress(total, target), target)
 			}
 		}
 		if s.measuring {
-			var total uint64
-			for _, c := range s.cores {
-				total += c.instr
-			}
 			meas := total - s.sampleAt
 			// Ratio() walks the whole cache; only compute it when the
 			// sampler will actually record.
@@ -356,6 +357,47 @@ func (s *System) run(ctx context.Context) error {
 			}
 		}
 	}
+	return nil
+}
+
+// coreHeap is a min-heap of cores on (now, id): run's pick order.
+type coreHeap []*coreState
+
+func (h coreHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.now < b.now || a.now == b.now && a.id < b.id
+}
+
+func (h coreHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down restores the heap order below i after h[i] grew.
+func (h coreHeap) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// pop removes the root.
+func (h *coreHeap) pop() {
+	n := len(*h) - 1
+	(*h)[0] = (*h)[n]
+	*h = (*h)[:n]
+	h.down(0)
 }
 
 // runPhase advances all cores to their current targets on the configured
