@@ -245,39 +245,6 @@ func BenchmarkSimulatorMORCTelemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSpeedup compares the sequential engine against the
-// deterministic parallel engine on a 16-core MORC mix — the workload
-// shape parallelism exists for. The parallel leg uses
-// max(2, runtime.NumCPU()) workers (Parallelism ≤ 1 routes to the
-// sequential engine, so the leg would otherwise measure nothing on a
-// single-CPU machine). The committed BENCH_parallel.json records the
-// ns/op of both legs, the speedup, and the NumCPU they were measured
-// at: on a single-CPU host the parallel leg time-slices and the
-// speedup is honestly ≤ 1×, the price of the ordering machinery.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	run := func(parallelism int) func(*testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := sim.DefaultConfig()
-				cfg.Scheme = sim.MORC
-				cfg.WarmupInstr = 10_000
-				cfg.MeasureInstr = 25_000
-				cfg.Parallelism = parallelism
-				res := sim.RunMix("M0", cfg)
-				if res.CompletionCycles == 0 {
-					b.Fatal("no cycles")
-				}
-			}
-		}
-	}
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
-	b.Run("sequential", run(0))
-	b.Run(fmt.Sprintf("parallel-w%d", workers), run(workers))
-}
-
 // BenchmarkSamplingSpeedup compares full-fidelity runs against their
 // representative-interval sampled estimates on a production-scale budget
 // (20M measured instructions — 100 intervals, 5 detailed windows), for

@@ -38,7 +38,6 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit one JSON array of tables (the same encoding morcd serves)")
 		warmup    = flag.Uint64("warmup", 0, "override warmup instructions per core")
 		measure   = flag.Uint64("measure", 0, "override measured instructions per core")
-		parallel  = flag.Int("parallel", 0, "per-simulation worker goroutines (0 = sequential; tables are byte-identical either way)")
 
 		sampleInterval = flag.Uint64("sample-interval", 0, "representative-interval sampling: interval length in instructions (0 = full-fidelity runs)")
 		sampleK        = flag.Int("sample-k", 0, "sampling: max clusters / detailed windows per run (0 = default)")
@@ -64,9 +63,6 @@ func main() {
 	}
 	if *measure > 0 {
 		budget.Measure = *measure
-	}
-	if *parallel > 0 {
-		budget.Parallelism = *parallel
 	}
 	budget.Sampling = sim.SamplingConfig{
 		IntervalInstr: *sampleInterval,

@@ -49,7 +49,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit the Result as JSON (the same encoding morcd serves)")
 		telemetry  = flag.String("telemetry", "", "write the per-epoch time series as NDJSON to this file (- for stdout)")
 		epoch      = flag.Uint64("epoch", tel.DefaultEvery, "telemetry epoch length in instructions (with -telemetry)")
-		parallel   = flag.Int("parallel", 0, "simulation worker goroutines (0 = sequential; results are byte-identical either way)")
 
 		sampleInterval = flag.Uint64("sample-interval", 0, "representative-interval sampling: interval length in instructions (0 = full-fidelity run)")
 		sampleK        = flag.Int("sample-k", 0, "sampling: max clusters / detailed windows (0 = default)")
@@ -70,7 +69,6 @@ func main() {
 	cfg.WarmupInstr = *warmup
 	cfg.MeasureInstr = *measure
 	cfg.Inclusive = *inclusive
-	cfg.Parallelism = *parallel
 	if *telemetry != "" {
 		cfg.Telemetry = tel.Config{Every: *epoch}
 	}

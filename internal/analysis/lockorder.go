@@ -23,7 +23,7 @@ import (
 //
 // A lock class is the declaration site of the mutex, canonicalized as
 // "pkg.Type.field" for struct-field mutexes (array/slice elements
-// collapse onto their field: every cache.Banked bank mutex is one
+// collapse onto their field: every mutex of a []sync.Mutex field is one
 // class) and "pkg.var" for package-level mutexes. Function-local
 // mutexes cannot participate in cross-function ordering and are
 // ignored.

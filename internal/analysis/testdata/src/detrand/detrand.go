@@ -42,6 +42,29 @@ func commutingWrites(m map[string]int, other map[string]int) int {
 	return total
 }
 
+func keyedFloatAccumulation(maps []map[string]float64) map[string]float64 {
+	sums := make(map[string]float64)
+	counts := make(map[string]int)
+	for _, m := range maps {
+		for k, v := range m {
+			sums[k] += v // float accumulation keyed by the loop variable: fine
+			counts[k]++  // fine
+		}
+	}
+	for k := range sums {
+		sums[k] /= float64(counts[k]) // writing the ranged map by its own key: fine
+	}
+	return sums
+}
+
+type record struct{ id int }
+
+func drainIntoSlots(ch chan record, slots []record) {
+	for r := range ch {
+		slots[r.id] = r // channel receive order, but each record lands at its own index: fine
+	}
+}
+
 func collectThenSort(m map[string]int) []string {
 	var keys []string
 	for k := range m {

@@ -59,13 +59,9 @@ func TestRunSingleDeterminism(t *testing.T) {
 // TestServerJobMatchesDirectRun pins that the morcd job path — quick
 // budget plus JSON config overrides — runs the exact same simulation as
 // a direct sim.RunSingle with the equivalent Config: the Result JSON
-// must be byte-identical.
+// must be byte-identical, and so must the telemetry NDJSON the CLI and
+// morcd emit when the job records a series.
 func TestServerJobMatchesDirectRun(t *testing.T) {
-	direct, err := sim.RunSingleCtx(context.Background(), "gcc", detSimConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	srv := server.New(server.Config{Workers: 1})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -74,27 +70,62 @@ func TestServerJobMatchesDirectRun(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()
-	job, err := srv.Submit(server.JobSpec{
-		Workload: "gcc",
-		Scheme:   sim.MORC,
-		Config: json.RawMessage(
-			`{"WarmupInstr": 60000, "MeasureInstr": 90000, "SampleEvery": 30000}`),
-	})
-	if err != nil {
+	for _, tc := range []struct {
+		name      string
+		telemetry uint64
+	}{{"plain", 0}, {"telemetry", 25_000}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := detSimConfig()
+			cfg.Telemetry.Every = tc.telemetry
+			direct, err := sim.RunSingleCtx(context.Background(), "gcc", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, err := srv.Submit(server.JobSpec{
+				Workload:  "gcc",
+				Scheme:    sim.MORC,
+				Telemetry: tc.telemetry,
+				Config: json.RawMessage(
+					`{"WarmupInstr": 60000, "MeasureInstr": 90000, "SampleEvery": 30000}`),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-job.Done():
+			case <-time.After(2 * time.Minute):
+				t.Fatal("job did not finish")
+			}
+			v := job.View()
+			if v.Status != server.StatusDone {
+				t.Fatalf("job finished %s: %s", v.Status, v.Error)
+			}
+
+			dj, jj := resultJSON(t, &direct), resultJSON(t, v.Result)
+			if !bytes.Equal(dj, jj) {
+				t.Fatalf("server job diverged from direct run:\ndirect %s\nserver %s", dj, jj)
+			}
+			dn, jn := telemetryNDJSON(t, &direct), telemetryNDJSON(t, v.Result)
+			if (dn != nil) != (tc.telemetry > 0) {
+				t.Fatalf("direct run recorded telemetry: %v, want %v", dn != nil, tc.telemetry > 0)
+			}
+			if !bytes.Equal(dn, jn) {
+				t.Errorf("telemetry NDJSON differs:\ndirect %.300s\nserver %.300s", dn, jn)
+			}
+		})
+	}
+}
+
+// telemetryNDJSON is the result's telemetry series as the CLI and morcd
+// serialize it, or nil when the run recorded none.
+func telemetryNDJSON(t *testing.T, r *sim.Result) []byte {
+	t.Helper()
+	if r.Telemetry == nil {
+		return nil
+	}
+	var b bytes.Buffer
+	if err := r.Telemetry.WriteNDJSON(&b); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-job.Done():
-	case <-time.After(2 * time.Minute):
-		t.Fatal("job did not finish")
-	}
-	v := job.View()
-	if v.Status != server.StatusDone {
-		t.Fatalf("job finished %s: %s", v.Status, v.Error)
-	}
-
-	dj, jj := resultJSON(t, &direct), resultJSON(t, v.Result)
-	if !bytes.Equal(dj, jj) {
-		t.Fatalf("server job diverged from direct run:\ndirect %s\nserver %s", dj, jj)
-	}
+	return b.Bytes()
 }

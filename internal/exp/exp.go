@@ -35,17 +35,12 @@ type Budget struct {
 	// listed organizations (nil = the experiment's full paper set).
 	// Schemes an experiment does not compare are ignored.
 	Schemes []sim.Scheme
-	// Parallelism is the per-simulation worker count forwarded to
-	// sim.Config.Parallelism (0 = sequential engine). The parallel engine
-	// is byte-identical to the sequential one, so experiment tables are
-	// unaffected by this knob.
-	Parallelism int
 	// Sampling is forwarded to sim.Config.Sampling: when enabled, every
 	// simulation in the experiment runs in representative-interval
 	// sampling mode (profile, cluster, simulate one window per cluster,
-	// extrapolate — see morc/internal/sample). Unlike Parallelism this
-	// changes the numbers: tables become estimates within the error
-	// bounds internal/check pins. Composable with Parallelism.
+	// extrapolate — see morc/internal/sample). This changes the
+	// numbers: tables become estimates within the error bounds
+	// internal/check pins.
 	Sampling sim.SamplingConfig
 }
 

@@ -47,7 +47,6 @@ func runSingleSet(b Budget, workloads []string, schemes []sim.Scheme, mutate fun
 		cfg.WarmupInstr = b.Warmup
 		cfg.MeasureInstr = b.Measure
 		cfg.SampleEvery = b.SampleEvery
-		cfg.Parallelism = b.Parallelism
 		cfg.Sampling = b.Sampling
 		if mutate != nil {
 			mutate(&cfg)

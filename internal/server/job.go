@@ -69,14 +69,6 @@ type JobSpec struct {
 	// results stay byte-identical to plain sim runs.
 	Telemetry uint64 `json:"telemetry,omitempty"`
 
-	// Parallelism is the number of deterministic simulation workers
-	// (sim.Config.Parallelism): 0 runs the sequential reference engine,
-	// larger values the parallel engine. The two are byte-identical —
-	// internal/check proves it for the job path too — so this knob only
-	// changes wall-clock time, never results. Negative values are
-	// rejected at submit time.
-	Parallelism int `json:"parallelism,omitempty"`
-
 	// Sampling, when set, runs the job in representative-interval
 	// sampling mode (sim.Config.Sampling): the Result (or every
 	// simulation of an experiment job) is an extrapolated estimate, and
@@ -125,9 +117,6 @@ func (sp JobSpec) Validate() error {
 	if sp.Telemetry > 0 && sp.Experiment != "" {
 		return fmt.Errorf("telemetry streaming is only available for workload and mix jobs")
 	}
-	if sp.Parallelism < 0 {
-		return fmt.Errorf("negative parallelism %d", sp.Parallelism)
-	}
 	if sp.Sampling != nil {
 		if err := sp.Sampling.Validate(); err != nil {
 			return err
@@ -159,7 +148,6 @@ func (sp JobSpec) budget() exp.Budget {
 	}
 	b.Workloads = sp.Workloads
 	b.Schemes = sp.Schemes
-	b.Parallelism = sp.Parallelism
 	if sp.Sampling != nil {
 		b.Sampling = *sp.Sampling
 	}
@@ -175,7 +163,6 @@ func (sp JobSpec) simConfig() (sim.Config, error) {
 	cfg.MeasureInstr = b.Measure
 	cfg.SampleEvery = b.SampleEvery
 	cfg.Scheme = sp.Scheme
-	cfg.Parallelism = sp.Parallelism
 	if sp.Sampling != nil {
 		cfg.Sampling = *sp.Sampling
 	}

@@ -325,6 +325,9 @@ func TestSpecValidation(t *testing.T) {
 		{"bad budget", `{"workload":"gcc","budget":"huge"}`},
 		{"unknown config field", `{"workload":"gcc","config":{"Warmup":1}}`},
 		{"unknown spec field", `{"workload":"gcc","frobnicate":true}`},
+		{"removed parallelism field", `{"workload":"gcc","parallelism":2}`},
+		{"removed Parallelism override", `{"workload":"gcc","config":{"Parallelism":2}}`},
+		{"removed LLCBanks override", `{"workload":"gcc","config":{"LLCBanks":3}}`},
 		{"not json", `{{{`},
 	}
 	for _, tc := range cases {

@@ -106,33 +106,13 @@ type Config struct {
 	// representative-interval sampling: profile, cluster, simulate only
 	// one window per cluster in detail, extrapolate (see sampling.go and
 	// morc/internal/sample). Result.Sampling then reports the schedule
-	// and error estimates. Composable with Parallelism (each detailed
-	// phase runs on the configured engine) and Telemetry (one epoch per
+	// and error estimates. Composable with Telemetry (one epoch per
 	// measured window).
 	Sampling SamplingConfig
 
 	// MORCConfig overrides the MORC configuration (nil = paper default
 	// for the LLC capacity). Used by the sensitivity studies.
 	MORCConfig *core.Config
-
-	// Parallelism is the number of simulation worker goroutines. 0 or 1
-	// (the default) runs the sequential reference engine; larger values
-	// run the deterministic parallel engine, which is proven by
-	// internal/check's equivalence suite to produce byte-identical
-	// results, telemetry series, and progress callbacks for every scheme,
-	// core count, and seed. Negative values are rejected by RunCtx.
-	Parallelism int
-
-	// LLCBanks shards the LLC into address-interleaved, independently
-	// locked banks (cache.Banked) behind the same cache.LLC interface.
-	// 0 or 1 keeps the monolithic organization — the default, which the
-	// golden results depend on. Banking changes the simulated
-	// organization (each bank is a capacity/LLCBanks instance of the
-	// scheme), so results differ from the monolithic cache; but for a
-	// fixed LLCBanks value both engines build the identical organization,
-	// so parallel-vs-sequential byte-identity holds bank count by bank
-	// count. Capacity must divide evenly by the bank count.
-	LLCBanks int
 }
 
 // DefaultConfig returns the Table 5 system for one core.
@@ -154,28 +134,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// NewLLC builds the configured LLC organization. It is how test
-// harnesses (internal/check) obtain the exact cache-under-test the
-// simulator would run for a given Config.
-func (cfg Config) NewLLC() cache.LLC { return cfg.newLLC() }
-
-// newLLC builds the configured LLC organization, sharding it into
-// address-interleaved banks when LLCBanks > 1.
-func (cfg Config) newLLC() cache.LLC {
+// NewLLC builds the configured LLC organization. New calls it, and
+// test harnesses (internal/check) use it to obtain the exact
+// cache-under-test the simulator would run for a given Config.
+func (cfg Config) NewLLC() cache.LLC {
 	capacity := cfg.LLCBytesPerCore * cfg.Cores
-	if cfg.LLCBanks > 1 {
-		if capacity%cfg.LLCBanks != 0 {
-			panic(fmt.Sprintf("sim: LLC capacity %d not divisible into %d banks", capacity, cfg.LLCBanks))
-		}
-		per := capacity / cfg.LLCBanks
-		return cache.NewBanked(cfg.LLCBanks, func(int) cache.LLC { return cfg.buildLLC(per) })
-	}
-	return cfg.buildLLC(capacity)
-}
-
-// buildLLC builds one instance of the configured scheme with the given
-// data capacity (the whole LLC, or one bank of it).
-func (cfg Config) buildLLC(capacity int) cache.LLC {
 	switch cfg.Scheme {
 	case Uncompressed:
 		return cache.NewSetAssoc(capacity, 8, cache.LRU)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,6 +82,29 @@ func TestRunCtxCancelledBeforeStart(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
+}
+
+// TestRunPanicsOnRunCtxError covers sim.Run's panic path: Run promises
+// an infallible signature and must panic loudly when RunCtx fails (here
+// on a sampling configuration RunCtx rejects before touching any core).
+func TestRunPanicsOnRunCtxError(t *testing.T) {
+	cfg := boundaryCfg(Uncompressed)
+	cfg.Sampling = SamplingConfig{IntervalInstr: 10_000, MaxClusters: -1}
+	s, err := NewSingle("gcc", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Run did not panic on RunCtx error")
+		}
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "MaxClusters") {
+			t.Fatalf("panic value %v, want message naming MaxClusters", r)
+		}
+	}()
+	s.Run()
 }
 
 // TestRunCtxMatchesRun: the context plumbing must not change results.

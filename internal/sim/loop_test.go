@@ -130,7 +130,7 @@ func TestRunMatchesScanOracle(t *testing.T) {
 			name = "gcc"
 		}
 		t.Run(fmt.Sprintf("%v/%s", tc.scheme, name), func(t *testing.T) {
-			cfg := parCfg(tc.scheme)
+			cfg := boundaryCfg(tc.scheme)
 			if tc.mix != "" {
 				cfg.WarmupInstr, cfg.MeasureInstr, cfg.SampleEvery = 8_000, 20_000, 10_000
 			}

@@ -232,13 +232,12 @@ func (s *System) runSampled(ctx context.Context) (Result, error) {
 		before := s.totalInstr()
 		// Reproduce the full run's single warmup→measurement barrier when
 		// it falls inside this segment (only the segment that starts at
-		// instruction 0 can contain it). This phase has no snapshots, so
-		// it runs on the configured engine, parallel included.
+		// instruction 0 can contain it).
 		baseline := seg.lo
 		if seg.lo < cfg.WarmupInstr && cfg.WarmupInstr < seg.hi {
 			s.emitPhase("warmup", -1, -1)
 			s.setTargets(cfg.WarmupInstr)
-			if err := s.runPhase(ctx); err != nil {
+			if err := s.run(ctx); err != nil {
 				return Result{}, err
 			}
 			baseline = cfg.WarmupInstr
@@ -249,10 +248,9 @@ func (s *System) runSampled(ctx context.Context) (Result, error) {
 			telBegin = s.telemetrySample(0)
 		}
 		// Arm the boundary snapshots and run the rest of the segment as
-		// one phase on the sequential reference engine (the snapshot hook
-		// lives in its hot loop). A window boundary equal to the baseline
-		// position needs no snapshot: beginMeasurement's counter resets
-		// are its state.
+		// one phase (the snapshot hook lives in run's hot loop). A window
+		// boundary equal to the baseline position needs no snapshot:
+		// beginMeasurement's counter resets are its state.
 		bounds := make([]uint64, 0, 2*len(seg.windows))
 		for _, w := range seg.windows {
 			if w.startB > baseline {

@@ -147,7 +147,7 @@ func New(cfg Config, programs []trace.Profile) *System {
 	}
 	s := &System{
 		cfg: cfg,
-		llc: cfg.newLLC(),
+		llc: cfg.NewLLC(),
 		memctl: mem.NewController(mem.Config{
 			ClockHz:              cfg.ClockHz,
 			BandwidthBytesPerSec: cfg.BWPerCore * float64(cfg.Cores),
@@ -182,12 +182,11 @@ func (s *System) step(c *coreState) {
 	}
 }
 
-// stepAccess executes the core-private half of one access: the trace
-// generator, the per-core clocks, and the private L1 (including store-hit
-// mutation). It touches no cross-core state, which is what lets the
-// parallel engine run it on a worker without coordination. On an L1 miss
-// it returns the access for serviceMiss to complete; the core is then
-// mid-access (clocks advanced, L1 untouched) until serviceMiss runs.
+// stepAccess executes the hit path of one access: the trace generator,
+// the per-core clocks, and the private L1 (including store-hit
+// mutation). It touches no cross-core state. On an L1 miss it returns
+// the access for serviceMiss to complete; the core is then mid-access
+// (clocks advanced, L1 untouched) until serviceMiss runs.
 func (s *System) stepAccess(c *coreState) (a trace.Access, miss bool) {
 	a = c.gen.Next()
 	c.now += uint64(a.NonMem) + 1
@@ -210,11 +209,13 @@ func (s *System) stepAccess(c *coreState) (a trace.Access, miss bool) {
 	return a, true
 }
 
-// serviceMiss completes an L1 miss begun by stepAccess: the LLC lookup,
-// memory access, fills, and the core's stall accounting. Everything that
-// reads or writes cross-core state (the shared LLC, the memory
-// controller's bandwidth queues) happens here, so the parallel engine
-// applies these in the sequential engine's canonical order.
+// serviceMiss is the miss path: it completes an L1 miss begun by
+// stepAccess with the LLC lookup, memory access, fills, and the core's
+// stall accounting. Everything that reads or writes cross-core state
+// (the shared LLC, the memory controller's bandwidth queues) happens
+// here, as does most of a compressed LLC's host time; keeping it out of
+// stepAccess leaves the per-access hit path short, and lets profiles and
+// the hotalloc lint pass name the two paths apart.
 func (s *System) serviceMiss(c *coreState, a trace.Access) {
 	if a.Kind == trace.Load {
 		data, lat := s.llcAccess(c, a.Addr, false)
@@ -400,17 +401,6 @@ func (h *coreHeap) pop() {
 	h.down(0)
 }
 
-// runPhase advances all cores to their current targets on the configured
-// engine: the sequential reference loop for Parallelism ≤ 1, the
-// deterministic parallel engine otherwise. Both produce byte-identical
-// System state, results, and callback sequences (see DESIGN.md).
-func (s *System) runPhase(ctx context.Context) error {
-	if s.cfg.Parallelism > 1 {
-		return s.runParallel(ctx)
-	}
-	return s.run(ctx)
-}
-
 // totalTarget is the whole run's instruction count across all cores:
 // warmup plus measurement, the denominator for progress reporting.
 func (s *System) totalTarget() uint64 {
@@ -420,8 +410,7 @@ func (s *System) totalTarget() uint64 {
 // clampProgress bounds a progress numerator to its total: cores may
 // overshoot their per-core target by one access's instruction count, and
 // progress must never exceed (and later have to back off from) the
-// total. Both engines report through this, so their callback sequences
-// agree bit for bit.
+// total.
 func clampProgress(instr, total uint64) uint64 {
 	if instr > total {
 		return total
@@ -446,9 +435,6 @@ func (s *System) Run() Result {
 // the System's counters stay internally consistent (each core simply
 // halts short of its target) but the run cannot be resumed.
 func (s *System) RunCtx(ctx context.Context) (Result, error) {
-	if s.cfg.Parallelism < 0 {
-		return Result{}, fmt.Errorf("sim: negative Parallelism %d", s.cfg.Parallelism)
-	}
 	if s.cfg.Sampling.Enabled() {
 		if err := s.cfg.Sampling.Validate(); err != nil {
 			return Result{}, err
@@ -468,7 +454,7 @@ func (s *System) RunCtx(ctx context.Context) (Result, error) {
 	for _, c := range s.cores {
 		c.target = s.cfg.WarmupInstr
 	}
-	if err := s.runPhase(ctx); err != nil {
+	if err := s.run(ctx); err != nil {
 		return Result{}, err
 	}
 	s.beginMeasurement()
@@ -480,7 +466,7 @@ func (s *System) RunCtx(ctx context.Context) (Result, error) {
 		s.tel = telemetry.NewRecorder(s.cfg.Telemetry, s.cfg.Scheme.String(), s.OnEpoch)
 		s.tel.Begin(s.telemetrySample(0))
 	}
-	if err := s.runPhase(ctx); err != nil {
+	if err := s.run(ctx); err != nil {
 		return Result{}, err
 	}
 	ratio := s.llc.Ratio()
