@@ -24,6 +24,8 @@ func (s *system) Run(n int) []int {
 func (s *system) step(i int) {
 	s.st.lats = append(s.st.lats, i) // want "append grows s.st.lats inside the per-instruction simulation loop"
 	record(&s.st, i)
+	observe(i)
+	drain(s, []int{i})
 	s.tick++
 }
 
@@ -31,6 +33,27 @@ func (s *system) step(i int) {
 // growth even though the function itself looks innocent.
 func record(out *stats, v int) {
 	out.lats = append(out.lats, v) // want "append grows out.lats inside the per-instruction simulation loop"
+}
+
+// hist is package-level state: its growth outlives every call.
+var hist stats
+
+func observe(v int) {
+	hist.lats = append(hist.lats, v) // want "append grows hist.lats inside the per-instruction simulation loop"
+}
+
+// drain is reachable from step; the function literal it passes on
+// appends onto state reached through drain's pointer parameter.
+func drain(s *system, xs []int) {
+	apply(xs, func(v int) {
+		s.st.lats = append(s.st.lats, v) // want "append grows s.st.lats inside the per-instruction simulation loop"
+	})
+}
+
+func apply(xs []int, f func(int)) {
+	for _, x := range xs {
+		f(x)
+	}
 }
 
 // setup is not reachable from any loop root; one-time appends are fine.

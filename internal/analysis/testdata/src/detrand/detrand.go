@@ -126,3 +126,46 @@ func mutatesOuterState(m map[string]int, c *counter) {
 		c.bump() // want "calls c.bump .* in map iteration order"
 	}
 }
+
+func sortedBeforeCollecting(m map[string]int) []string {
+	var keys []string
+	sort.Strings(keys) // the sort must follow the collecting loop
+	for k := range m {
+		keys = append(keys, k) // want "appends to keys in map iteration order and never sorts it"
+	}
+	return keys
+}
+
+func randReference() func(int) int {
+	f := rand.Intn // want "rand.Intn uses math/rand's global generator"
+	return f
+}
+
+func untilDeadline(t time.Time) time.Duration {
+	return time.Until(t) // want "time.Until in the deterministic core"
+}
+
+func discardedClock() {
+	_ = time.Now() // want "time.Now in the deterministic core"
+}
+
+func rangeInCase(m map[string]int, mode int) string {
+	var last string
+	switch mode {
+	case 1:
+		for k := range m {
+			last = k // want "assigns to last in map iteration order"
+		}
+	}
+	return last
+}
+
+func labeledRange(m map[string]int) string {
+	var last string
+keys:
+	for k := range m {
+		last = k // want "assigns to last in map iteration order"
+		continue keys
+	}
+	return last
+}
