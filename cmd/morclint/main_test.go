@@ -26,7 +26,7 @@ func TestList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"detrand", "lockhold", "ctxleak", "invariants", "boundedgrowth"} {
+	for _, name := range []string{"lockhold", "ctxleak", "invariants", "spanbalance", "dettaint", "lockorder", "hotalloc"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing pass %s:\n%s", name, out.String())
 		}
@@ -82,12 +82,12 @@ func TestPerPassTiming(t *testing.T) {
 
 func TestFixtureFindingsExitNonzero(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{fixture(t, "detrand")}, &out, &errb)
+	code := run([]string{fixture(t, "dettaint_core")}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "[detrand]") {
-		t.Errorf("output missing detrand diagnostics:\n%s", out.String())
+	if !strings.Contains(out.String(), "[dettaint]") {
+		t.Errorf("output missing dettaint diagnostics:\n%s", out.String())
 	}
 }
 
@@ -115,7 +115,7 @@ func TestJSONOutputIsDeterministicallyOrdered(t *testing.T) {
 	// Two fixture packages with findings from different passes: the JSON
 	// array must come out sorted by file, line, column, then pass, and be
 	// byte-identical across runs.
-	args := []string{"-json", fixture(t, "detrand"), fixture(t, "lockhold")}
+	args := []string{"-json", fixture(t, "dettaint_core"), fixture(t, "lockhold")}
 	var out, errb bytes.Buffer
 	if code := run(args, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
@@ -158,10 +158,10 @@ func TestCleanPackageExitsZeroWithEmptyJSONArray(t *testing.T) {
 }
 
 func TestPassFilter(t *testing.T) {
-	// The detrand fixture is only in scope for detrand; running just the
-	// lockhold pass over it must be clean.
+	// The dettaint_core fixture is only in scope for dettaint; running
+	// just the lockhold pass over it must be clean.
 	var out, errb bytes.Buffer
-	if code := run([]string{"-passes", "lockhold", fixture(t, "detrand")}, &out, &errb); code != 0 {
+	if code := run([]string{"-passes", "lockhold", fixture(t, "dettaint_core")}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, want 0; stdout: %s stderr: %s", code, out.String(), errb.String())
 	}
 }

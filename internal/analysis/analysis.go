@@ -18,7 +18,8 @@
 //	//morclint:ignore passname reason for the exception
 //
 // The pass name may be a comma-separated list (or "all"), and the reason
-// is mandatory: an ignore without a justification is itself a finding.
+// is mandatory: an ignore without a justification, or naming a pass
+// that does not exist, is itself a finding.
 package analysis
 
 import (
@@ -64,11 +65,9 @@ type Pass interface {
 // AllPasses returns the full suite in stable order.
 func AllPasses() []Pass {
 	return []Pass{
-		&DetRand{},
 		&LockHold{},
 		&CtxLeak{},
 		&Invariants{},
-		&BoundedGrowth{},
 		&SpanBalance{},
 		&DetTaint{},
 		&LockOrder{},

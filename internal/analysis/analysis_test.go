@@ -6,6 +6,7 @@ import (
 	"go/ast"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -93,10 +94,11 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestIgnoreFixturesSuppressEverything checks that in the *_ignore
-// fixture packages every diagnostic of the allowlisted pass is either
-// suppressed or explicitly annotated (the malformed-ignore case leaves
-// one annotated finding behind on purpose).
+// TestIgnoreFixturesSuppressEverything checks that in the
+// <pass>_ignore and <pass>_<variant>_ignore fixture packages every
+// diagnostic of the allowlisted pass is either suppressed or explicitly
+// annotated (the malformed-ignore cases leave annotated findings behind
+// on purpose).
 func TestIgnoreFixturesSuppressEverything(t *testing.T) {
 	prog := loadFixtures(t)
 	annotated := map[string]bool{} // "file:line" carrying a want comment
@@ -117,7 +119,7 @@ func TestIgnoreFixturesSuppressEverything(t *testing.T) {
 			continue
 		}
 		dir := filepath.Base(filepath.Dir(d.File))
-		if dir == d.Pass+"_ignore" {
+		if strings.HasPrefix(dir, d.Pass+"_") && strings.HasSuffix(dir, "_ignore") {
 			t.Errorf("ignore comment did not suppress: %s", d.String())
 		}
 	}
@@ -127,8 +129,8 @@ func TestIgnoreFixturesSuppressEverything(t *testing.T) {
 // convention the Scope methods rely on.
 func TestFixtureNameParsing(t *testing.T) {
 	cases := []struct{ path, want string }{
-		{"morc/internal/analysis/testdata/src/detrand", "detrand"},
-		{"morc/internal/analysis/testdata/src/detrand_ignore", "detrand"},
+		{"morc/internal/analysis/testdata/src/dettaint", "dettaint"},
+		{"morc/internal/analysis/testdata/src/dettaint_core_ignore", "dettaint"},
 		{"morc/internal/analysis/testdata/src/invariants_tested", "invariants"},
 		{"morc/internal/sim", ""},
 	}
@@ -153,7 +155,7 @@ func TestPassMetadata(t *testing.T) {
 		}
 		names[p.Name()] = true
 	}
-	for _, want := range []string{"detrand", "lockhold", "ctxleak", "invariants", "boundedgrowth", "spanbalance",
+	for _, want := range []string{"lockhold", "ctxleak", "invariants", "spanbalance",
 		"dettaint", "lockorder", "hotalloc"} {
 		if !names[want] {
 			t.Errorf("pass %s missing from AllPasses", want)
@@ -163,12 +165,12 @@ func TestPassMetadata(t *testing.T) {
 
 // TestDiagnosticJSON pins the JSON shape cmd/morclint -json emits.
 func TestDiagnosticJSON(t *testing.T) {
-	d := Diagnostic{File: "a/b.go", Line: 3, Col: 7, Pass: "detrand", Message: "m"}
+	d := Diagnostic{File: "a/b.go", Line: 3, Col: 7, Pass: "dettaint", Message: "m"}
 	b, err := json.Marshal(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"file":"a/b.go","line":3,"col":7,"pass":"detrand","message":"m"}`
+	want := `{"file":"a/b.go","line":3,"col":7,"pass":"dettaint","message":"m"}`
 	if string(b) != want {
 		t.Errorf("JSON = %s, want %s", b, want)
 	}

@@ -107,6 +107,22 @@ func (prog *Program) CallGraph() *CallGraph {
 	return prog.cg
 }
 
+// analyzeOnce runs a pass's whole-program analysis the first time the
+// pass asks for it and returns the memoized per-unit findings after
+// that: an interprocedural pass analyzes the module once and hands each
+// unit its share.
+func (prog *Program) analyzeOnce(pass string, analyze func(*Program) map[*Unit][]Finding) map[*Unit][]Finding {
+	if prog.findings == nil {
+		prog.findings = map[string]map[*Unit][]Finding{}
+	}
+	byUnit, ok := prog.findings[pass]
+	if !ok {
+		byUnit = analyze(prog)
+		prog.findings[pass] = byUnit
+	}
+	return byUnit
+}
+
 // NodeFor returns the node for a declared function, if any.
 func (cg *CallGraph) NodeFor(fn *types.Func) *CGNode { return cg.nodes[fn] }
 

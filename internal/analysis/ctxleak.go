@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // CtxLeak flags context cancel funcs that can escape without ever being
@@ -61,7 +62,7 @@ func (c *CtxLeak) Run(prog *Program, u *Unit) []Finding {
 			if obj == nil {
 				return true
 			}
-			if !cancelHandled(u.Info, fd.Body, obj, cancelID) {
+			if !deferredOrEscapes(u.Info, fd.Body, obj, cancelID) {
 				out = append(out, Finding{Pos: cancelID.Pos(), Message: fmt.Sprintf(
 					"the cancel func from context.%s is neither deferred nor stored; a panic or early return leaks the context (defer %s())",
 					fn.Name(), cancelID.Name)})
@@ -72,78 +73,52 @@ func (c *CtxLeak) Run(prog *Program, u *Unit) []Finding {
 	return out
 }
 
-// cancelHandled reports whether the cancel object is deferred or escapes
-// (stored in a field or variable, passed to a call, returned, or sent on
-// a channel) anywhere in the function body. Direct calls alone do not
-// count: they only run on the paths that reach them.
-func cancelHandled(info *types.Info, body *ast.BlockStmt, obj types.Object, def *ast.Ident) bool {
-	handled := false
+// deferredOrEscapes reports whether a resource-owning object (a
+// context's cancel func, a span) is released by a defer — `defer
+// obj()`, `defer obj.M()`, a deferred func literal mentioning obj, or a
+// deferred call taking it as an argument — or escapes to a longer-lived
+// owner: stored in a field or variable, put in a composite literal,
+// passed to a call, returned, or sent on a channel, anywhere in the
+// function body. Direct calls alone do not count: they only run on the
+// paths that reach them. def is obj's defining identifier.
+func deferredOrEscapes(info *types.Info, body *ast.BlockStmt, obj types.Object, def *ast.Ident) bool {
+	is := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && id != def && usedObject(info, id) == obj
+	}
+	refers := func(e ast.Expr) bool { return refersTo(info, e, obj) }
+	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if handled {
+		if found {
 			return false
 		}
 		switch n := n.(type) {
 		case *ast.DeferStmt:
-			// defer cancel() — or defer cleanup(cancel), or
-			// defer func() { ...; cancel() }().
-			if id, ok := ast.Unparen(n.Call.Fun).(*ast.Ident); ok && usedObject(info, id) == obj {
-				handled = true
-				return false
+			fun := ast.Unparen(n.Call.Fun)
+			if sel, ok := fun.(*ast.SelectorExpr); ok {
+				fun = sel.X
 			}
-			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok && refersTo(info, lit, obj) {
-				handled = true
-				return false
-			}
-			for _, arg := range n.Call.Args {
-				if refersTo(info, arg, obj) {
-					handled = true
-					return false
-				}
-			}
+			_, isLit := fun.(*ast.FuncLit)
+			found = is(fun) || isLit && refers(fun) || slices.ContainsFunc(n.Call.Args, refers)
 		case *ast.CallExpr:
-			// cancel passed as an argument (j.start(cancel)).
-			for _, arg := range n.Args {
-				if id, ok := ast.Unparen(arg).(*ast.Ident); ok && id != def && usedObject(info, id) == obj {
-					handled = true
-					return false
-				}
-			}
+			found = slices.ContainsFunc(n.Args, is)
 		case *ast.AssignStmt:
-			// cancel stored: j.cancel = cancel (appearing on the RHS of an
-			// assignment other than its own definition).
-			for _, rhs := range n.Rhs {
-				if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && id != def && usedObject(info, id) == obj {
-					handled = true
-					return false
-				}
-			}
+			found = slices.ContainsFunc(n.Rhs, is)
 		case *ast.CompositeLit:
 			for _, el := range n.Elts {
-				e := el
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					e = kv.Value
+					el = kv.Value
 				}
-				if id, ok := ast.Unparen(e).(*ast.Ident); ok && id != def && usedObject(info, id) == obj {
-					handled = true
-					return false
-				}
+				found = found || is(el)
 			}
 		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if refersTo(info, res, obj) {
-					handled = true
-					return false
-				}
-			}
+			found = slices.ContainsFunc(n.Results, refers)
 		case *ast.SendStmt:
-			if refersTo(info, n.Value, obj) {
-				handled = true
-				return false
-			}
+			found = refers(n.Value)
 		}
-		return true
+		return !found
 	})
-	return handled
+	return found
 }
 
 // refersTo reports whether expr mentions obj.

@@ -8,30 +8,45 @@ import (
 	"strings"
 )
 
-// DetTaint is the interprocedural generalization of detrand: where
-// detrand looks at one function at a time inside the deterministic-core
-// packages, dettaint walks the whole-module call graph from the
-// functions that produce the deterministic artifacts (sim.Result, the
-// telemetry series, golden tables, obs.ShapeOf projections) and flags
-// every reachable function — in any package — that obtains a value from
-// a nondeterministic source and lets it escape:
+// DetTaint enforces the deterministic-replay contract: the packages
+// that produce sim.Result, telemetry series, and golden JSON must not
+// consult wall-clock time or math/rand's global state, and must not let
+// Go's randomized map iteration order leak into anything they emit. It
+// has two rules.
 //
-//   - wall-clock reads: time.Now / time.Since / time.Until;
-//   - math/rand (and v2) package-level functions using the shared
-//     global generator (seeded constructors are fine);
-//   - map iteration order: range-over-map loop variables, and the
-//     callback parameters of sync.Map.Range;
+// The source rule looks at every function and package-level
+// initializer of the deterministic-core packages (corePkgs), one at a
+// time, and flags
 //
-// "escape" means the tainted value is returned, stored through a
-// pointer (receiver field, pointer parameter, package-level or
-// closed-over state), or handed to a mutating method of such state. A
-// time.Now() whose value dies inside the function does not produce a
-// dettaint finding (detrand still flags the call itself inside the core
-// packages).
+//   - references to math/rand (and math/rand/v2) package-level functions
+//     that read or mutate the shared global generator — seeded *rand.Rand
+//     values and internal/rng are fine;
+//   - references to time.Now / time.Since / time.Until;
+//   - range-over-map loops whose bodies have order-sensitive effects:
+//     appending to an outer slice (unless the slice is sorted later in
+//     the same block), plain assignments or floating-point accumulation
+//     into outer variables, returns derived from the loop variables,
+//     channel sends, formatted output, and calls to methods that can
+//     mutate outer state. Writes keyed by the loop key (m[k] = v,
+//     other[k] = v, delete(m, k)) and integer accumulation commute
+//     across iteration orders and are allowed.
+//
+// The taint rule walks the whole-module call graph from the functions
+// that produce the deterministic artifacts (every exported function of
+// the core packages, and obs.ShapeOf) and flags every reachable
+// function — in any package — that obtains a value from one of the
+// same nondeterministic sources and lets it escape. Map-order sources
+// also include the callback parameters of sync.Map.Range. "Escape"
+// means the tainted value is returned, stored through a pointer
+// (receiver field, pointer parameter, package-level or closed-over
+// state), or handed to a mutating method of such state. A time.Now()
+// whose value dies inside the function is left to the source rule,
+// which flags the call itself inside the core packages.
 //
 // Map-order taint is dropped by the idioms that restore determinism:
-// slices that are passed to sort.*/slices.Sort* in the same function,
-// writes keyed by the loop variable (per-key effects commute), and
+// slices that are passed to sort.*/slices.Sort* in the same function
+// (the source rule also checks that the sort follows the loop), writes
+// keyed by the loop variable (per-key effects commute), and
 // integer/boolean accumulation. Wall-clock and global-rand taint is
 // never laundered: sorting a slice of timestamps does not make them
 // deterministic.
@@ -40,17 +55,41 @@ import (
 // edges are excluded on purpose: hooks like System.OnProgress are how
 // the service layer (which may stamp wall-clock times onto events)
 // observes the core, and their bodies feed server state, not Result.
-type DetTaint struct {
-	state map[*Program]map[*Unit][]Finding
+type DetTaint struct{}
+
+// corePkgs is the deterministic core: every package whose behaviour
+// feeds sim.Result, telemetry, or the golden files.
+var corePkgs = []string{
+	"internal/sim", "internal/core", "internal/cache", "internal/compress",
+	"internal/baseline", "internal/mem", "internal/trace", "internal/energy",
+	"internal/stats", "internal/telemetry", "internal/exp", "internal/check",
+	"internal/rng", "internal/sample",
 }
 
 func (*DetTaint) Name() string { return "dettaint" }
 func (*DetTaint) Doc() string {
-	return "interprocedural taint: nondeterministic sources (wall-clock, global rand, map order) must not flow into results reachable from the deterministic core"
+	return "nondeterministic sources (wall-clock, global rand, map order): forbidden in the deterministic core, and must not flow into results reachable from it"
 }
 
 func (*DetTaint) Scope(prog *Program, u *Unit) bool {
 	return u.Fixture() == "dettaint" || u.Fixture() == ""
+}
+
+// isCore reports whether the source rule applies to u: a core package,
+// or a dettaint_core* fixture standing in for one.
+func isCore(prog *Program, u *Unit) bool {
+	if u.Fixture() == "" {
+		return u.InPaths(prog, corePkgs...)
+	}
+	return strings.HasPrefix(u.fixtureDir(), "dettaint_core")
+}
+
+func (d *DetTaint) Run(prog *Program, u *Unit) []Finding {
+	var out []Finding
+	if isCore(prog, u) {
+		out = checkSources(u)
+	}
+	return append(out, prog.analyzeOnce(d.Name(), analyzeTaint)[u]...)
 }
 
 // taint is a bitset of nondeterminism kinds.
@@ -79,16 +118,325 @@ func (t taint) String() string {
 	return strings.Join(parts, "+")
 }
 
-func (d *DetTaint) Run(prog *Program, u *Unit) []Finding {
-	if d.state == nil {
-		d.state = map[*Program]map[*Unit][]Finding{}
+// randConstructors are the math/rand names that only build seeded local
+// generators (deterministic and allowed); every other package-level
+// function touches the global generator.
+var randConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	"NewPCG": true, "NewChaCha8": true,
+}
+
+// sourceTaint reports the nondeterminism a package-level function
+// introduces by itself: wall-clock reads and math/rand's global
+// generator. Methods (on *rand.Rand, time.Time, ...) introduce none.
+func sourceTaint(fn *types.Func) taint {
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return 0
 	}
-	byUnit, ok := d.state[prog]
-	if !ok {
-		byUnit = d.analyze(prog)
-		d.state[prog] = byUnit
+	switch fn.Pkg().Path() {
+	case "time":
+		switch fn.Name() {
+		case "Now", "Since", "Until":
+			return taintTime
+		}
+	case "math/rand", "math/rand/v2":
+		if !randConstructors[fn.Name()] {
+			return taintRand
+		}
 	}
-	return byUnit[u]
+	return 0
+}
+
+// sortFuncNames are the sort-package helpers whose first argument is the
+// slice being ordered.
+var sortFuncNames = map[string]bool{
+	"Strings": true, "Ints": true, "Float64s": true,
+	"Slice": true, "SliceStable": true, "Stable": true,
+}
+
+// sortedIdent returns the variable a sort.* or slices.Sort* call
+// orders (its first argument), or nil if call is not such a sort.
+func sortedIdent(info *types.Info, call *ast.CallExpr) *ast.Ident {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
+		return nil
+	}
+	if pkg := fn.Pkg().Path(); pkg != "sort" && pkg != "slices" {
+		return nil
+	}
+	if !strings.HasPrefix(fn.Name(), "Sort") && !sortFuncNames[fn.Name()] {
+		return nil
+	}
+	id, _ := ast.Unparen(call.Args[0]).(*ast.Ident)
+	return id
+}
+
+// usesLoopVar reports whether e mentions one of the loop variables.
+func usesLoopVar(info *types.Info, loopVars map[types.Object]bool, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && loopVars[usedObject(info, id)] {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// commutes reports whether accumulating into e is order-insensitive:
+// integer and boolean values commute, floats and strings do not.
+func commutes(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	b, ok := tv.Type.Underlying().(*types.Basic)
+	return ok && b.Info()&(types.IsInteger|types.IsBoolean) != 0
+}
+
+// checkSources is the source rule over one core unit.
+func checkSources(u *Unit) []Finding {
+	var out []Finding
+	for _, f := range u.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			fn, _ := usedObject(u.Info, id).(*types.Func)
+			switch sourceTaint(fn) {
+			case taintRand:
+				out = append(out, Finding{Pos: id.Pos(), Message: fmt.Sprintf(
+					"%s.%s uses math/rand's global generator; deterministic replay requires internal/rng (or a seeded *rand.Rand)",
+					fn.Pkg().Name(), fn.Name())})
+			case taintTime:
+				out = append(out, Finding{Pos: id.Pos(), Message: fmt.Sprintf(
+					"time.%s in the deterministic core: wall-clock values must never influence simulation results",
+					fn.Name())})
+			}
+			return true
+		})
+		out = append(out, checkMapRanges(u, f)...)
+	}
+	return out
+}
+
+// checkMapRanges finds every range-over-map statement in the file along
+// with the statement list that follows it (for the append-then-sort
+// idiom) and analyzes its body for order-sensitive effects.
+func checkMapRanges(u *Unit, f *ast.File) []Finding {
+	var out []Finding
+	analyze := func(list []ast.Stmt) {
+		for i, st := range list {
+			for {
+				if ls, ok := st.(*ast.LabeledStmt); ok {
+					st = ls.Stmt
+					continue
+				}
+				break
+			}
+			rs, ok := st.(*ast.RangeStmt)
+			if !ok {
+				continue
+			}
+			tv, ok := u.Info.Types[rs.X]
+			if !ok {
+				continue
+			}
+			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+				continue
+			}
+			out = append(out, checkOneRange(u, rs, list[i+1:])...)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BlockStmt:
+			analyze(n.List)
+		case *ast.CaseClause:
+			analyze(n.Body)
+		case *ast.CommClause:
+			analyze(n.Body)
+		}
+		return true
+	})
+	return out
+}
+
+// checkOneRange analyzes one map-range body. rest is the statement list
+// following the range in its enclosing block, consulted to recognize the
+// collect-then-sort idiom.
+func checkOneRange(u *Unit, rs *ast.RangeStmt, rest []ast.Stmt) []Finding {
+	info := u.Info
+
+	// Loop variables (k, v) and the root object of the ranged map.
+	loopVars := map[types.Object]bool{}
+	for _, e := range []ast.Expr{rs.Key, rs.Value} {
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+			if obj := usedObject(info, id); obj != nil {
+				loopVars[obj] = true
+			}
+		}
+	}
+	var rangedObj types.Object
+	if id := baseIdent(rs.X); id != nil {
+		rangedObj = usedObject(info, id)
+	}
+
+	outer := func(obj types.Object) bool {
+		return obj != nil && !declaredWithin(obj, rs)
+	}
+
+	type appendTarget struct {
+		key string // the slice variable's name
+		pos token.Pos
+	}
+	var appends []appendTarget
+	var out []Finding
+	flag := func(pos token.Pos, format string, args ...any) {
+		out = append(out, Finding{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	}
+
+	checkWriteTarget := func(lhs ast.Expr, pos token.Pos, compound bool) {
+		lhs = ast.Unparen(lhs)
+		switch lhs.(type) {
+		case *ast.Ident, *ast.IndexExpr, *ast.SelectorExpr, *ast.StarExpr:
+		default:
+			return
+		}
+		root := baseIdent(lhs)
+		if root == nil {
+			flag(pos, "writes through a computed expression in map iteration order; iterate sorted keys")
+			return
+		}
+		obj := usedObject(info, root)
+		if root.Name == "_" || !outer(obj) || compound && commutes(info, lhs) {
+			return // integer/bool accumulation commutes across orders
+		}
+		switch x := lhs.(type) {
+		case *ast.Ident:
+			if compound {
+				flag(pos, "accumulates floating-point values into %s in map iteration order (float addition is not associative); iterate sorted keys", x.Name)
+				return
+			}
+			flag(pos, "assigns to %s in map iteration order (last writer wins); iterate sorted keys", x.Name)
+		case *ast.IndexExpr:
+			// Writing the ranged map itself, or keying by the loop
+			// variable: distinct keys commute.
+			if obj != rangedObj && !usesLoopVar(info, loopVars, x.Index) {
+				flag(pos, "writes to %s in map iteration order; iterate sorted keys", root.Name)
+			}
+		default:
+			flag(pos, "writes to state reached through %s in map iteration order; iterate sorted keys", root.Name)
+		}
+	}
+
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				if usesLoopVar(info, loopVars, res) {
+					flag(n.Pos(), "returns a value derived from map iteration order (a different run may return a different entry); iterate sorted keys")
+					break
+				}
+			}
+		case *ast.AssignStmt:
+			// x = append(x, ...) on an outer ident: defer judgment to the
+			// collect-then-sort check.
+			if id := selfAppend(info, n); id != nil {
+				if outer(usedObject(info, id)) {
+					appends = append(appends, appendTarget{key: id.Name, pos: n.Pos()})
+				}
+				return true
+			}
+			if n.Tok == token.DEFINE {
+				return true
+			}
+			for _, lhs := range n.Lhs {
+				checkWriteTarget(lhs, n.Pos(), n.Tok != token.ASSIGN)
+			}
+		case *ast.IncDecStmt:
+			checkWriteTarget(n.X, n.Pos(), true)
+		case *ast.SendStmt:
+			flag(n.Pos(), "sends on a channel in map iteration order; iterate sorted keys")
+		case *ast.CallExpr:
+			if fn := calleeFunc(info, n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" &&
+				(strings.HasPrefix(fn.Name(), "Print") || strings.HasPrefix(fn.Name(), "Fprint")) {
+				flag(n.Pos(), "emits formatted output in map iteration order; iterate sorted keys")
+				return true
+			}
+			// A pointer-receiver or interface method on outer state can
+			// mutate it; order of mutation is the iteration order.
+			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+			if !ok || !mutatingMethod(info, sel) {
+				return true
+			}
+			if root := baseIdent(sel.X); root != nil && outer(usedObject(info, root)) {
+				flag(n.Pos(), "calls %s.%s (which can mutate state reached through %s) in map iteration order; iterate sorted keys",
+					root.Name, sel.Sel.Name, root.Name)
+			}
+		}
+		return true
+	})
+
+	// Collect-then-sort: appends to an outer slice are fine when the
+	// slice is sorted later in the same enclosing block.
+	for _, a := range appends {
+		if !sortedAfter(info, rest, a.key) {
+			flag(a.pos, "appends to %s in map iteration order and never sorts it; sort %s afterwards or iterate sorted keys", a.key, a.key)
+		}
+	}
+	return out
+}
+
+// selfAppend returns x when as is `x = append(x, ...)` on a variable.
+func selfAppend(info *types.Info, as *ast.AssignStmt) *ast.Ident {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 || as.Tok != token.ASSIGN {
+		return nil
+	}
+	id, _ := ast.Unparen(as.Lhs[0]).(*ast.Ident)
+	call, _ := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+	if id == nil || call == nil || len(call.Args) == 0 {
+		return nil
+	}
+	fid, _ := ast.Unparen(call.Fun).(*ast.Ident)
+	arg0, _ := ast.Unparen(call.Args[0]).(*ast.Ident)
+	if fid == nil || fid.Name != "append" || arg0 == nil || arg0.Name != id.Name {
+		return nil
+	}
+	return id
+}
+
+// mutatingMethod reports whether sel names a method that can mutate its
+// receiver: a pointer-receiver method, or any method of an interface.
+func mutatingMethod(info *types.Info, sel *ast.SelectorExpr) bool {
+	selection := info.Selections[sel]
+	if selection == nil || selection.Kind() != types.MethodVal {
+		return false
+	}
+	sig, _ := selection.Obj().Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return false
+	}
+	_, isPtr := sig.Recv().Type().(*types.Pointer)
+	return isPtr || isInterface(selection.Recv())
+}
+
+// sortedAfter reports whether the statements following a map-range loop
+// pass the named slice to a sort call.
+func sortedAfter(info *types.Info, rest []ast.Stmt, key string) bool {
+	found := false
+	for _, st := range rest {
+		ast.Inspect(st, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && !found {
+				if id := sortedIdent(info, call); id != nil && id.Name == key {
+					found = true
+				}
+			}
+			return !found
+		})
+	}
+	return found
 }
 
 // dettaintRoots returns the artifact-producing entry points: every
@@ -105,7 +453,7 @@ func dettaintRoots(prog *Program, cg *CallGraph) []*CGNode {
 		switch {
 		case u.Fixture() == "dettaint":
 			roots = append(roots, n)
-		case u.Fixture() == "" && u.InPaths(prog, detrandPkgs...):
+		case u.Fixture() == "" && u.InPaths(prog, corePkgs...):
 			roots = append(roots, n)
 		case u.Fixture() == "" && u.InPaths(prog, "internal/obs") && n.Fn.Name() == "ShapeOf":
 			roots = append(roots, n)
@@ -114,8 +462,9 @@ func dettaintRoots(prog *Program, cg *CallGraph) []*CGNode {
 	return roots
 }
 
-// analyze runs the whole-module pass once and buckets findings by unit.
-func (d *DetTaint) analyze(prog *Program) map[*Unit][]Finding {
+// analyzeTaint runs the taint rule once over the whole module and
+// buckets findings by unit.
+func analyzeTaint(prog *Program) map[*Unit][]Finding {
 	cg := prog.CallGraph()
 	roots := dettaintRoots(prog, cg)
 	reach := cg.Reachable(roots, StaticAndIface)
@@ -125,8 +474,7 @@ func (d *DetTaint) analyze(prog *Program) map[*Unit][]Finding {
 		if !reach[n] || !n.Unit.Lint {
 			continue
 		}
-		fs := d.checkFunc(prog, cg, roots, n)
-		if len(fs) > 0 {
+		if fs := checkTaint(cg, roots, n); len(fs) > 0 {
 			out[n.Unit] = append(out[n.Unit], fs...)
 		}
 	}
@@ -149,7 +497,8 @@ func chainTo(cg *CallGraph, roots []*CGNode, n *CGNode) string {
 	return strings.Join(short, " → ")
 }
 
-// shortKey trims the module prefix off a node key for readability.
+// shortKey trims the module prefix off a node key or package path for
+// readability ("morc/internal/server" → "server").
 func shortKey(key string) string {
 	if i := strings.LastIndex(key, "/"); i >= 0 {
 		return key[i+1:]
@@ -157,28 +506,19 @@ func shortKey(key string) string {
 	return key
 }
 
-// checkFunc performs the intraprocedural escape analysis of one
+// checkTaint performs the intraprocedural escape analysis of one
 // reachable function.
-func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *CGNode) []Finding {
+func checkTaint(cg *CallGraph, roots []*CGNode, n *CGNode) []Finding {
 	fd, info := n.Decl, n.Unit.Info
 
 	// Vars sanitized of map-order taint: passed to a sort call anywhere
-	// in the function (the collect-then-sort idiom; detrand enforces the
-	// sort's placement, dettaint only needs the laundering fact).
+	// in the function (the collect-then-sort idiom; the source rule
+	// enforces the sort's placement, the taint rule only needs the
+	// laundering fact).
 	sorted := map[types.Object]bool{}
 	ast.Inspect(fd.Body, func(nd ast.Node) bool {
-		call, ok := nd.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil || len(call.Args) == 0 {
-			return true
-		}
-		pkg := fn.Pkg().Path()
-		if (pkg == "sort" || pkg == "slices") &&
-			(strings.HasPrefix(fn.Name(), "Sort") || sortFuncNames[fn.Name()]) {
-			if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
+		if call, ok := nd.(*ast.CallExpr); ok {
+			if id := sortedIdent(info, call); id != nil {
 				if obj := usedObject(info, id); obj != nil {
 					sorted[obj] = true
 				}
@@ -190,12 +530,10 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 	// Taint sources and loop-variable bookkeeping.
 	vt := map[types.Object]taint{} // variable → taint kinds
 	loopVars := map[types.Object]bool{}
-	seedLoopVar := func(e ast.Expr) {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := usedObject(info, id); obj != nil && !sorted[obj] {
-				vt[obj] |= taintMapOrder
-				loopVars[obj] = true
-			}
+	seedLoopVar := func(id *ast.Ident) {
+		if obj := usedObject(info, id); obj != nil && id.Name != "_" && !sorted[obj] {
+			vt[obj] |= taintMapOrder
+			loopVars[obj] = true
 		}
 	}
 	ast.Inspect(fd.Body, func(nd ast.Node) bool {
@@ -209,8 +547,11 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 				// Ranging a sorted slice of keys is the fix, not the bug;
 				// ranging the map itself taints both loop vars.
 				if id := baseIdent(nd.X); id == nil || !sorted[usedObject(info, id)] {
-					seedLoopVar(nd.Key)
-					seedLoopVar(nd.Value)
+					for _, e := range []ast.Expr{nd.Key, nd.Value} {
+						if id, ok := e.(*ast.Ident); ok {
+							seedLoopVar(id)
+						}
+					}
 				}
 			}
 		case *ast.CallExpr:
@@ -222,10 +563,7 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 					if lit, ok := ast.Unparen(nd.Args[0]).(*ast.FuncLit); ok {
 						for _, fld := range lit.Type.Params.List {
 							for _, name := range fld.Names {
-								if obj := info.Defs[name]; obj != nil {
-									vt[obj] |= taintMapOrder
-									loopVars[obj] = true
-								}
+								seedLoopVar(name)
 							}
 						}
 					}
@@ -235,34 +573,9 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 		return true
 	})
 
-	// sourceCallTaint reports the taint a call expression introduces by
-	// itself (before argument taint).
-	sourceCallTaint := func(call *ast.CallExpr) taint {
-		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil {
-			return 0
-		}
-		if sig, _ := fn.Type().(*types.Signature); sig == nil || sig.Recv() != nil {
-			return 0
-		}
-		switch fn.Pkg().Path() {
-		case "time":
-			switch fn.Name() {
-			case "Now", "Since", "Until":
-				return taintTime
-			}
-		case "math/rand", "math/rand/v2":
-			if !randConstructors[fn.Name()] {
-				return taintRand
-			}
-		}
-		return 0
-	}
-
 	// exprTaint: union over contained tainted identifiers and source
 	// calls. Sorted vars never carry map-order taint out.
-	var exprTaint func(e ast.Expr) taint
-	exprTaint = func(e ast.Expr) taint {
+	exprTaint := func(e ast.Expr) taint {
 		var t taint
 		ast.Inspect(e, func(nd ast.Node) bool {
 			switch nd := nd.(type) {
@@ -275,13 +588,23 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 					t |= k
 				}
 			case *ast.CallExpr:
-				t |= sourceCallTaint(nd)
+				t |= sourceTaint(calleeFunc(info, nd))
 			case *ast.FuncLit:
 				return false // its body runs elsewhere
 			}
 			return true
 		})
 		return t
+	}
+	// rhsTaint is the taint assigned to the i'th left-hand side.
+	rhsTaint := func(as *ast.AssignStmt, i int) taint {
+		if len(as.Rhs) == len(as.Lhs) {
+			return exprTaint(as.Rhs[i])
+		}
+		if len(as.Rhs) == 1 {
+			return exprTaint(as.Rhs[0])
+		}
+		return 0
 	}
 
 	// Propagate assignments to locals until stable (bounded: each pass
@@ -302,61 +625,13 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 				if obj == nil || sorted[obj] {
 					continue
 				}
-				var rhsT taint
-				if len(as.Rhs) == len(as.Lhs) {
-					rhsT = exprTaint(as.Rhs[i])
-				} else if len(as.Rhs) == 1 {
-					rhsT = exprTaint(as.Rhs[0])
-				}
-				if vt[obj]|rhsT != vt[obj] {
-					vt[obj] |= rhsT
+				if t := rhsTaint(as, i); vt[obj]|t != vt[obj] {
+					vt[obj] |= t
 					changed = true
 				}
 			}
 			return true
 		})
-	}
-
-	// sharedRoot reports whether an lvalue chain escapes the function:
-	// rooted at a pointer-typed variable (receiver, pointer parameter),
-	// package-level state, or a variable closed over from outside fd.
-	sharedRoot := func(e ast.Expr) (root *ast.Ident, shared bool) {
-		root = baseIdent(e)
-		if root == nil {
-			return nil, false
-		}
-		obj := usedObject(info, root)
-		if obj == nil {
-			return root, false
-		}
-		if !declaredWithin(obj, fd) {
-			return root, true
-		}
-		if v, ok := obj.(*types.Var); ok {
-			if _, isPtr := v.Type().Underlying().(*types.Pointer); isPtr {
-				return root, true
-			}
-		}
-		return root, false
-	}
-
-	usesLoopVar := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(nd ast.Node) bool {
-			if id, ok := nd.(*ast.Ident); ok && loopVars[usedObject(info, id)] {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	isIntegerish := func(e ast.Expr) bool {
-		tv, ok := info.Types[e]
-		if !ok || tv.Type == nil {
-			return false
-		}
-		b, ok := tv.Type.Underlying().(*types.Basic)
-		return ok && b.Info()&(types.IsInteger|types.IsBoolean) != 0
 	}
 
 	chain := chainTo(cg, roots, n)
@@ -387,26 +662,20 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 				default:
 					continue // plain local assignment: handled by propagation
 				}
-				_, shared := sharedRoot(lhs)
-				if !shared {
+				if _, shared := sharedRoot(info, fd, lhs); !shared {
 					continue
 				}
-				var t taint
-				if len(nd.Rhs) == len(nd.Lhs) {
-					t = exprTaint(nd.Rhs[i])
-				} else if len(nd.Rhs) == 1 {
-					t = exprTaint(nd.Rhs[0])
-				}
+				t := rhsTaint(nd, i)
 				if t == 0 {
 					continue
 				}
 				// Map-order exemptions: per-key writes commute, and
 				// integer accumulation is order-insensitive.
 				if t == taintMapOrder {
-					if ix, ok := lhs.(*ast.IndexExpr); ok && usesLoopVar(ix.Index) {
+					if ix, ok := lhs.(*ast.IndexExpr); ok && usesLoopVar(info, loopVars, ix.Index) {
 						continue
 					}
-					if compound && isIntegerish(lhs) {
+					if compound && commutes(info, lhs) {
 						continue
 					}
 				}
@@ -416,26 +685,15 @@ func (d *DetTaint) checkFunc(prog *Program, cg *CallGraph, roots []*CGNode, n *C
 			// Tainted argument handed to a mutating method of shared
 			// state: a setter is a store.
 			sel, ok := ast.Unparen(nd.Fun).(*ast.SelectorExpr)
-			if !ok {
+			if !ok || !mutatingMethod(info, sel) {
 				return true
 			}
-			selection := info.Selections[sel]
-			if selection == nil || selection.Kind() != types.MethodVal {
-				return true
-			}
-			sig, _ := selection.Obj().Type().(*types.Signature)
-			if sig == nil || sig.Recv() == nil {
-				return true
-			}
-			if _, isPtr := sig.Recv().Type().(*types.Pointer); !isPtr && !isInterface(selection.Recv()) {
-				return true
-			}
-			if _, shared := sharedRoot(sel.X); !shared {
+			if _, shared := sharedRoot(info, fd, sel.X); !shared {
 				return true
 			}
 			for _, arg := range nd.Args {
 				t := exprTaint(arg)
-				if t == taintMapOrder && isIntegerish(arg) {
+				if t == taintMapOrder && commutes(info, arg) {
 					continue // integer observations commute (counters)
 				}
 				if t != 0 {

@@ -12,8 +12,11 @@ import (
 // A full-budget run retires hundreds of millions of instructions;
 // anything the simulator allocates per access multiplies by that count,
 // and the morcd SSE/timeseries encoders run once per epoch per
-// subscriber. The pass computes the set of functions reachable (static
-// and interface edges) from the hot roots —
+// subscriber. It has two rules over the shared call graph (static and
+// interface edges).
+//
+// The inventory rule computes the set of functions reachable from the
+// hot roots —
 //
 //	sim.(*System).stepAccess, sim.(*System).serviceMiss,
 //	server.writeEvent, server.(*Server).handleTimeseries
@@ -34,33 +37,44 @@ import (
 // are deliberately not classes — object construction allocates by
 // definition and the inventory targets steady-state operations.
 //
-// The pass is an allocation *inventory*, not a correctness check: its
-// findings in the tree are the target list the zero-allocation
-// wire-format work burns down (see ROADMAP). Sites that are semantically
-// required today carry //morclint:ignore hotalloc justifications that
-// double as that list's annotations; the committed allocs/op baselines
-// live in BENCH_alloc.json.
-type HotAlloc struct {
-	state map[*Program]map[*Unit][]Finding
-}
+// The inventory is not a correctness check: its findings in the tree
+// are the target list the zero-allocation wire-format work burns down
+// (see ROADMAP). Sites that are semantically required today carry
+// //morclint:ignore hotalloc justifications that double as that list's
+// annotations; the committed allocs/op baselines live in
+// BENCH_alloc.json.
+//
+// The growth rule watches the simulation loop for the class of bug the
+// old one-entry-per-miss missLats slice was: a slice field that grows by
+// one element per simulated access, reaching gigabytes over a full run
+// before it was replaced with an online histogram. From the loop roots
+// (functions named run, Run, RunCtx, or step in loopPkgs) it flags
+// every append whose destination is a field reached through a pointer
+// (receiver, pointer parameter) or package-level or closed-over state —
+// growth that outlives the call. Appends into value-typed locals (a
+// result struct assembled once per run) are fine.
+type HotAlloc struct{}
 
 func (*HotAlloc) Name() string { return "hotalloc" }
 func (*HotAlloc) Doc() string {
-	return "inventory heap allocations (fresh-slice appends, fmt formatting, string conversions, capturing closures) on call paths reachable from the simulation hot loop and the morcd encode paths"
+	return "inventory heap allocations (fresh-slice appends, fmt formatting, string conversions, capturing closures) on call paths reachable from the simulation hot loop and the morcd encode paths, and forbid appends onto pointer-reachable fields inside the simulation loop"
 }
 
-// hotallocPkgs are the packages whose units can carry findings: the
-// deterministic core the hot loop runs through, plus the service encode
-// path. (Reachability itself is module-wide; this bounds where the
-// inventory lands.)
+// hotallocPkgs are the packages whose units can carry inventory
+// findings: the deterministic core the hot loop runs through, plus the
+// service encode path. (Reachability itself is module-wide; this bounds
+// where the inventory lands.)
 var hotallocPkgs = []string{
 	"internal/sim", "internal/cache", "internal/core", "internal/baseline",
 	"internal/compress", "internal/mem", "internal/stats", "internal/trace",
 	"internal/server", "internal/telemetry",
 }
 
+// loopPkgs hold the loop roots, and are where the growth rule reports.
+var loopPkgs = []string{"internal/sim", "internal/sample", "internal/obs"}
+
 func (*HotAlloc) Scope(prog *Program, u *Unit) bool {
-	return u.Fixture() == "hotalloc" || u.InPaths(prog, hotallocPkgs...)
+	return u.Fixture() == "hotalloc" || u.InPaths(prog, hotallocPkgs...) || u.InPaths(prog, loopPkgs...)
 }
 
 // hotRootSuffixes name the hot-path entry points, matched against node
@@ -71,69 +85,89 @@ var hotRootSuffixes = []string{
 	"internal/server.writeEvent", ".Server.handleTimeseries",
 }
 
-// hotallocRoots finds the entry points in real units and, in hotalloc
-// fixture packages, any function whose bare name matches a root's last
-// segment (stepAccess, serviceMiss, writeEvent, handleTimeseries).
-func hotallocRoots(prog *Program, cg *CallGraph) []*CGNode {
-	var roots []*CGNode
-	for _, n := range cg.Nodes() {
-		key := n.Key()
-		if n.Unit.Fixture() == "hotalloc" {
-			for _, suf := range hotRootSuffixes {
-				if key[strings.LastIndex(key, ".")+1:] == suf[strings.LastIndex(suf, ".")+1:] {
-					roots = append(roots, n)
-					break
-				}
-			}
-			continue
-		}
-		if n.Unit.Fixture() != "" {
-			continue
-		}
-		for _, suf := range hotRootSuffixes {
-			if strings.HasSuffix(key, suf) {
-				roots = append(roots, n)
-				break
-			}
-		}
-	}
-	return roots
-}
+// loopRootSuffixes name the simulation-loop entry points.
+var loopRootSuffixes = []string{".run", ".Run", ".RunCtx", ".step"}
 
 func (h *HotAlloc) Run(prog *Program, u *Unit) []Finding {
-	if h.state == nil {
-		h.state = map[*Program]map[*Unit][]Finding{}
-	}
-	byUnit, ok := h.state[prog]
-	if !ok {
-		byUnit = h.analyze(prog)
-		h.state[prog] = byUnit
-	}
-	return byUnit[u]
+	return prog.analyzeOnce(h.Name(), analyzeAllocs)[u]
 }
 
-func (h *HotAlloc) analyze(prog *Program) map[*Unit][]Finding {
+func analyzeAllocs(prog *Program) map[*Unit][]Finding {
 	cg := prog.CallGraph()
-	roots := hotallocRoots(prog, cg)
-	reach := cg.Reachable(roots, StaticAndIface)
+	fixture := func(u *Unit) bool { return u.Fixture() == "hotalloc" }
+	inventoried := func(u *Unit) bool { return fixture(u) || u.InPaths(prog, hotallocPkgs...) }
+	looping := func(u *Unit) bool { return fixture(u) || u.InPaths(prog, loopPkgs...) }
+
+	// Hot roots in real units, and in fixtures any function named like
+	// one (stepAccess, serviceMiss, writeEvent, handleTimeseries).
+	names := make([]string, len(hotRootSuffixes))
+	for i, suf := range hotRootSuffixes {
+		names[i] = suf[strings.LastIndex(suf, "."):]
+	}
+	hotRoots := append(cg.rootsByKey(func(u *Unit) bool { return u.Fixture() == "" }, hotRootSuffixes...),
+		cg.rootsByKey(fixture, names...)...)
+	loopRoots := cg.rootsByKey(looping, loopRootSuffixes...)
+	hot := cg.Reachable(hotRoots, StaticAndIface)
+	loop := cg.Reachable(loopRoots, StaticAndIface)
 
 	out := map[*Unit][]Finding{}
 	for _, n := range cg.Nodes() {
-		if !reach[n] || !n.Unit.Lint {
+		u := n.Unit
+		if !u.Lint {
 			continue
 		}
-		if !(&HotAlloc{}).Scope(prog, n.Unit) {
-			continue
+		var fs []Finding
+		if hot[n] && inventoried(u) {
+			fs = checkAllocs(cg, hotRoots, n)
 		}
-		fs := h.checkFunc(cg, roots, n)
+		if loop[n] && looping(u) {
+			fs = append(fs, checkGrowth(cg, loopRoots, n)...)
+		}
 		if len(fs) > 0 {
-			out[n.Unit] = append(out[n.Unit], fs...)
+			out[u] = append(out[u], fs...)
 		}
 	}
 	return out
 }
 
-func (h *HotAlloc) checkFunc(cg *CallGraph, roots []*CGNode, n *CGNode) []Finding {
+// checkGrowth is the growth rule over one function reachable from the
+// loop roots.
+func checkGrowth(cg *CallGraph, roots []*CGNode, n *CGNode) []Finding {
+	info := n.Unit.Info
+	var out []Finding
+	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
+		call, ok := nd.(*ast.CallExpr)
+		if !ok || !isBuiltin(info, call, "append") {
+			return true
+		}
+		dest, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr)
+		if !ok {
+			return true // plain locals are per-call and bounded
+		}
+		if _, shared := sharedRoot(info, n.Decl, dest); shared {
+			out = append(out, Finding{Pos: call.Pos(), Message: fmt.Sprintf(
+				"append grows %s inside the per-instruction simulation loop (reached from %s); over a full run this is unbounded — use a bounded histogram, ring, or windowed reset",
+				types.ExprString(dest), chainTo(cg, roots, n))})
+		}
+		return true
+	})
+	return out
+}
+
+// isBuiltin reports whether call invokes the named builtin with at
+// least one argument.
+func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name || len(call.Args) == 0 {
+		return false
+	}
+	_, ok = usedObject(info, id).(*types.Builtin)
+	return ok
+}
+
+// checkAllocs is the inventory rule over one function reachable from
+// the hot roots.
+func checkAllocs(cg *CallGraph, roots []*CGNode, n *CGNode) []Finding {
 	info := n.Unit.Info
 	if isFormattingMethod(n.Decl) {
 		return nil
@@ -172,18 +206,13 @@ func (h *HotAlloc) checkFunc(cg *CallGraph, roots []*CGNode, n *CGNode) []Findin
 	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
 		switch nd := nd.(type) {
 		case *ast.CallExpr:
-			fun := ast.Unparen(nd.Fun)
-			if id, ok := fun.(*ast.Ident); ok {
-				if _, isBuiltin := usedObject(info, id).(*types.Builtin); isBuiltin {
-					if id.Name == "panic" {
-						return false // failure path: whatever it formats never runs hot
-					}
-					if id.Name == "append" && len(nd.Args) > 0 && isFreshSlice(info, nd.Args[0]) {
-						flag(nd.Pos(), "append onto a freshly allocated slice (one heap slice per call)")
-					}
-					return true
-				}
+			if isBuiltin(info, nd, "panic") {
+				return false // failure path: whatever it formats never runs hot
 			}
+			if isBuiltin(info, nd, "append") && isFreshSlice(info, nd.Args[0]) {
+				flag(nd.Pos(), "append onto a freshly allocated slice (one heap slice per call)")
+			}
+			fun := ast.Unparen(nd.Fun)
 			// String conversions: []byte(s), string(b).
 			if tv, ok := info.Types[fun]; ok && tv.IsType() && len(nd.Args) == 1 {
 				dst := tv.Type.Underlying()

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -61,7 +63,7 @@ func (idx *ignoreIndex) add(fset *token.FileSet, c *ast.Comment) {
 	}
 	fields := strings.Fields(rest)
 	// The pass list may be written with spaces after the commas
-	// ("detrand, lockhold"): a field ending in a comma keeps the list
+	// ("dettaint, lockhold"): a field ending in a comma keeps the list
 	// open, so the following field still belongs to it. Whatever remains
 	// after the list closes is the mandatory reason.
 	var passList string
@@ -73,18 +75,31 @@ func (idx *ignoreIndex) add(fset *token.FileSet, c *ast.Comment) {
 			break
 		}
 	}
-	if passList == "" || reasonStart >= len(fields) {
+	malformed := func(problem string) {
 		idx.malformed = append(idx.malformed, Diagnostic{
 			File: pos.Filename, Line: pos.Line, Col: pos.Column, Pass: "morclint",
-			Message: "malformed ignore comment: want //morclint:ignore <pass[,pass]> <reason>",
+			Message: "malformed ignore comment: " + problem,
 		})
+	}
+	if passList == "" || reasonStart >= len(fields) {
+		malformed("want //morclint:ignore <pass[,pass]> <reason>")
 		return
 	}
+	// Names are checked against the whole suite, not the passes this
+	// run selected: an allowlist entry for a pass that does not exist
+	// (a typo, or a retired name) would otherwise suppress nothing in
+	// silence.
+	known := append(PassNames(AllPasses()), "all")
 	entry := ignoreEntry{}
 	for _, p := range strings.Split(passList, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			entry.passes = append(entry.passes, p)
+		if p = strings.TrimSpace(p); p == "" {
+			continue
 		}
+		if !slices.Contains(known, p) {
+			malformed(fmt.Sprintf("no pass is named %q (passes: %s)", p, strings.Join(known, ", ")))
+			return
+		}
+		entry.passes = append(entry.passes, p)
 	}
 	byLine := idx.entries[pos.Filename]
 	if byLine == nil {

@@ -37,23 +37,23 @@ type Unit struct {
 }
 
 // Fixture returns the pass name a testdata fixture package belongs to
-// ("" for regular packages): the first path segment after "testdata/src/",
-// with any "_variant" suffix stripped, so "testdata/src/detrand_ignore"
-// exercises the detrand pass.
+// ("" for regular packages): its fixtureDir with any "_variant" suffix
+// stripped, so "testdata/src/dettaint_core_ignore" exercises the
+// dettaint pass.
 func (u *Unit) Fixture() string {
-	const marker = "/testdata/src/"
-	i := strings.Index(u.Path, marker)
-	if i < 0 {
+	pass, _, _ := strings.Cut(u.fixtureDir(), "_")
+	return pass
+}
+
+// fixtureDir returns the first path segment after "testdata/src/" (""
+// for regular packages).
+func (u *Unit) fixtureDir() string {
+	_, rest, ok := strings.Cut(u.Path, "/testdata/src/")
+	if !ok {
 		return ""
 	}
-	rest := u.Path[i+len(marker):]
-	if j := strings.IndexByte(rest, '/'); j >= 0 {
-		rest = rest[:j]
-	}
-	if j := strings.IndexByte(rest, '_'); j >= 0 {
-		rest = rest[:j]
-	}
-	return rest
+	dir, _, _ := strings.Cut(rest, "/")
+	return dir
 }
 
 // InPaths reports whether the unit's import path is one of the given
@@ -78,8 +78,9 @@ type Program struct {
 	// best-effort basis, but cmd/morclint reports them and exits nonzero.
 	TypeErrors []error
 
-	byPath map[string]*Unit
-	cg     *CallGraph // built lazily by CallGraph(), shared by all passes
+	byPath   map[string]*Unit
+	cg       *CallGraph                     // built lazily by CallGraph(), shared by all passes
+	findings map[string]map[*Unit][]Finding // whole-program results, by pass (analyzeOnce)
 }
 
 // UnitFor returns the unit with the given import path, if loaded.

@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 )
 
 // LockHold guards morcd's liveness: the server's mutexes protect the job
@@ -34,15 +36,16 @@ import (
 // The pass scans internal/server, internal/cluster, and internal/obs
 // (the span store's lock sits on every instrumented request path).
 //
-// The analysis is per-function and flow-approximate: a critical section
-// opens at x.Lock()/x.RLock() (or is function-wide after
-// `defer x.Unlock()`) and closes at the matching Unlock in the same
-// block; nested blocks inherit a copy of the held set.
+// The analysis is per-function and flow-approximate. walkHeld, the
+// held-lock walk lockorder shares, tracks the locks held at each node: a
+// critical section opens at x.Lock()/x.RLock() (or is function-wide
+// after `defer x.Unlock()`) and closes at the matching Unlock in the
+// same block; nested blocks inherit a copy of the held set.
 type LockHold struct{}
 
 func (*LockHold) Name() string { return "lockhold" }
 func (*LockHold) Doc() string {
-	return "forbid blocking operations (channel ops, Flush, interface writes, network round-trips, Wait, Sleep) while a mutex is held in internal/server and internal/cluster"
+	return "forbid blocking operations (channel ops, Flush, interface writes, network round-trips, Wait, Sleep) while a mutex is held in internal/server, internal/cluster and internal/obs"
 }
 
 func (*LockHold) Scope(prog *Program, u *Unit) bool {
@@ -52,45 +55,163 @@ func (*LockHold) Scope(prog *Program, u *Unit) bool {
 func (l *LockHold) Run(prog *Program, u *Unit) []Finding {
 	var out []Finding
 	report := func(f Finding) { out = append(out, f) }
-	eachFuncDecl(u, func(fd *ast.FuncDecl) {
-		l.checkFunc(u.Info, fd.Body, report)
-	})
-	// Function literals are separate execution contexts: a lock held
-	// where the literal is *defined* is not (necessarily) held when it
-	// runs, and vice versa.
+	key := func(call *ast.CallExpr) (string, bool, bool) {
+		recv, acquire, ok := lockOp(u.Info, call)
+		if !ok {
+			return "", false, false
+		}
+		return types.ExprString(recv), acquire, true
+	}
+	visit := func(n ast.Node, held map[string]bool) {
+		if len(held) > 0 {
+			checkBlocking(u.Info, n, strings.Join(heldList(held), ", "), report)
+		}
+	}
 	for _, f := range u.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				l.checkFunc(u.Info, lit.Body, report)
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				walkHeld(fd.Body, key, visit)
+				continue
 			}
-			return true
-		})
+			// Function literals at package level.
+			ast.Inspect(d, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					walkHeld(lit.Body, key, visit)
+					return false
+				}
+				return true
+			})
+		}
 	}
 	return out
 }
 
-// mutexKey canonicalizes the expression a Lock/Unlock method is called
-// on, so s.mu.Lock() and s.mu.Unlock() pair up.
-func mutexKey(info *types.Info, call *ast.CallExpr) (key string, ok bool) {
+// lockOp recognizes x.Lock/x.RLock (acquire) and x.Unlock/x.RUnlock on
+// a sync.Mutex or sync.RWMutex, returning the receiver x.
+func lockOp(info *types.Info, call *ast.CallExpr) (recv ast.Expr, acquire, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", false
+		return nil, false, false
 	}
-	recv := ast.Unparen(sel.X)
+	switch sel.Sel.Name {
+	case "Lock", "RLock":
+		acquire = true
+	case "Unlock", "RUnlock":
+	default:
+		return nil, false, false
+	}
+	recv = ast.Unparen(sel.X)
 	t := info.Types[recv].Type
-	if t == nil {
-		return "", false
+	if t == nil || !isNamed(t, "sync", "Mutex") && !isNamed(t, "sync", "RWMutex") {
+		return nil, false, false
 	}
-	if !isNamed(t, "sync", "Mutex") && !isNamed(t, "sync", "RWMutex") {
-		return "", false
-	}
-	return types.ExprString(recv), true
+	return recv, acquire, true
 }
 
-// checkFunc scans one function body, tracking held mutexes linearly
-// through each block.
-func (l *LockHold) checkFunc(info *types.Info, body *ast.BlockStmt, report func(Finding)) {
-	l.scanStmts(info, body.List, map[string]bool{}, report)
+// walkHeld walks a function body in execution order and calls visit on
+// every node with the set of locks held there. key recognizes a call
+// that takes (acquire) or releases a lock and names the lock; lockhold
+// names locks by expression, lockorder by class.
+//
+// The set is flow-approximate. A lock or unlock call statement changes
+// it after the call itself is visited, and the change carries through
+// the rest of the block; `defer x.Unlock()` leaves the lock held for the
+// rest of the function. Every statement header (init, condition, tag,
+// post, range expression) is visited under the set in effect there, and
+// each branch of an if, for, range, switch or select starts from a copy
+// of it. A select's communication clauses are part of the select
+// statement, visited as one blocking point. Function literals run later
+// and deferred and go calls run elsewhere, so they are walked with no
+// locks held.
+func walkHeld(body *ast.BlockStmt, key func(*ast.CallExpr) (name string, acquire, ok bool), visit func(ast.Node, map[string]bool)) {
+	var list func([]ast.Stmt, map[string]bool)
+	var stmt func(ast.Stmt, map[string]bool)
+	tree := func(n ast.Node, held map[string]bool) {
+		ast.Inspect(n, func(nd ast.Node) bool {
+			switch nd := nd.(type) {
+			case nil:
+				return false
+			case *ast.FuncLit:
+				walkHeld(nd.Body, key, visit)
+				return false
+			}
+			visit(nd, held)
+			return true
+		})
+	}
+	clauses := func(body *ast.BlockStmt, held map[string]bool) {
+		for _, c := range body.List {
+			switch c := c.(type) {
+			case *ast.CaseClause:
+				for _, e := range c.List {
+					tree(e, held)
+				}
+				list(c.Body, copyHeld(held))
+			case *ast.CommClause:
+				list(c.Body, copyHeld(held))
+			}
+		}
+	}
+	stmt = func(st ast.Stmt, held map[string]bool) {
+		switch s := st.(type) {
+		case nil:
+		case *ast.ExprStmt:
+			tree(s, held)
+			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
+				if name, acquire, ok := key(call); ok && acquire {
+					held[name] = true
+				} else if ok {
+					delete(held, name)
+				}
+			}
+		case *ast.DeferStmt, *ast.GoStmt:
+			tree(s, map[string]bool{})
+		case *ast.BlockStmt:
+			list(s.List, held)
+		case *ast.LabeledStmt:
+			stmt(s.Stmt, held)
+		case *ast.IfStmt:
+			visit(s, held)
+			stmt(s.Init, held)
+			tree(s.Cond, held)
+			list(s.Body.List, copyHeld(held))
+			stmt(s.Else, copyHeld(held))
+		case *ast.ForStmt:
+			visit(s, held)
+			stmt(s.Init, held)
+			tree(s.Cond, held)
+			inner := copyHeld(held)
+			list(s.Body.List, inner)
+			stmt(s.Post, inner)
+		case *ast.RangeStmt:
+			visit(s, held)
+			tree(s.Key, held)
+			tree(s.Value, held)
+			tree(s.X, held)
+			list(s.Body.List, copyHeld(held))
+		case *ast.SwitchStmt:
+			visit(s, held)
+			stmt(s.Init, held)
+			tree(s.Tag, held)
+			clauses(s.Body, held)
+		case *ast.TypeSwitchStmt:
+			visit(s, held)
+			stmt(s.Init, held)
+			stmt(s.Assign, held)
+			clauses(s.Body, held)
+		case *ast.SelectStmt:
+			visit(s, held)
+			clauses(s.Body, held)
+		default:
+			tree(s, held)
+		}
+	}
+	list = func(l []ast.Stmt, held map[string]bool) {
+		for _, st := range l {
+			stmt(st, held)
+		}
+	}
+	list(body.List, map[string]bool{})
 }
 
 func copyHeld(held map[string]bool) map[string]bool {
@@ -101,147 +222,49 @@ func copyHeld(held map[string]bool) map[string]bool {
 	return c
 }
 
-// scanStmts walks a statement list in order, updating held and flagging
-// blocking operations that occur while any mutex is held.
-func (l *LockHold) scanStmts(info *types.Info, list []ast.Stmt, held map[string]bool, report func(Finding)) {
-	for _, st := range list {
-		l.scanStmt(info, st, held, report)
+// heldList returns the held-lock set sorted, so diagnostics and
+// ordering edges are deterministic (nil when nothing is held).
+func heldList(held map[string]bool) []string {
+	if len(held) == 0 {
+		return nil
 	}
+	out := make([]string, 0, len(held))
+	for k := range held {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
-func (l *LockHold) scanStmt(info *types.Info, st ast.Stmt, held map[string]bool, report func(Finding)) {
-	switch s := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if key, isMu := mutexKey(info, call); isMu {
-					switch sel.Sel.Name {
-					case "Lock", "RLock":
-						held[key] = true
-						return
-					case "Unlock", "RUnlock":
-						delete(held, key)
-						return
-					}
-				}
-			}
-		}
-		if len(held) > 0 {
-			l.inspectBlocking(info, s.X, held, report)
-		}
-	case *ast.DeferStmt:
-		if key, isMu := mutexKey(info, s.Call); isMu {
-			if sel, ok := ast.Unparen(s.Call.Fun).(*ast.SelectorExpr); ok &&
-				(sel.Sel.Name == "Unlock" || sel.Sel.Name == "RUnlock") {
-				// Held for the rest of the function; the lock itself was
-				// (typically) taken just before. Nothing to do: held
-				// already contains the key from the Lock call.
-				_ = key
-				return
-			}
-		}
-		// The deferred call runs at function exit, when locks taken here
-		// may or may not be held — don't scan it against the current set.
-	case *ast.GoStmt:
-		// Runs concurrently; the spawning goroutine's locks are not held
-		// there. The literal's own body is scanned separately.
-	case *ast.BlockStmt:
-		l.scanStmts(info, s.List, held, report)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			l.scanStmt(info, s.Init, held, report)
-		}
-		if len(held) > 0 && s.Cond != nil {
-			l.inspectBlocking(info, s.Cond, held, report)
-		}
-		l.scanStmts(info, s.Body.List, copyHeld(held), report)
-		if s.Else != nil {
-			l.scanStmt(info, s.Else, copyHeld(held), report)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			l.scanStmt(info, s.Init, held, report)
-		}
-		if len(held) > 0 && s.Cond != nil {
-			l.inspectBlocking(info, s.Cond, held, report)
-		}
-		l.scanStmts(info, s.Body.List, copyHeld(held), report)
+// checkBlocking reports the operation at n if it can block for
+// unbounded time; hn names the locks held there.
+func checkBlocking(info *types.Info, n ast.Node, hn string, report func(Finding)) {
+	switch n := n.(type) {
 	case *ast.RangeStmt:
-		if len(held) > 0 {
-			if t := info.Types[s.X].Type; t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					report(Finding{Pos: s.Pos(), Message: fmt.Sprintf(
-						"ranges over channel %s while holding %s; the loop blocks until the channel closes", types.ExprString(s.X), heldNames(held))})
-				}
-			}
-		}
-		l.scanStmts(info, s.Body.List, copyHeld(held), report)
-	case *ast.SwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				l.scanStmts(info, cc.Body, copyHeld(held), report)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				l.scanStmts(info, cc.Body, copyHeld(held), report)
+		if t := info.Types[n.X].Type; t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				report(Finding{Pos: n.Pos(), Message: fmt.Sprintf(
+					"ranges over channel %s while holding %s; the loop blocks until the channel closes", types.ExprString(n.X), hn)})
 			}
 		}
 	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
+		for _, c := range n.Body.List {
+			if c.(*ast.CommClause).Comm == nil {
+				return // a default case makes every clause non-blocking
 			}
 		}
-		if len(held) > 0 && !hasDefault {
-			report(Finding{Pos: s.Pos(), Message: fmt.Sprintf(
-				"select with no default case blocks while holding %s", heldNames(held))})
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				l.scanStmts(info, cc.Body, copyHeld(held), report)
-			}
+		report(Finding{Pos: n.Pos(), Message: "select with no default case blocks while holding " + hn})
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			report(Finding{Pos: n.Pos(), Message: fmt.Sprintf(
+				"receives from %s while holding %s", types.ExprString(n.X), hn)})
 		}
 	case *ast.SendStmt:
-		if len(held) > 0 {
-			report(Finding{Pos: s.Pos(), Message: fmt.Sprintf(
-				"sends on %s while holding %s; a full channel stalls the critical section", types.ExprString(s.Chan), heldNames(held))})
-		}
-	case *ast.LabeledStmt:
-		l.scanStmt(info, s.Stmt, held, report)
-	default:
-		if len(held) > 0 {
-			l.inspectBlocking(info, st, held, report)
-		}
+		report(Finding{Pos: n.Pos(), Message: fmt.Sprintf(
+			"sends on %s while holding %s; a full channel stalls the critical section", types.ExprString(n.Chan), hn)})
+	case *ast.CallExpr:
+		checkBlockingCall(info, n, hn, report)
 	}
-}
-
-// inspectBlocking walks an arbitrary subtree (no lock-state changes
-// inside) flagging blocking operations. Function literals are skipped —
-// they execute later, outside this critical section.
-func (l *LockHold) inspectBlocking(info *types.Info, root ast.Node, held map[string]bool, report func(Finding)) {
-	hn := heldNames(held)
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SelectStmt:
-			return false // handled (with default detection) by scanStmt
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				report(Finding{Pos: n.Pos(), Message: fmt.Sprintf(
-					"receives from %s while holding %s", types.ExprString(n.X), hn)})
-			}
-		case *ast.SendStmt:
-			report(Finding{Pos: n.Pos(), Message: fmt.Sprintf(
-				"sends on %s while holding %s; a full channel stalls the critical section", types.ExprString(n.Chan), hn)})
-		case *ast.CallExpr:
-			l.checkBlockingCall(info, n, hn, report)
-		}
-		return true
-	})
 }
 
 // writeMethodNames are io-style methods that push bytes toward their
@@ -251,7 +274,7 @@ var writeMethodNames = map[string]bool{
 }
 
 // checkBlockingCall flags calls that can block for unbounded time.
-func (l *LockHold) checkBlockingCall(info *types.Info, call *ast.CallExpr, hn string, report func(Finding)) {
+func checkBlockingCall(info *types.Info, call *ast.CallExpr, hn string, report func(Finding)) {
 	if fn := calleeFunc(info, call); fn != nil && fn.Pkg() != nil {
 		sig, _ := fn.Type().(*types.Signature)
 		if sig != nil && sig.Recv() == nil {
@@ -299,26 +322,4 @@ func (l *LockHold) checkBlockingCall(info *types.Info, call *ast.CallExpr, hn st
 			"calls %s on interface-typed %s while holding %s; the destination may be a network connection — buffer under the lock, write after unlocking",
 			name, types.ExprString(sel.X), hn)})
 	}
-}
-
-// heldNames renders the held-mutex set for messages.
-func heldNames(held map[string]bool) string {
-	if len(held) == 0 {
-		return "no lock"
-	}
-	names := make([]string, 0, len(held))
-	for k := range held {
-		names = append(names, k)
-	}
-	// Sorted so diagnostics are deterministic (practice what we preach).
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	out := names[0]
-	for _, n := range names[1:] {
-		out += ", " + n
-	}
-	return out
 }

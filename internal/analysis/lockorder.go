@@ -39,9 +39,7 @@ import (
 // Scope: internal/server, internal/cluster, internal/cache, and
 // internal/obs — the layers whose mutexes sit on the job, cluster, and
 // telemetry paths.
-type LockOrder struct {
-	state map[*Program]map[*Unit][]Finding
-}
+type LockOrder struct{}
 
 func (*LockOrder) Name() string { return "lockorder" }
 func (*LockOrder) Doc() string {
@@ -59,15 +57,7 @@ func (*LockOrder) Scope(prog *Program, u *Unit) bool {
 }
 
 func (l *LockOrder) Run(prog *Program, u *Unit) []Finding {
-	if l.state == nil {
-		l.state = map[*Program]map[*Unit][]Finding{}
-	}
-	byUnit, ok := l.state[prog]
-	if !ok {
-		byUnit = l.analyze(prog)
-		l.state[prog] = byUnit
-	}
-	return byUnit[u]
+	return prog.analyzeOnce(l.Name(), analyzeLockOrder)[u]
 }
 
 // lockAcq is one lock acquisition with the classes already held there.
@@ -98,7 +88,7 @@ type lockEdge struct {
 	via      string // human-readable provenance for the message
 }
 
-func (l *LockOrder) analyze(prog *Program) map[*Unit][]Finding {
+func analyzeLockOrder(prog *Program) map[*Unit][]Finding {
 	cg := prog.CallGraph()
 	inScope := func(u *Unit) bool {
 		return u.Fixture() == "lockorder" || u.InPaths(prog, lockOrderPkgs...)
@@ -109,7 +99,7 @@ func (l *LockOrder) analyze(prog *Program) map[*Unit][]Finding {
 	// package).
 	infos := map[*CGNode]*fnLockInfo{}
 	for _, n := range cg.Nodes() {
-		infos[n] = l.summarize(prog, n)
+		infos[n] = summarizeLocks(n)
 	}
 
 	// Transitive may-acquire per function (classes only).
@@ -265,179 +255,44 @@ func findCycle(adj map[string][]string, from, to string) []string {
 	return nil
 }
 
-// summarize scans one function: lock classes acquired (with held-at
-// sets), and call sites (with held-at sets). Function literals restart
-// with an empty held set but contribute to the same summary.
-func (l *LockOrder) summarize(prog *Program, n *CGNode) *fnLockInfo {
+// summarizeLocks scans one function: lock classes acquired (with
+// held-at sets), and call sites (with held-at sets). Function literals
+// restart with an empty held set but contribute to the same summary.
+func summarizeLocks(n *CGNode) *fnLockInfo {
 	info := &fnLockInfo{}
-	u := n.Unit
 
 	// Call sites resolved through the shared graph: index this
 	// function's outgoing edges by position.
 	edgesAt := map[token.Pos][]*CGEdge{}
 	for _, e := range n.Out {
-		if e.Kind == EdgeStatic || e.Kind == EdgeIface {
+		if StaticAndIface(e.Kind) {
 			edgesAt[e.Pos] = append(edgesAt[e.Pos], e)
 		}
 	}
 
-	heldList := func(held map[string]bool) []string {
-		if len(held) == 0 {
-			return nil
-		}
-		out := make([]string, 0, len(held))
-		for h := range held {
-			out = append(out, h)
-		}
-		sort.Strings(out)
-		return out
-	}
-
-	var scanStmts func(list []ast.Stmt, held map[string]bool)
-	var scanStmt func(st ast.Stmt, held map[string]bool)
-
-	// scanExpr records call sites (and nested lock ops do not occur in
-	// expressions — Lock() as an expression statement is the idiom).
-	scanExpr := func(e ast.Node, held map[string]bool) {
-		if e == nil {
+	key := func(call *ast.CallExpr) (string, bool, bool) { return lockClassOf(n.Unit.Info, call) }
+	walkHeld(n.Decl.Body, key, func(nd ast.Node, held map[string]bool) {
+		call, ok := nd.(*ast.CallExpr)
+		if !ok {
 			return
 		}
-		ast.Inspect(e, func(nd ast.Node) bool {
-			switch nd := nd.(type) {
-			case *ast.FuncLit:
-				// Separate execution context: scan with no held locks.
-				scanStmts(nd.Body.List, map[string]bool{})
-				return false
-			case *ast.CallExpr:
-				for _, edge := range edgesAt[nd.Pos()] {
-					info.calls = append(info.calls, lockCall{
-						callee: edge.Callee, pos: nd.Pos(), held: heldList(held),
-					})
-				}
-			}
-			return true
-		})
-	}
-
-	scanStmt = func(st ast.Stmt, held map[string]bool) {
-		switch s := st.(type) {
-		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-				if cls, op, ok := lockClassOf(prog, u.Info, call); ok {
-					switch op {
-					case "Lock", "RLock":
-						info.acqs = append(info.acqs, lockAcq{class: cls, pos: call.Pos(), held: heldList(held)})
-						held[cls] = true
-						return
-					case "Unlock", "RUnlock":
-						delete(held, cls)
-						return
-					}
-				}
-			}
-			scanExpr(s.X, held)
-		case *ast.DeferStmt:
-			// defer x.Unlock(): the lock stays held for the rest of the
-			// function (the Lock call above already recorded it). Other
-			// deferred calls run at exit with unknowable held sets — skip.
-		case *ast.GoStmt:
-			// Concurrent: spawning goroutine's locks are not held there,
-			// but the spawned body's acquisitions belong to this summary.
-			scanExpr(s.Call.Fun, map[string]bool{})
-			for _, a := range s.Call.Args {
-				scanExpr(a, map[string]bool{})
-			}
-			for _, edge := range edgesAt[s.Call.Pos()] {
-				info.calls = append(info.calls, lockCall{callee: edge.Callee, pos: s.Call.Pos(), held: nil})
-			}
-		case *ast.BlockStmt:
-			scanStmts(s.List, held)
-		case *ast.IfStmt:
-			if s.Init != nil {
-				scanStmt(s.Init, held)
-			}
-			scanExpr(s.Cond, held)
-			scanStmts(s.Body.List, copyHeld(held))
-			if s.Else != nil {
-				scanStmt(s.Else, copyHeld(held))
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				scanStmt(s.Init, held)
-			}
-			scanExpr(s.Cond, held)
-			scanStmts(s.Body.List, copyHeld(held))
-			if s.Post != nil {
-				scanStmt(s.Post, copyHeld(held))
-			}
-		case *ast.RangeStmt:
-			scanExpr(s.X, held)
-			scanStmts(s.Body.List, copyHeld(held))
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				scanStmt(s.Init, held)
-			}
-			scanExpr(s.Tag, held)
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanStmts(cc.Body, copyHeld(held))
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					scanStmts(cc.Body, copyHeld(held))
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					scanStmts(cc.Body, copyHeld(held))
-				}
-			}
-		case *ast.LabeledStmt:
-			scanStmt(s.Stmt, held)
-		case *ast.AssignStmt:
-			for _, r := range s.Rhs {
-				scanExpr(r, held)
-			}
-			for _, lh := range s.Lhs {
-				scanExpr(lh, held)
-			}
-		case *ast.ReturnStmt:
-			for _, r := range s.Results {
-				scanExpr(r, held)
-			}
-		default:
-			scanExpr(st, held)
+		if cls, acquire, ok := key(call); ok && acquire {
+			info.acqs = append(info.acqs, lockAcq{class: cls, pos: call.Pos(), held: heldList(held)})
 		}
-	}
-	scanStmts = func(list []ast.Stmt, held map[string]bool) {
-		for _, st := range list {
-			scanStmt(st, held)
+		for _, edge := range edgesAt[call.Pos()] {
+			info.calls = append(info.calls, lockCall{callee: edge.Callee, pos: call.Pos(), held: heldList(held)})
 		}
-	}
-	scanStmts(n.Decl.Body.List, map[string]bool{})
+	})
 	return info
 }
 
 // lockClassOf canonicalizes a Lock/RLock/Unlock/RUnlock call's receiver
 // to its lock class, or ok == false for non-mutex calls and
 // function-local mutexes.
-func lockClassOf(prog *Program, info *types.Info, call *ast.CallExpr) (class, op string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	recv := ast.Unparen(sel.X)
-	t := info.Types[recv].Type
-	if t == nil || (!isNamed(t, "sync", "Mutex") && !isNamed(t, "sync", "RWMutex")) {
-		return "", "", false
+func lockClassOf(info *types.Info, call *ast.CallExpr) (class string, acquire, ok bool) {
+	recv, acquire, ok := lockOp(info, call)
+	if !ok {
+		return "", false, false
 	}
 
 	// Walk to the field selection naming the mutex: x.mu, x.mus[i],
@@ -446,9 +301,9 @@ func lockClassOf(prog *Program, info *types.Info, call *ast.CallExpr) (class, op
 	case *ast.Ident:
 		obj := usedObject(info, x)
 		if v, isVar := obj.(*types.Var); isVar && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return shortPkg(v.Pkg().Path()) + "." + v.Name(), sel.Sel.Name, true
+			return shortKey(v.Pkg().Path()) + "." + v.Name(), acquire, true
 		}
-		return "", "", false // function-local mutex
+		return "", false, false // function-local mutex
 	default:
 		// Find the innermost field selector (strip indexing: all elements
 		// of one mutex array/slice field are one class).
@@ -465,29 +320,20 @@ func lockClassOf(prog *Program, info *types.Info, call *ast.CallExpr) (class, op
 				if fieldSel := info.Selections[x]; fieldSel != nil && fieldSel.Kind() == types.FieldVal {
 					owner := namedType(fieldSel.Recv())
 					if owner != nil && owner.Obj().Pkg() != nil {
-						return shortPkg(owner.Obj().Pkg().Path()) + "." + owner.Obj().Name() + "." + x.Sel.Name,
-							sel.Sel.Name, true
+						return shortKey(owner.Obj().Pkg().Path()) + "." + owner.Obj().Name() + "." + x.Sel.Name,
+							acquire, true
 					}
 				}
 				// Package-qualified var: pkg.mu.
 				if obj := usedObject(info, x.Sel); obj != nil {
 					if v, isVar := obj.(*types.Var); isVar && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-						return shortPkg(v.Pkg().Path()) + "." + v.Name(), sel.Sel.Name, true
+						return shortKey(v.Pkg().Path()) + "." + v.Name(), acquire, true
 					}
 				}
-				return "", "", false
+				return "", false, false
 			default:
-				return "", "", false
+				return "", false, false
 			}
 		}
 	}
-}
-
-// shortPkg trims the module prefix off a package path for lock-class
-// names ("morc/internal/server" → "server").
-func shortPkg(path string) string {
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		return path[i+1:]
-	}
-	return path
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
 )
 
 // SpanBalance enforces the tracing contract obs.Tracer.StartSpan
@@ -65,7 +64,7 @@ func (s *SpanBalance) Run(prog *Program, u *Unit) []Finding {
 				if obj == nil {
 					return true
 				}
-				if !spanHandled(u.Info, fd.Body, obj, id) {
+				if !deferredOrEscapes(u.Info, fd.Body, obj, id) {
 					out = append(out, Finding{Pos: id.Pos(), Message: fmt.Sprintf(
 						"the span %s is neither deferred-ended nor stored; a panic or early return leaves it open forever (defer %s.End())",
 						id.Name, id.Name)})
@@ -89,80 +88,4 @@ func isStartSpan(call *ast.CallExpr) bool {
 		return fun.Sel.Name == "StartSpan"
 	}
 	return false
-}
-
-// spanHandled reports whether the span object is deferred-ended or
-// escapes to a longer-lived owner anywhere in the function body. The
-// shape mirrors ctxleak's cancelHandled, plus the defer-method form
-// (`defer sp.End()`) that cancel funcs don't have.
-func spanHandled(info *types.Info, body *ast.BlockStmt, obj types.Object, def *ast.Ident) bool {
-	handled := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if handled {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			// defer sp.End() — or defer func() { ...; sp.End() }(), or
-			// defer closeAll(sp).
-			if sel, ok := ast.Unparen(n.Call.Fun).(*ast.SelectorExpr); ok {
-				if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok && usedObject(info, id) == obj {
-					handled = true
-					return false
-				}
-			}
-			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok && refersTo(info, lit, obj) {
-				handled = true
-				return false
-			}
-			for _, arg := range n.Call.Args {
-				if refersTo(info, arg, obj) {
-					handled = true
-					return false
-				}
-			}
-		case *ast.CallExpr:
-			// sp passed as an argument (newJob(id, spec, span, ...)).
-			for _, arg := range n.Args {
-				if id, ok := ast.Unparen(arg).(*ast.Ident); ok && id != def && usedObject(info, id) == obj {
-					handled = true
-					return false
-				}
-			}
-		case *ast.AssignStmt:
-			// sp stored: j.phaseSp = sp (appearing on the RHS of an
-			// assignment other than its own definition).
-			for _, rhs := range n.Rhs {
-				if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && id != def && usedObject(info, id) == obj {
-					handled = true
-					return false
-				}
-			}
-		case *ast.CompositeLit:
-			for _, el := range n.Elts {
-				e := el
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					e = kv.Value
-				}
-				if id, ok := ast.Unparen(e).(*ast.Ident); ok && id != def && usedObject(info, id) == obj {
-					handled = true
-					return false
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if refersTo(info, res, obj) {
-					handled = true
-					return false
-				}
-			}
-		case *ast.SendStmt:
-			if refersTo(info, n.Value, obj) {
-				handled = true
-				return false
-			}
-		}
-		return true
-	})
-	return handled
 }

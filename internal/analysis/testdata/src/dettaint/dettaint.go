@@ -91,8 +91,9 @@ func Replay() int {
 	return r.Intn(100)
 }
 
-// Measure reads the clock but the value dies locally: dettaint stays
-// quiet (detrand owns flagging the call itself inside core packages).
+// Measure reads the clock but the value dies locally: the taint rule
+// stays quiet (the source rule flags the call itself, but only inside
+// core packages, which this fixture does not stand in for).
 func Measure() int {
 	t0 := time.Now()
 	n := 0

@@ -1,7 +1,9 @@
-// Package detrand is a morclint fixture: true positives (and allowed
-// idioms) for the determinism pass. Each `want` comment is a regexp the
-// self-test matches against the diagnostic reported on that line.
-package detrand
+// Package dettaint_core is a morclint fixture: true positives (and
+// allowed idioms) for dettaint's source rule, which applies here because
+// dettaint_core* fixtures stand in for the deterministic-core packages.
+// Each `want` comment is a regexp the self-test matches against the
+// diagnostic reported on that line.
+package dettaint_core
 
 import (
 	"fmt"

@@ -1,10 +1,10 @@
-// Package detrand_sample is a morclint fixture: the determinism pass
+// Package dettaint_core_sample is a morclint fixture: dettaint's source rule
 // applied to sampling-shaped code — interval profiling and clustering
 // like morc/internal/sample. The bugs here are the ones that would make
 // a sampled run non-reproducible: global-rand k-means seeding,
 // wall-clock profiling cost, and signature assembly in map iteration
 // order.
-package detrand_sample
+package dettaint_core_sample
 
 import (
 	"math/rand"

@@ -1,7 +1,7 @@
-// Package boundedgrowth is a morclint fixture: unbounded appends inside
-// the per-instruction simulation loop, next to the bounded idioms the
-// pass must accept.
-package boundedgrowth
+// Package hotalloc_growth is a morclint fixture for hotalloc's growth
+// rule: unbounded appends inside the per-instruction simulation loop,
+// next to the bounded idioms the rule must accept.
+package hotalloc_growth
 
 type stats struct {
 	lats []int

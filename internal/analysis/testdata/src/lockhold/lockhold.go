@@ -101,3 +101,59 @@ func (s *srv) goroutineEscapesCriticalSection(w io.Writer) {
 	}()
 	s.mu.Unlock()
 }
+
+// notify is a function literal at package level: its body holds locks
+// like any function's.
+var notify = func(s *srv) {
+	s.mu.Lock()
+	s.ch <- 1 // want "sends on s.ch while holding s.mu"
+	s.mu.Unlock()
+}
+
+// headers blocks in statement headers, which run under the lock just
+// like the statements inside the blocks they open.
+type headers struct {
+	mu      sync.Mutex
+	ch      chan int
+	anys    chan any
+	batches chan []int
+}
+
+func (h *headers) switchTag() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch <-h.ch { // want "receives from h.ch while holding h.mu"
+	case 0:
+	}
+}
+
+func (h *headers) switchInit(n int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch time.Sleep(time.Millisecond); n { // want "sleeps while holding h.mu"
+	case 0:
+	}
+}
+
+func (h *headers) forPost() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := 0; i < 3; h.ch <- i { // want "sends on h.ch while holding h.mu"
+		i++
+	}
+}
+
+func (h *headers) rangeExpr() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for range <-h.batches { // want "receives from h.batches while holding h.mu"
+	}
+}
+
+func (h *headers) typeSwitchInit() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch v := <-h.anys; v.(type) { // want "receives from h.anys while holding h.mu"
+	case int:
+	}
+}

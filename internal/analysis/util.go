@@ -74,6 +74,30 @@ func baseIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
+// sharedRoot returns the root identifier of an lvalue chain and whether
+// the chain reaches state that outlives a call of fd: a pointer-typed
+// variable (receiver, pointer parameter), package-level state, or a
+// variable closed over from outside fd.
+func sharedRoot(info *types.Info, fd *ast.FuncDecl, e ast.Expr) (root *ast.Ident, shared bool) {
+	root = baseIdent(e)
+	if root == nil {
+		return nil, false
+	}
+	obj := usedObject(info, root)
+	if obj == nil {
+		return root, false
+	}
+	if !declaredWithin(obj, fd) {
+		return root, true
+	}
+	if v, ok := obj.(*types.Var); ok {
+		if _, isPtr := v.Type().Underlying().(*types.Pointer); isPtr {
+			return root, true
+		}
+	}
+	return root, false
+}
+
 // isInterface reports whether t is an interface type (after following
 // named types).
 func isInterface(t types.Type) bool {

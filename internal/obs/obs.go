@@ -18,7 +18,8 @@
 //     maxTraces and drops (but counts) spans beyond maxSpansPerTrace.
 //
 // Span and trace IDs are random (crypto/rand); obs is deliberately
-// outside morclint's detrand scope.
+// outside the deterministic core that morclint's dettaint source rule
+// covers.
 package obs
 
 import (

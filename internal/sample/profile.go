@@ -89,7 +89,7 @@ func Run(ctx context.Context, spec Spec) (*Profile, error) {
 	llc := cache.NewSetAssoc(spec.LLCBytes, 8, cache.LRU)
 
 	// One slot per interval, filled in order by cut — bounded by the Spec,
-	// not by the instruction stream (morclint boundedgrowth).
+	// not by the instruction stream (morclint hotalloc's growth rule).
 	sigs := make([]Signature, 0, spec.Intervals)
 	done := ctx.Done()
 	steps := 0
