@@ -27,6 +27,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -127,18 +128,12 @@ type Coordinator struct {
 	// Tracing: the coordinator's half of every job trace (job root,
 	// queue and dispatch spans); the owning peer's spans share the trace
 	// ID and are merged in by Trace.
-	spans  *obs.Store
-	tracer *obs.Tracer
+	spans *obs.Store
+	table *server.Table[*cjob]
 
 	baseCtx context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
-
-	mu     sync.Mutex
-	jobs   map[string]*cjob
-	order  []string
-	nextID uint64
-	closed bool
 }
 
 // New builds a Coordinator, admits the seed peers, and starts their
@@ -154,11 +149,16 @@ func New(cfg Config) *Coordinator {
 		q:       newQueue(cfg.QueueDepth),
 		metrics: newCMetrics(),
 		spans:   spans,
-		tracer:  obs.NewTracer("coordinator", spans),
 		baseCtx: ctx,
 		stop:    cancel,
-		jobs:    map[string]*cjob{},
 	}
+	c.table = server.NewTable("c", obs.NewTracer("coordinator", spans),
+		func(id string, spec server.JobSpec, span, queueSp *obs.ActiveSpan) *cjob {
+			j := newCJob(id, spec, span, queueSp)
+			j.metrics = c.metrics
+			return j
+		},
+		c.q.push)
 	for _, url := range cfg.Peers {
 		c.AddPeer(url)
 	}
@@ -170,13 +170,7 @@ func New(cfg Config) *Coordinator {
 // AddPeer admits a worker (idempotently) and starts its runner slots.
 // Returns true when the peer was new.
 func (c *Coordinator) AddPeer(url string) bool {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return false
-	}
-	c.mu.Unlock()
-	if !c.reg.add(url) {
+	if c.table.Closed() || !c.reg.add(url) {
 		return false
 	}
 	c.log.Info("peer admitted", "peer", url, "slots", c.cfg.SlotsPerPeer)
@@ -196,58 +190,18 @@ func (c *Coordinator) Submit(spec server.JobSpec) (*cjob, error) {
 	return c.SubmitTraced(spec, obs.SpanContext{}, false)
 }
 
-// SubmitTraced is Submit with trace propagation, mirroring the
-// single-node server: parent (from a traceparent header) parents the job
-// span, and synthesizeClient records the caller's submit span for it.
+// SubmitTraced is Submit with trace propagation, admitted exactly as
+// on a single morcd (server.Table.Admit).
 func (c *Coordinator) SubmitTraced(spec server.JobSpec, parent obs.SpanContext, synthesizeClient bool) (*cjob, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if synthesizeClient && parent.Valid() {
-		c.tracer.SynthesizeRoot(parent, "client", "client.submit")
-	}
-	span := c.tracer.StartSpan(parent, "job")
-	span.SetAttr("kind", schemeLabel(spec))
-	queueSp := span.StartSpan("queue")
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		queueSp.End()
-		span.SetAttr("status", "rejected")
-		span.End()
-		return nil, server.ErrShuttingDown
-	}
-	c.nextID++
-	j := newCJob(fmt.Sprintf("c%06d", c.nextID), spec, span, queueSp)
-	j.metrics = c.metrics
-	c.jobs[j.id] = j
-	c.order = append(c.order, j.id)
-	c.mu.Unlock()
-
-	if !c.q.push(j) {
-		// Reject and forget the job: backpressure, like morcd's queue.
-		c.mu.Lock()
-		delete(c.jobs, j.id)
-		c.order = c.order[:len(c.order)-1]
-		c.mu.Unlock()
+	j, err := c.table.Admit(spec, parent, synthesizeClient)
+	switch {
+	case errors.Is(err, server.ErrQueueFull):
 		c.metrics.rejected()
-		queueSp.End()
-		span.SetAttr("status", "rejected")
-		span.End()
-		return nil, server.ErrQueueFull
+	case err == nil:
+		c.metrics.submitted()
+		c.log.Info("job queued", "job", j.id, "trace", j.traceID.String())
 	}
-	c.metrics.submitted()
-	c.log.Info("job queued", "job", j.id, "trace", j.traceID.String())
-	return j, nil
-}
-
-// schemeLabel mirrors the single-node server's job-kind label.
-func schemeLabel(sp server.JobSpec) string {
-	if sp.Experiment != "" {
-		return "exp:" + sp.Experiment
-	}
-	return sp.Scheme.String()
+	return j, err
 }
 
 // Trace exports a cluster job's full span tree: the coordinator's own
@@ -295,23 +249,10 @@ func (c *Coordinator) Trace(id string) (obs.TraceExport, bool) {
 }
 
 // Job looks up a cluster job by ID.
-func (c *Coordinator) Job(id string) (*cjob, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
-}
+func (c *Coordinator) Job(id string) (*cjob, bool) { return c.table.Job(id) }
 
 // Jobs returns all jobs in submission order.
-func (c *Coordinator) Jobs() []*cjob {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*cjob, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id])
-	}
-	return out
-}
+func (c *Coordinator) Jobs() []*cjob { return c.table.Jobs() }
 
 // Cancel requests cancellation of a job; ok reports whether it exists.
 func (c *Coordinator) Cancel(id string) (*cjob, bool) {
@@ -496,15 +437,12 @@ func (c *Coordinator) failPeer(peerURL string) {
 		remoteID string
 	}
 	var take []owned
-	c.mu.Lock()
-	for _, id := range c.order {
-		j := c.jobs[id]
+	for _, j := range c.Jobs() {
 		p, remoteID, epoch, _, terminal := j.placement()
 		if !terminal && p == peerURL {
 			take = append(take, owned{j: j, epoch: epoch, remoteID: remoteID})
 		}
 	}
-	c.mu.Unlock()
 	for _, o := range take {
 		c.requeueOrFail(o.j, o.epoch, fmt.Sprintf("peer %s ejected", peerURL))
 		if o.remoteID != "" {
@@ -571,42 +509,13 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// Shutdown stops accepting jobs, waits for outstanding jobs to reach a
-// terminal state until ctx expires, then tears down the runners. Jobs
+// Shutdown stops accepting jobs, waits for every admitted job to reach
+// a terminal state until ctx expires, then tears down the runners. Jobs
 // already running on peers keep running there; only coordination stops.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-
-	var err error
-drain:
-	for c.outstanding() > 0 {
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-			break drain
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
+	c.table.Close()
+	err := c.table.Drain(ctx)
 	c.stop()
 	c.wg.Wait()
 	return err
-}
-
-// outstanding counts jobs that have not reached a terminal state.
-func (c *Coordinator) outstanding() int {
-	c.mu.Lock()
-	jobs := make([]*cjob, 0, len(c.order))
-	for _, id := range c.order {
-		jobs = append(jobs, c.jobs[id])
-	}
-	c.mu.Unlock()
-	n := 0
-	for _, j := range jobs {
-		if !j.isTerminal() {
-			n++
-		}
-	}
-	return n
 }

@@ -57,9 +57,9 @@ func TestSweepSurvivesTransientFaults(t *testing.T) {
 }
 
 // TestRunnerLongPollsItsPeer: a runner learns of its job's completion
-// from a long-poll the peer answers when the job ends, so a ~400ms job
-// costs the peer its submit and a long-poll or two; a fixed 25ms poll
-// would make over a dozen requests.
+// from a long-poll the peer answers when the job ends, so the job costs
+// the peer its submit and a long-poll or two, whatever its length; a
+// fixed 25ms poll would make one request per 25ms of the job.
 func TestRunnerLongPollsItsPeer(t *testing.T) {
 	p := startPeer(t)
 	// Windows long enough that even a race-instrumented run of the job
@@ -87,11 +87,14 @@ func TestRunnerLongPollsItsPeer(t *testing.T) {
 	if final.Status != server.StatusDone {
 		t.Fatalf("job finished %s (%s)", final.Status, final.Error)
 	}
-	if final.DurationSec < 0.25 {
-		t.Fatalf("job ran %.3fs; it must outlast ten 25ms polls for this test to mean anything", final.DurationSec)
+	// The bound of 3 below tells long-polling from polling only if a 25ms
+	// poller would have needed more: at least its submit and 4 polls.
+	const poll, maxRequests = 25 * time.Millisecond, 3
+	if d := time.Duration(final.DurationSec * float64(time.Second)); d <= (maxRequests+1)*poll {
+		t.Fatalf("job ran %v; it must outlast %d polls of %v for this test to mean anything", d, maxRequests+1, poll)
 	}
-	if n := p.Requests(); n > 3 {
-		t.Fatalf("peer served %d requests for one job, want <= 3 (submit + long-polls)", n)
+	if n := p.Requests(); n > maxRequests {
+		t.Fatalf("peer served %d requests for one job, want <= %d (submit + long-polls)", n, maxRequests)
 	}
 }
 

@@ -223,11 +223,11 @@ func (j *cjob) placement() (peerURL, remoteID string, epoch uint64, requeues int
 	return j.peer, j.remoteID, j.epoch, j.requeues, j.terminal
 }
 
-// serveView is the view served over the coordinator's API: the cached
+// View is the view served over the coordinator's API: the cached
 // remote view with the job's cluster-wide ID in place of the peer-local
 // one. The trace ID is the coordinator's, which the peer shares (the
 // dispatch propagated it), so it is set even while the job is pending.
-func (j *cjob) serveView() server.JobView {
+func (j *cjob) View() server.JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := j.view
@@ -238,12 +238,8 @@ func (j *cjob) serveView() server.JobView {
 	return v
 }
 
-// isTerminal reports whether the job reached a terminal state.
-func (j *cjob) isTerminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.terminal
-}
+// Done is closed when the job reaches a terminal state.
+func (j *cjob) Done() <-chan struct{} { return j.done }
 
 // ownedAt reports whether the runner generation epoch still owns the
 // job — pollers use it to abandon work after a failover.

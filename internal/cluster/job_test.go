@@ -29,11 +29,11 @@ func TestClaimBindAdoptHappyPath(t *testing.T) {
 	if !j.adopt(epoch, done) {
 		t.Fatal("adopt with the claiming epoch failed")
 	}
-	if !j.isTerminal() {
+	if _, _, _, _, terminal := j.placement(); !terminal {
 		t.Fatal("job not terminal after adopt")
 	}
-	if v := j.serveView(); v.ID != "c000001" || v.Status != server.StatusDone {
-		t.Fatalf("serveView = (%s, %s), want cluster ID and done", v.ID, v.Status)
+	if v := j.View(); v.ID != "c000001" || v.Status != server.StatusDone {
+		t.Fatalf("View = (%s, %s), want cluster ID and done", v.ID, v.Status)
 	}
 	select {
 	case <-j.done:
@@ -64,7 +64,7 @@ func TestLateResultLosesFence(t *testing.T) {
 		t.Fatal("stale adopt accepted")
 	}
 	j.updateView(e1, stale)
-	if v := j.serveView(); v.Status != server.StatusQueued || v.Error != "" {
+	if v := j.View(); v.Status != server.StatusQueued || v.Error != "" {
 		t.Fatalf("stale updateView leaked: %+v", v)
 	}
 
@@ -110,7 +110,7 @@ func TestRequeueBudgetExhaustedFailsJob(t *testing.T) {
 	if ok || finishedAs != server.StatusFailed {
 		t.Fatalf("exhausted requeue = (%v, %q), want (false, failed)", ok, finishedAs)
 	}
-	v := j.serveView()
+	v := j.View()
 	if v.Status != server.StatusFailed || v.Error == "" {
 		t.Fatalf("failed job view = %+v", v)
 	}
@@ -122,7 +122,7 @@ func TestCancelPendingJobFinishesImmediately(t *testing.T) {
 	if act != cancelFinished {
 		t.Fatalf("cancel action = %v, want cancelFinished", act)
 	}
-	if v := j.serveView(); v.Status != server.StatusCancelled {
+	if v := j.View(); v.Status != server.StatusCancelled {
 		t.Fatalf("status = %s, want cancelled", v.Status)
 	}
 	if act, _, _ := j.requestCancel(); act != cancelNone {
@@ -159,7 +159,7 @@ func TestCancelRacesFailover(t *testing.T) {
 	if ok || finishedAs != server.StatusCancelled {
 		t.Fatalf("requeue = (%v, %q), want (false, cancelled)", ok, finishedAs)
 	}
-	if v := j.serveView(); v.Status != server.StatusCancelled {
+	if v := j.View(); v.Status != server.StatusCancelled {
 		t.Fatalf("status = %s, want cancelled", v.Status)
 	}
 }

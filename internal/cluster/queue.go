@@ -20,7 +20,9 @@ func newQueue(depth int) *queue {
 	return &queue{depth: depth, wake: make(chan struct{}, 1)}
 }
 
-// push appends a user submission; false means the queue is full.
+// push appends a user submission; false means the queue is full. It
+// never blocks: it is the job table's enqueue step, run under the
+// table's lock (server.NewTable).
 func (q *queue) push(j *cjob) bool {
 	q.mu.Lock()
 	if len(q.items) >= q.depth {

@@ -23,25 +23,6 @@ type Config struct {
 	// DDR3-1600 9-9-9 ≈ tRCD+CL+tRP ≈ 34ns ≈ 68 cycles at 2GHz, plus
 	// controller overhead.
 	AccessLatency uint64
-	// Banks enables bank-level timing: consecutive accesses to the same
-	// bank serialize on the row-cycle time even under closed-page policy.
-	// 0 disables bank modelling (a single idealized bank pool).
-	Banks int
-	// BankBusyCycles is the row-cycle time tRC in core cycles
-	// (DDR3-1600: ~47ns ≈ 94 cycles at 2GHz).
-	BankBusyCycles uint64
-}
-
-// DefaultConfig is the paper's per-core operating point: 100MB/s at 2GHz,
-// with 8 banks of DDR3-1600 closed-page timing.
-func DefaultConfig() Config {
-	return Config{
-		ClockHz:              2e9,
-		BandwidthBytesPerSec: 100e6,
-		AccessLatency:        80,
-		Banks:                8,
-		BankBusyCycles:       94,
-	}
 }
 
 // Stats are the controller's counters.
@@ -52,19 +33,16 @@ type Stats struct {
 	WriteBytes  uint64
 	QueueCycles uint64 // total cycles requests waited for the channel
 	BusyCycles  uint64 // total cycles the channel transferred data
-	BankWaits   uint64 // accesses delayed by a busy bank
 }
 
 // TotalBytes returns all bytes moved in either direction.
 func (s *Stats) TotalBytes() uint64 { return s.ReadBytes + s.WriteBytes }
 
-// Controller is an FCFS bandwidth-limited memory channel with optional
-// bank-level row-cycle timing.
+// Controller is an FCFS bandwidth-limited memory channel.
 type Controller struct {
 	cfg           Config
 	cyclesPerByte float64
 	nextFree      uint64
-	bankFree      []uint64
 	st            Stats
 }
 
@@ -73,32 +51,7 @@ func NewController(cfg Config) *Controller {
 	if cfg.ClockHz <= 0 || cfg.BandwidthBytesPerSec <= 0 {
 		panic(fmt.Sprintf("mem: bad config %+v", cfg))
 	}
-	c := &Controller{cfg: cfg, cyclesPerByte: cfg.ClockHz / cfg.BandwidthBytesPerSec}
-	if cfg.Banks > 0 {
-		c.bankFree = make([]uint64, cfg.Banks)
-	}
-	return c
-}
-
-// bankOf maps a line address to a bank (line-interleaved).
-func (c *Controller) bankOf(addr uint64) int {
-	return int((addr / 64) % uint64(c.cfg.Banks))
-}
-
-// bankDelay serializes the access behind its bank's row cycle and
-// reserves the bank. Returns the start cycle after any bank wait.
-func (c *Controller) bankDelay(now uint64, addr uint64) uint64 {
-	if c.cfg.Banks == 0 {
-		return now
-	}
-	b := c.bankOf(addr)
-	start := now
-	if c.bankFree[b] > start {
-		start = c.bankFree[b]
-		c.st.BankWaits++
-	}
-	c.bankFree[b] = start + c.cfg.BankBusyCycles
-	return start
+	return &Controller{cfg: cfg, cyclesPerByte: cfg.ClockHz / cfg.BandwidthBytesPerSec}
 }
 
 // Config returns the channel configuration.
@@ -127,20 +80,17 @@ func (c *Controller) transfer(now uint64, n int) (start, done uint64) {
 // returns the cycle its data is fully delivered (the requesting core
 // blocks until then).
 func (c *Controller) Read(now uint64, addr uint64, n int) (done uint64) {
-	start := c.bankDelay(now, addr)
-	_, end := c.transfer(start, n)
-	c.st.QueueCycles += start - now
+	_, end := c.transfer(now, n)
 	c.st.Reads++
 	c.st.ReadBytes += uint64(n)
 	return end + c.cfg.AccessLatency
 }
 
 // Write schedules a write-back of n bytes to addr at cycle now. Writes
-// consume channel bandwidth and bank time (delaying later reads) but no
-// core blocks on them.
+// consume channel bandwidth (delaying later reads) but no core blocks on
+// them.
 func (c *Controller) Write(now uint64, addr uint64, n int) {
-	start := c.bankDelay(now, addr)
-	c.transfer(start, n)
+	c.transfer(now, n)
 	c.st.Writes++
 	c.st.WriteBytes += uint64(n)
 }

@@ -6,7 +6,6 @@ import (
 )
 
 func cfg100() Config {
-	// Bank timing off: these tests assert exact channel math.
 	return Config{ClockHz: 2e9, BandwidthBytesPerSec: 100e6, AccessLatency: 80}
 }
 
@@ -22,7 +21,7 @@ func TestReadLatencyIncludesTransferAndAccess(t *testing.T) {
 func TestFCFSQueueing(t *testing.T) {
 	c := NewController(cfg100())
 	first := c.Read(0, 0, 64)
-	second := c.Read(0, 64, 64) // same cycle, different bank: channel queue only
+	second := c.Read(0, 64, 64) // same cycle: queues on the channel
 	if second <= first {
 		t.Fatalf("second read (%d) did not queue behind first (%d)", second, first)
 	}
@@ -102,36 +101,5 @@ func TestBandwidthConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBankConflictSerializes(t *testing.T) {
-	cfg := Config{ClockHz: 2e9, BandwidthBytesPerSec: 1600e6, AccessLatency: 80,
-		Banks: 8, BankBusyCycles: 94}
-	c := NewController(cfg)
-	// Two accesses to the same bank (same line address modulo banks).
-	first := c.Read(0, 0, 64)
-	second := c.Read(0, 8*64, 64) // 8 lines apart => same bank
-	if second <= first {
-		t.Fatalf("same-bank access not delayed: %d then %d", first, second)
-	}
-	if c.Stats().BankWaits != 1 {
-		t.Fatalf("bank waits = %d", c.Stats().BankWaits)
-	}
-	// Different banks at high bandwidth proceed with only channel spacing.
-	c2 := NewController(cfg)
-	c2.Read(0, 0, 64)
-	c2.Read(0, 64, 64)
-	if c2.Stats().BankWaits != 0 {
-		t.Fatal("cross-bank access hit a bank wait")
-	}
-}
-
-func TestBankTimingOffByDefaultConfigZeroBanks(t *testing.T) {
-	c := NewController(Config{ClockHz: 2e9, BandwidthBytesPerSec: 100e6, AccessLatency: 80})
-	c.Read(0, 0, 64)
-	c.Read(0, 8*64, 64)
-	if c.Stats().BankWaits != 0 {
-		t.Fatal("bank waits counted with banks disabled")
 	}
 }

@@ -51,12 +51,12 @@ func writeEvent(w io.Writer, event string, v any) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
+		WriteError(w, http.StatusNotFound, ErrNoSuchJob)
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
+		WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -112,12 +112,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("no such job"))
+		WriteError(w, http.StatusNotFound, ErrNoSuchJob)
 		return
 	}
 	ts, ok := j.timeseries()
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			errors.New("job records no telemetry (submit with \"telemetry\": <epoch instructions>)"))
 		return
 	}
@@ -126,8 +126,8 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		ts.WriteNDJSON(w)
 	case "", "json":
-		writeJSON(w, http.StatusOK, ts)
+		WriteJSON(w, http.StatusOK, ts)
 	default:
-		writeError(w, http.StatusBadRequest, errors.New("unknown format (want json or ndjson)"))
+		WriteError(w, http.StatusBadRequest, errors.New("unknown format (want json or ndjson)"))
 	}
 }

@@ -41,14 +41,10 @@ func (r *statusRecorder) Flush() {
 // requests can be correlated.
 var reqSeq atomic.Uint64
 
-// logRequests is the access-log middleware: one structured line per
-// request with a request id, method, path, status, and wall time.
-func (s *Server) logRequests(next http.Handler) http.Handler {
-	return LogRequests(s.log, next)
-}
-
-// LogRequests wraps next in the access-log middleware. Exported so the
-// cluster coordinator's handler logs in the same format as a worker's.
+// LogRequests wraps next in the access-log middleware: one structured
+// line per request with a request id, method, path, status, and wall
+// time. Exported so the cluster coordinator's handler logs in the same
+// format as a worker's.
 func LogRequests(log *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w}

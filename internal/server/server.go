@@ -54,10 +54,11 @@ type Config struct {
 	ProgressInterval time.Duration
 }
 
-// Submission errors.
+// Submission and lookup errors.
 var (
 	ErrQueueFull    = errors.New("job queue is full")
 	ErrShuttingDown = errors.New("server is shutting down")
+	ErrNoSuchJob    = errors.New("no such job")
 )
 
 // Server owns the job table, the bounded queue, and the worker pool.
@@ -72,20 +73,14 @@ type Server struct {
 	wg            sync.WaitGroup
 
 	// Tracing: every job gets a span tree in spans, exportable via
-	// GET /v1/jobs/{id}/trace.
-	spans  *obs.Store
-	tracer *obs.Tracer
+	// GET /v1/jobs/{id}/trace; the table opens it at admission.
+	spans *obs.Store
+	table *Table[*Job]
 
 	// Rate limit for the SSE-drop warning log (counters still see every
 	// drop; only the log line is limited).
 	dropMu   sync.Mutex
 	lastDrop time.Time
-
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // insertion order for listing
-	nextID uint64
-	closed bool
 }
 
 // sseDropWarnEvery is the minimum gap between SSE-drop warning logs.
@@ -113,9 +108,19 @@ func New(cfg Config) *Server {
 		baseCtx:       ctx,
 		stopAll:       cancel,
 		spans:         spans,
-		tracer:        obs.NewTracer("morcd", spans),
-		jobs:          map[string]*Job{},
 	}
+	s.table = NewTable("j", obs.NewTracer("morcd", spans),
+		func(id string, spec JobSpec, span, queueSp *obs.ActiveSpan) *Job {
+			return newJob(id, spec, span, queueSp, s.noteSSEDrops)
+		},
+		func(j *Job) bool {
+			select {
+			case s.queue <- j:
+				return true
+			default:
+				return false
+			}
+		})
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -129,52 +134,19 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	return s.SubmitTraced(spec, obs.SpanContext{}, false)
 }
 
-// SubmitTraced is Submit with trace propagation: parent (extracted from
-// a traceparent header, or zero) becomes the job span's parent, and when
-// synthesizeClient is set a zero-duration "client.submit" root span is
-// recorded for it — CLI clients originate a trace but have nowhere to
-// store their own spans, so the server keeps it on their behalf.
+// SubmitTraced is Submit with trace propagation; see Table.Admit.
 func (s *Server) SubmitTraced(spec JobSpec, parent obs.SpanContext, synthesizeClient bool) (*Job, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	// Spans are created before taking s.mu: the tracer has its own lock
-	// and must never nest inside the server's.
-	if synthesizeClient && parent.Valid() {
-		s.tracer.SynthesizeRoot(parent, "client", "client.submit")
-	}
-	span := s.tracer.StartSpan(parent, "job")
-	span.SetAttr("kind", schemeLabel(spec))
-	queueSp := span.StartSpan("queue")
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		queueSp.End()
-		span.SetAttr("status", "rejected")
-		span.End()
-		return nil, ErrShuttingDown
-	}
-	s.nextID++
-	job := newJob(fmt.Sprintf("j%06d", s.nextID), spec, span, queueSp, s.noteSSEDrops)
-	select {
-	case s.queue <- job:
-	default:
-		s.mu.Unlock()
+	job, err := s.table.Admit(spec, parent, synthesizeClient)
+	switch {
+	case errors.Is(err, ErrQueueFull):
 		s.metrics.jobRejected()
-		queueSp.End()
-		span.SetAttr("status", "rejected")
-		span.End()
-		return nil, ErrQueueFull
+	case err == nil:
+		s.metrics.jobSubmitted()
+		s.log.Info("job queued", "job", job.ID, "kind", schemeLabel(spec),
+			"workload", spec.Workload, "mix", spec.Mix, "telemetry", spec.Telemetry,
+			"trace", job.TraceID().String())
 	}
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	s.mu.Unlock()
-	s.metrics.jobSubmitted()
-	s.log.Info("job queued", "job", job.ID, "kind", schemeLabel(spec),
-		"workload", spec.Workload, "mix", spec.Mix, "telemetry", spec.Telemetry,
-		"trace", job.TraceID().String())
-	return job, nil
+	return job, err
 }
 
 // Trace exports the job's span tree. ok is false for unknown jobs and
@@ -205,23 +177,10 @@ func (s *Server) noteSSEDrops(n int) {
 }
 
 // Job looks up a job by ID.
-func (s *Server) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
+func (s *Server) Job(id string) (*Job, bool) { return s.table.Job(id) }
 
 // Jobs returns all jobs in submission order.
-func (s *Server) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
-	}
-	return out
-}
+func (s *Server) Jobs() []*Job { return s.table.Jobs() }
 
 // Cancel requests cancellation of a job. The bool reports whether the
 // job existed; already-terminal jobs are left untouched.
@@ -265,14 +224,6 @@ func (s *Server) runJob(j *Job) {
 	j.finish(st, res, tables, errMsg, s.metrics)
 	s.log.Info("job finished", "job", j.ID, "status", string(st),
 		"duration_sec", j.View().DurationSec, "error", errMsg)
-}
-
-// schemeLabel is the metrics label for a job's wall-time histogram.
-func schemeLabel(sp JobSpec) string {
-	if sp.Experiment != "" {
-		return "exp:" + sp.Experiment
-	}
-	return sp.Scheme.String()
 }
 
 // execute runs the spec under ctx and maps the outcome to a terminal
@@ -329,12 +280,11 @@ func (s *Server) execute(ctx context.Context, j *Job) (st Status, res *sim.Resul
 // pool is waited for (cancellation takes effect within a few thousand
 // simulated accesses), then ctx.Err() is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
+	// Once the table is closed no submission can send on the queue, so
+	// closing it cannot race a send.
+	if s.table.Close() {
 		close(s.queue)
 	}
-	s.mu.Unlock()
 
 	drained := make(chan struct{})
 	go func() {

@@ -328,6 +328,7 @@ func TestSpecValidation(t *testing.T) {
 		{"removed parallelism field", `{"workload":"gcc","parallelism":2}`},
 		{"removed Parallelism override", `{"workload":"gcc","config":{"Parallelism":2}}`},
 		{"removed LLCBanks override", `{"workload":"gcc","config":{"LLCBanks":3}}`},
+		{"removed MemBanks override", `{"workload":"gcc","config":{"MemBanks":8,"MemBankBusy":94}}`},
 		{"not json", `{{{`},
 	}
 	for _, tc := range cases {

@@ -77,13 +77,8 @@ type Config struct {
 	// is shared, sized BWPerCore × Cores.
 	BWPerCore  float64
 	MemLatency uint64 // DRAM access cycles
-	// MemBanks enables DDR3 bank-level timing in the memory controller
-	// (0 = idealized channel, the configuration the headline results
-	// use); MemBankBusy is the row-cycle time tRC in core cycles.
-	MemBanks    int
-	MemBankBusy uint64
-	Threads     int  // CGMT threads per core for the throughput model
-	Inclusive   bool // insert fetched lines on store misses too (§5.4.2)
+	Threads    int    // CGMT threads per core for the throughput model
+	Inclusive  bool   // insert fetched lines on store misses too (§5.4.2)
 	// LinkCompression compresses lines on the memory channel with C-Pack
 	// (§6's "memory link compression", which the paper calls
 	// complementary to cache compression): transfers consume bandwidth

@@ -136,17 +136,3 @@ func TestWorkloadsAreDistinct(t *testing.T) {
 		seen[p.Seed] = w
 	}
 }
-
-// TestBankTimingSlowsContendedRuns: enabling DDR3 bank timing can only
-// add delay, never remove it.
-func TestBankTimingSlowsContendedRuns(t *testing.T) {
-	plain := quickCfg(Uncompressed)
-	banked := quickCfg(Uncompressed)
-	banked.MemBanks = 8
-	banked.MemBankBusy = 94
-	a := RunSingle("mcf", plain)
-	b := RunSingle("mcf", banked)
-	if b.CompletionCycles < a.CompletionCycles {
-		t.Fatalf("bank timing sped the run up: %d vs %d", b.CompletionCycles, a.CompletionCycles)
-	}
-}
