@@ -44,7 +44,7 @@ func main() {
 		warmup     = flag.Uint64("warmup", 1_500_000, "warmup instructions per core")
 		measure    = flag.Uint64("measure", 2_000_000, "measured instructions per core")
 		logSize    = flag.Int("logsize", 0, "MORC log size override (bytes)")
-		activeLogs = flag.Int("activelogs", 0, "MORC active log count override")
+		activeLogs = flag.Int("activelogs", 0, "MORC active log count override: 1 to 64, and fewer than the LLC's logs")
 		inclusive  = flag.Bool("inclusive", false, "insert fetched lines on store misses too")
 		jsonOut    = flag.Bool("json", false, "emit the Result as JSON (the same encoding morcd serves)")
 		telemetry  = flag.String("telemetry", "", "write the per-epoch time series as NDJSON to this file (- for stdout)")
@@ -91,6 +91,10 @@ func main() {
 			mc.ActiveLogs = *activeLogs
 		}
 		cfg.MORCConfig = &mc
+		if err := cfg.EffectiveMORCConfig().Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "morcsim:", err)
+			os.Exit(1)
+		}
 	}
 
 	var res sim.Result

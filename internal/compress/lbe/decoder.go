@@ -22,7 +22,7 @@ type Decoder struct {
 // NewDecoder returns a decoder over the first nbits of data (nbits < 0
 // means the whole slice).
 func NewDecoder(cfg Config, data []byte, nbits int) *Decoder {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	return &Decoder{ptr: cfg.ptrWidths(), r: bitstream.NewReader(data, nbits), dicts: newDicts(cfg)}

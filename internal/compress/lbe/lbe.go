@@ -29,7 +29,9 @@
 // (TrialBits, or Append for a committable Pending) only counts bits: it
 // adds its dictionary entries in place and rolls them back when it ends,
 // so it allocates nothing and leaves the encoder unchanged. Committing
-// encodes the block again, for real, into the one log that keeps it.
+// encodes the block again, for real, into the one log that keeps it. A
+// Group sizes a block against several encoders in one walk, with an
+// index of which encoders' dictionaries hold each value.
 //
 // Only appending needs the dictionaries; a decoder rebuilds them from
 // the stream. HandOff closes an encoder and moves its dictionaries to
@@ -140,7 +142,8 @@ func DefaultConfig() Config {
 	return Config{Dict32: 128, Dict64: 64, Dict128: 32, Dict256: 16}
 }
 
-func (c Config) validate() error {
+// Validate reports whether every dictionary has at least one entry.
+func (c Config) Validate() error {
 	if c.Dict32 < 1 || c.Dict64 < 1 || c.Dict128 < 1 || c.Dict256 < 1 {
 		return fmt.Errorf("lbe: all dictionary sizes must be >= 1: %+v", c)
 	}
@@ -187,7 +190,7 @@ type Encoder struct {
 
 // NewEncoder returns an empty encoder with the given configuration.
 func NewEncoder(cfg Config) *Encoder {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	d := newDicts(cfg)
@@ -196,7 +199,8 @@ func NewEncoder(cfg Config) *Encoder {
 
 // Reset empties the encoder for reuse with the same configuration,
 // keeping its allocated storage; a closed encoder stays closed. A
-// Pending from before the reset must not be committed after it.
+// Pending from before the reset must not be committed after it, and an
+// encoder in a Group's slot must be released from the group first.
 func (e *Encoder) Reset() {
 	e.w.Reset()
 	if e.dicts != nil {

@@ -53,7 +53,7 @@ func (d *refDict) add(s string) {
 }
 
 func newRefEncoder(cfg Config) *refEncoder {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	e := &refEncoder{cfg: cfg, w: bitstream.NewWriter()}

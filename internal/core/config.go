@@ -26,7 +26,8 @@ type Config struct {
 	CacheBytes int
 	// LogBytes is the size of each log (default 512).
 	LogBytes int
-	// ActiveLogs is the number of logs open for appending (default 8).
+	// ActiveLogs is the number of logs open for appending (default 8, at
+	// most lbe.MaxGroupSlots).
 	ActiveLogs int
 	// LMTFactor over-provisions the LMT: entries = lines-at-1x × factor
 	// (default 8, supporting 8× compression).
@@ -104,6 +105,9 @@ func (c Config) Validate() error {
 	if c.ActiveLogs < 1 || c.ActiveLogs >= numLogs {
 		return fmt.Errorf("core: ActiveLogs %d must be in [1, %d)", c.ActiveLogs, numLogs)
 	}
+	if c.ActiveLogs > lbe.MaxGroupSlots {
+		return fmt.Errorf("core: ActiveLogs %d exceeds %d, the most logs one insert sizes at once", c.ActiveLogs, lbe.MaxGroupSlots)
+	}
 	if c.LMTFactor < 1 {
 		return fmt.Errorf("core: LMTFactor %d must be >= 1", c.LMTFactor)
 	}
@@ -118,6 +122,9 @@ func (c Config) Validate() error {
 	}
 	if c.LogBytes < 128 {
 		return fmt.Errorf("core: LogBytes %d must be >= 128 to hold an incompressible line", c.LogBytes)
+	}
+	if err := c.LBE.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

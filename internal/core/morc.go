@@ -93,7 +93,10 @@ type Cache struct {
 	// unlimited-mode index (UnlimitedTags): addr -> lmt slot is replaced
 	// by a plain map to (log, line).
 	unlIndex map[uint64][2]int32
-	trials   []trial // per-insert scratch, one per active log
+	// group holds the active logs' encoders, slot i for c.actives[i],
+	// and sizes a line in all of them in one walk.
+	group  *lbe.Group
+	trials []trial // per-insert scratch, one per active log
 }
 
 // trial is one active log's sizing of the line being inserted.
@@ -110,7 +113,12 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	numLogs := cfg.CacheBytes / cfg.LogBytes
-	c := &Cache{cfg: cfg, trials: make([]trial, cfg.ActiveLogs), fresh: cfg.ActiveLogs}
+	c := &Cache{
+		cfg:    cfg,
+		group:  lbe.NewGroup(cfg.LBE, cfg.ActiveLogs),
+		trials: make([]trial, cfg.ActiveLogs),
+		fresh:  cfg.ActiveLogs,
+	}
 	// Open the first ActiveLogs logs, each with the one dictionary set its
 	// slot will ever have; stamp the rest closed in order so the FIFO
 	// victim sequence is deterministic.
@@ -118,7 +126,7 @@ func New(cfg Config) *Cache {
 	for i := range c.logs {
 		lg := &logT{id: i, tags: tagdelta.NewStream(cfg.Tag)}
 		if i < cfg.ActiveLogs {
-			lg.enc, lg.active = lbe.NewEncoder(cfg.LBE), true
+			lg.enc, lg.active = c.group.Encoder(i), true
 			c.actives = append(c.actives, i)
 		} else {
 			lg.enc = new(lbe.Encoder) // closed and empty
@@ -466,15 +474,17 @@ func (c *Cache) allocLMT(addr uint64) (int, []cache.Writeback) {
 
 // --- log management ----------------------------------------------------
 
-// trialFit sizes appending (tag, data) to lg without changing it. fits
-// reports whether the log can accept it; dataBits is the compressed data
-// growth.
-func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) (dataBits, tagBits int, fits bool) {
+// rawBits is a line's data size when DisableCompression stores it raw.
+const rawBits = cache.LineSize * 8
+
+// fit reports whether lg can accept a line whose data compresses to
+// dataBits with tag, and the tag growth that costs. Each call counts
+// one compression: the hardware compresses the line in every active log
+// (Table 7's energy model).
+func (c *Cache) fit(lg *logT, tag uint64, dataBits int) (tagBits int, fits bool) {
 	if c.cfg.DisableCompression {
-		dataBits = cache.LineSize * 8
-		return dataBits, 0, lg.rawBytes+cache.LineSize <= c.cfg.LogBytes
+		return 0, lg.rawBytes+cache.LineSize <= c.cfg.LogBytes
 	}
-	dataBits = lg.enc.TrialBits(data)
 	tagBits = lg.tags.TrialBits(tag)
 	capBits := c.cfg.LogBytes * 8
 	switch {
@@ -487,7 +497,7 @@ func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) (dataBits, tagBits i
 			lg.tags.Bits()+tagBits <= c.cfg.TagBytesPerLog*8
 	}
 	c.st.Compressions++
-	return dataBits, tagBits, fits
+	return tagBits, fits
 }
 
 // append compresses the line into the best active log (content-aware
@@ -495,9 +505,18 @@ func (c *Cache) trialFit(lg *logT, tag uint64, data []byte) (dataBits, tagBits i
 func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache.Writeback) {
 	tag := cache.LineTag(la)
 
+	// One group trial sizes the line's data in every active log.
+	var dataBits []int
+	if !c.cfg.DisableCompression {
+		dataBits = c.group.TrialBits(data)
+	}
 	trials := c.trials
 	for i, li := range c.actives {
-		db, tb, fits := c.trialFit(c.logs[li], tag, data)
+		db := rawBits
+		if dataBits != nil {
+			db = dataBits[i]
+		}
+		tb, fits := c.fit(c.logs[li], tag, db)
 		trials[i] = trial{dataBits: db, bits: db + tb, fits: fits}
 	}
 
@@ -524,13 +543,17 @@ func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache
 			}
 		}
 		wbs = c.recycle(fullest)
-		li := c.actives[fullest]
-		db, _, fits := c.trialFit(c.logs[li], tag, data)
-		if !fits {
+		lg := c.logs[c.actives[fullest]]
+		db := rawBits
+		if !c.cfg.DisableCompression {
+			// The fresh log's dictionaries are empty; sizing it alone
+			// costs one trial per recycle.
+			db = lg.enc.TrialBits(data)
+		}
+		if _, fits := c.fit(lg, tag, db); !fits {
 			panic(fmt.Sprintf("core: line does not fit in an empty %dB log", c.cfg.LogBytes))
 		}
-		idx := c.commitAppend(li, db, tag, la, data)
-		return li, idx, wbs
+		return lg.id, c.commitAppend(fullest, db, tag, la, data), wbs
 	}
 
 	// Fudge-factor diversification: when best and worst are within the
@@ -550,9 +573,7 @@ func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache
 		choice = least
 	}
 
-	li := c.actives[choice]
-	idx := c.commitAppend(li, trials[choice].dataBits, tag, la, data)
-	return li, idx, wbs
+	return c.actives[choice], c.commitAppend(choice, trials[choice].dataBits, tag, la, data), wbs
 }
 
 // occBits returns a log's current occupancy in bits.
@@ -566,15 +587,16 @@ func (c *Cache) occBits(lg *logT) int {
 	return lg.enc.Bits()
 }
 
-// commitAppend compresses the line into log li, the one log that keeps
-// it, and records the line. dataBits is the log's trial size of the
-// line, which the real encode must reproduce.
-func (c *Cache) commitAppend(li, dataBits int, tag, la uint64, data []byte) int {
-	lg := c.logs[li]
+// commitAppend compresses the line into the active log in slot (index
+// into c.actives), the one log that keeps it, and records the line.
+// dataBits is the log's trial size of the line, which the real encode
+// must reproduce.
+func (c *Cache) commitAppend(slot, dataBits int, tag, la uint64, data []byte) int {
+	lg := c.logs[c.actives[slot]]
 	if c.cfg.DisableCompression {
 		lg.rawBytes += cache.LineSize
 	} else {
-		if got := lg.enc.AppendCommit(data); got != dataBits {
+		if got := c.group.AppendCommit(slot, data); got != dataBits {
 			panic(fmt.Sprintf("core: log %d encoded a line in %d bits, its trial sized it at %d", lg.id, got, dataBits))
 		}
 		tb := lg.tags.Append(tag)
@@ -601,6 +623,10 @@ func (c *Cache) commitAppend(li, dataBits int, tag, la uint64, data []byte) int 
 // if needed, and installs the fresh log in the slot with the slot's
 // dictionaries, emptied. The closing log can be its own victim.
 func (c *Cache) recycle(slot int) []cache.Writeback {
+	// The slot's dictionaries leave the group's index first, while they
+	// still hold its entries: when the closing log is its own victim,
+	// resetting it below empties them.
+	c.group.Release(slot)
 	closing := c.logs[c.actives[slot]]
 	closing.active = false
 	c.seq++
@@ -620,7 +646,7 @@ func (c *Cache) recycle(slot int) []cache.Writeback {
 		c.st.LogReuses++
 		c.retireInvalid(victim)
 	}
-	closing.enc.HandOff(victim.enc)
+	c.group.HandOff(slot, victim.enc)
 	victim.active = true
 	victim.closedSeq = 0
 	c.actives[slot] = victim.id

@@ -479,6 +479,8 @@ func TestBadConfigRejected(t *testing.T) {
 		func(c *Config) { c.FudgeFactor = 2 },                 //
 		func(c *Config) { c.LogBytes = 64 },                   // too small
 		func(c *Config) { c.TagBytesPerLog = 0 },              //
+		func(c *Config) { c.ActiveLogs = 65 },                 // beyond one group's 64 slots
+		func(c *Config) { c.LBE.Dict32 = 0 },                  // bad LBE config
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig(128 * 1024)

@@ -13,11 +13,20 @@ import (
 // every log's compressed data stream decodes back to exactly the line
 // data recorded, the compressed tag stream decodes to the line tags with
 // matching validity, occupancy never exceeds capacity, the LMT and logs
-// agree about which lines are live, and every closed log is in the one
-// victim structure its state calls for. It is O(cache contents) and
-// meant for tests.
+// agree about which lines are live, every closed log is in the one
+// victim structure its state calls for, and the group's index of which
+// active logs' dictionaries hold each value agrees with those
+// dictionaries. It is O(cache contents) and meant for tests.
 func (c *Cache) CheckInvariants() error {
 	if err := c.checkVictims(); err != nil {
+		return err
+	}
+	for i, li := range c.actives {
+		if c.group.Encoder(i) != c.logs[li].enc {
+			return fmt.Errorf("group slot %d does not hold active log %d's encoder", i, li)
+		}
+	}
+	if err := c.group.Check(); err != nil {
 		return err
 	}
 	validLines := 0

@@ -123,9 +123,14 @@ func (sp JobSpec) Validate() error {
 		}
 	}
 	if len(sp.Config) > 0 {
-		cfg := sim.DefaultConfig()
-		if err := strictUnmarshal(sp.Config, &cfg); err != nil {
+		cfg, err := sp.simConfig()
+		if err != nil {
 			return fmt.Errorf("bad config overrides: %w", err)
+		}
+		if cfg.MORCConfig != nil {
+			if err := cfg.EffectiveMORCConfig().Validate(); err != nil {
+				return fmt.Errorf("bad MORCConfig override: %w", err)
+			}
 		}
 	}
 	return nil

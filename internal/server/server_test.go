@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"morc/internal/core"
 	"morc/internal/exp"
 	"morc/internal/sim"
 )
@@ -329,6 +330,8 @@ func TestSpecValidation(t *testing.T) {
 		{"removed Parallelism override", `{"workload":"gcc","config":{"Parallelism":2}}`},
 		{"removed LLCBanks override", `{"workload":"gcc","config":{"LLCBanks":3}}`},
 		{"removed MemBanks override", `{"workload":"gcc","config":{"MemBanks":8,"MemBankBusy":94}}`},
+		{"partial MORCConfig override", `{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":{"ActiveLogs":0}}}`},
+		{"MORCConfig with 65 active logs", `{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":` + morcConfigJSON(t, 65) + `}}`},
 		{"not json", `{{{`},
 	}
 	for _, tc := range cases {
@@ -349,6 +352,23 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("unknown job: HTTP %d, want 404", resp.StatusCode)
 		}
 	}
+	// The 65-active-log row fails on the bound alone: 64 passes.
+	sp := JobSpec{Workload: "gcc", Scheme: sim.MORC, Config: json.RawMessage(`{"MORCConfig":` + morcConfigJSON(t, 64) + `}`)}
+	if err := sp.Validate(); err != nil {
+		t.Errorf("MORCConfig with 64 active logs: %v", err)
+	}
+}
+
+// morcConfigJSON renders the paper's default MORC configuration with
+// activeLogs active logs, as a MORCConfig override.
+func morcConfigJSON(t *testing.T, activeLogs int) string {
+	mc := core.DefaultConfig(128 << 10)
+	mc.ActiveLogs = activeLogs
+	b, err := json.Marshal(mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestCatalogEndpoints checks /v1/schemes and /v1/workloads against the

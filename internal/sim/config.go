@@ -148,17 +148,23 @@ func (cfg Config) NewLLC() cache.LLC {
 	case Skewed:
 		return baseline.NewSkewed(capacity)
 	case MORC, MORCMerged:
-		var mc core.Config
-		if cfg.MORCConfig != nil {
-			mc = *cfg.MORCConfig
-			mc.CacheBytes = capacity
-		} else {
-			mc = core.DefaultConfig(capacity)
-		}
-		if cfg.Scheme == MORCMerged {
-			mc.Merged = true
-		}
-		return core.New(mc)
+		return core.New(cfg.EffectiveMORCConfig())
 	}
 	panic(fmt.Sprintf("sim: unknown scheme %v", cfg.Scheme))
+}
+
+// EffectiveMORCConfig returns the MORC configuration NewLLC builds for
+// the MORC schemes: MORCConfig, or the paper's default, sized to the
+// LLC's capacity, with merged tags for MORCMerged.
+func (cfg Config) EffectiveMORCConfig() core.Config {
+	capacity := cfg.LLCBytesPerCore * cfg.Cores
+	mc := core.DefaultConfig(capacity)
+	if cfg.MORCConfig != nil {
+		mc = *cfg.MORCConfig
+		mc.CacheBytes = capacity
+	}
+	if cfg.Scheme == MORCMerged {
+		mc.Merged = true
+	}
+	return mc
 }
