@@ -369,13 +369,14 @@ func BenchmarkSamplingSpeedup(b *testing.B) {
 }
 
 // BenchmarkHotPathAllocs measures allocations on the paths the morclint
-// hotalloc pass guards: the cache line-clone funnel, the MORC fill and
-// read-hit operations stepAccess drives, the whole per-access simulation
-// step, and the timeseries NDJSON encoding morcd streams. Each leg's
-// allocation count comes from testing.AllocsPerRun (exact, not sampled);
-// the b.N loop supplies ns/op. When every leg runs (no -bench filter
-// splitting them) the benchmark rewrites BENCH_alloc.json, the committed
-// baseline a future allocation regression has to justify against:
+// hotalloc pass guards: the retained line copy, a private L1's accesses,
+// the MORC fill and read-hit operations stepAccess drives, the whole
+// per-access simulation step, and the timeseries NDJSON encoding morcd
+// streams. Each leg's allocation count comes from testing.AllocsPerRun
+// (exact, not sampled); the b.N loop supplies ns/op. When every leg runs
+// (no -bench filter splitting them) the benchmark rewrites
+// BENCH_alloc.json, the committed baseline a future allocation
+// regression has to justify against:
 //
 //	go test -bench BenchmarkHotPathAllocs -benchtime 100x .
 func BenchmarkHotPathAllocs(b *testing.B) {
@@ -398,6 +399,27 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	for i := 0; i < 1024; i++ {
 		readCache.Fill(uint64(i)*cache.LineSize, warm[i%256])
 	}
+	// A warm L1 holding the 512 most recent sequential lines, each made
+	// dirty by a store hit after its fill, so the next fill evicts a
+	// dirty line.
+	l1 := cache.NewSetAssoc(32*1024, 4, cache.LRU)
+	var l1Next uint64
+	var victim byte
+	l1Access := func() {
+		last := (l1Next - 1) * cache.LineSize
+		if r := l1.Read(last); r.Hit { // the read hit, then the store hit
+			r.Data[l1Next%cache.LineSize]++
+			l1.Update(last, r.Data, true)
+		}
+		for _, wb := range l1.Fill(l1Next*cache.LineSize, line) {
+			victim ^= wb.Data[0]
+		}
+		l1Next++
+	}
+	for l1Next = 1; l1Next <= 512; {
+		l1Access()
+	}
+
 	var fillAddr, readAddr uint64
 	// Cycle the fill cache's logs until every one has been recycled, so
 	// the leg measures steady state rather than first-use growth.
@@ -424,8 +446,13 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	legs := []*leg{
 		{
 			name: "cache/clone-line", perWhat: "clone", div: 1,
-			note: "cache.CloneLine, the single ownership-transfer funnel every fill-path copy routes through",
+			note: "cache.CloneLine, the copy of a line that MORC's logs, the compressed baselines and the value model retain",
 			fn:   func() { cloned = cache.CloneLine(line) },
+		},
+		{
+			name: "cache/l1-access", perWhat: "access", div: 3,
+			note: "a warm 32KB 4-way cache.SetAssoc L1: a read hit, an in-place store hit, and a fill that evicts a dirty victim",
+			fn:   l1Access,
 		},
 		{
 			name: "core/fill", perWhat: "fill", div: 1,
@@ -473,15 +500,19 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 			b.ReportMetric(l.allocs/l.div, "allocs/"+l.perWhat)
 		})
 	}
-	_, _ = cloned, simRes
+	_, _, _ = cloned, simRes, victim
 
-	// The funnel must stay a single allocation: that is the whole point
-	// of routing every ownership-transfer copy through it. A fill keeps
-	// that one copy of the line and allocates nothing else: trial
-	// compression into every active log is allocation-free.
+	// A retained copy is one allocation and nothing more. The L1 copies
+	// into its arena and returns victims through its own buffer, so its
+	// accesses allocate nothing. A MORC fill keeps one copy of the line
+	// and allocates nothing else: trial compression into every active
+	// log is allocation-free.
 	for _, l := range legs {
 		if l.ran && l.name == "cache/clone-line" && l.allocs != 1 {
 			b.Fatalf("CloneLine allocates %.0f objects per clone, want exactly 1", l.allocs)
+		}
+		if l.ran && l.name == "cache/l1-access" && l.allocs != 0 {
+			b.Fatalf("a warm L1's read hit, store hit and dirty eviction allocate %.0f objects, want 0", l.allocs)
 		}
 		if l.ran && l.name == "core/fill" && l.allocs > 1 {
 			b.Fatalf("a warm MORC fill allocates %.0f objects, want at most 1 (the retained line copy)", l.allocs)

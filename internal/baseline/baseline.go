@@ -141,11 +141,19 @@ type Cache struct {
 	sampled uint64
 }
 
-// New builds a baseline cache; the geometry must divide evenly.
+// Validate checks the geometry New builds: cache.CheckGeometry of the
+// data store's capacity and ways.
+func (c Config) Validate() error {
+	if err := cache.CheckGeometry(c.CacheBytes, c.Ways); err != nil {
+		return fmt.Errorf("baseline: %w", err)
+	}
+	return nil
+}
+
+// New builds a baseline cache; cfg must pass Validate.
 func New(cfg Config) *Cache {
-	if cfg.CacheBytes <= 0 || cfg.Ways <= 0 ||
-		cfg.CacheBytes%(cfg.Ways*cache.LineSize) != 0 {
-		panic(fmt.Sprintf("baseline: bad geometry %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	nSets := cfg.CacheBytes / (cfg.Ways * cache.LineSize)
 	c := &Cache{cfg: cfg, segsPerSet: cfg.Ways * cache.LineSize / cfg.segBytes()}

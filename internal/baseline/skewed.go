@@ -36,13 +36,25 @@ type skewGroup struct {
 	hash  uint64 // index skew
 }
 
+// skewedWays is the skewed cache's physical associativity.
+const skewedWays = 8
+
+// ValidateSkewed checks the geometry NewSkewed builds for cacheBytes:
+// cache.CheckGeometry of the capacity over skewedWays ways.
+func ValidateSkewed(cacheBytes int) error {
+	if err := cache.CheckGeometry(cacheBytes, skewedWays); err != nil {
+		return fmt.Errorf("baseline: skewed: %w", err)
+	}
+	return nil
+}
+
 // NewSkewed builds a skewed compressed cache of the given capacity with
 // the paper-standard 8 ways: two ways each for 8/16/32/64-byte size
-// classes.
+// classes. cacheBytes must pass ValidateSkewed.
 func NewSkewed(cacheBytes int) *Skewed {
-	const ways = 8
-	if cacheBytes%(ways*cache.LineSize) != 0 {
-		panic(fmt.Sprintf("baseline: skewed capacity %d not divisible", cacheBytes))
+	const ways = skewedWays
+	if err := ValidateSkewed(cacheBytes); err != nil {
+		panic(err)
 	}
 	sets := cacheBytes / (ways * cache.LineSize)
 	s := &Skewed{ways: ways, sets: sets}

@@ -1,7 +1,7 @@
 // Package cache defines the last-level-cache contract shared by every
 // organization in this repository (uncompressed, Adaptive, Decoupled, SC2
-// and MORC) plus the uncompressed set-associative implementation and the
-// replacement policies.
+// and MORC) plus the uncompressed set-associative implementation, its
+// replacement policies and the geometry check every cache shape passes.
 //
 // The simulator drives an LLC with three operations mirroring the MORC
 // paper's §3.1: Read (demand lookup), Fill (insertion after a memory
@@ -23,26 +23,32 @@ func LineAddr(addr uint64) uint64 { return addr &^ (LineSize - 1) }
 // the "tag" MORC compresses, since indirect caches cannot drop index bits.
 func LineTag(addr uint64) uint64 { return addr / LineSize }
 
-// Writeback is a dirty line leaving the LLC toward memory.
+// Writeback is a dirty line leaving the LLC toward memory. Data may be
+// a buffer the cache reuses: it stays valid until the next Fill or
+// WriteBack on the cache that returned it.
 type Writeback struct {
 	Addr uint64
 	Data []byte
 }
 
-// CloneLine returns a private copy of a line payload. Cache structures
-// retain line data past the call that delivered it while callers keep
-// mutating their buffers, so every ownership transfer copies today.
-// All hot-path line copies funnel through here so the planned pooled
-// line-buffer work has a single site to replace.
+// CloneLine returns a private copy of a line payload, for structures
+// that retain a line past the call that delivered it while the caller
+// keeps reusing its buffer: the lines MORC's logs and the compressed
+// baselines store and the write-backs they return, the value model's
+// written lines, and the check harness's oracle. SetAssoc never calls
+// it: it copies into its own arena.
 func CloneLine(data []byte) []byte {
-	//morclint:ignore hotalloc ownership-transfer copy; the single funnel the pooled line-buffer work will replace
+	//morclint:ignore hotalloc a retained copy of one line is the point: callers keep it past their buffer's reuse
 	return append([]byte(nil), data...)
 }
 
 // ReadResult describes the outcome of a demand read.
 type ReadResult struct {
-	Hit  bool
-	Data []byte // valid when Hit
+	Hit bool
+	// Data is the line, when Hit. It may be the cache's own storage: it
+	// stays valid until the next Fill, WriteBack or Update on that
+	// cache, and only a private cache's owner may write to it.
+	Data []byte
 	// ExtraCycles is latency beyond the base LLC access time —
 	// decompression for compressed organizations (0 for uncompressed).
 	// It is also charged on slow misses (e.g. MORC's LMT-aliased miss,
@@ -50,7 +56,13 @@ type ReadResult struct {
 	ExtraCycles int
 }
 
-// LLC is a last-level cache organization.
+// LLC is a last-level cache organization. Implementations copy the data
+// passed to Fill and WriteBack. What they return may alias their own
+// storage, so callers consume it before the next mutating call: a read
+// hit's Data until the next Fill, WriteBack or Update on that cache, a
+// returned Writeback's Data until the next Fill or WriteBack on it.
+// SetAssoc returns its arena and its victim buffer; MORC and the
+// compressed baselines return fresh copies, which outlive both.
 type LLC interface {
 	// Read performs a demand lookup.
 	Read(addr uint64) ReadResult
@@ -110,73 +122,74 @@ const (
 	FIFO
 )
 
-// policy tracks replacement order for one set of n ways.
-type policy struct {
-	kind ReplacementKind
-	// order[i] is the recency/arrival rank of way i; higher = newer.
-	order []uint64
-	clock uint64
-}
-
-func newPolicy(kind ReplacementKind, ways int) *policy {
-	return &policy{kind: kind, order: make([]uint64, ways)}
-}
-
-// touch records a use of way i (no-op for FIFO).
-func (p *policy) touch(i int) {
-	if p.kind == LRU {
-		p.clock++
-		p.order[i] = p.clock
-	}
-}
-
-// insert records the arrival of a line in way i.
-func (p *policy) insert(i int) {
-	p.clock++
-	p.order[i] = p.clock
-}
-
-// victim returns the way with the lowest rank.
-func (p *policy) victim() int {
-	v, min := 0, p.order[0]
-	for i := 1; i < len(p.order); i++ {
-		if p.order[i] < min {
-			v, min = i, p.order[i]
-		}
-	}
-	return v
-}
-
 // SetAssoc is a conventional uncompressed set-associative cache. It is
 // both the baseline LLC and the building block for the private L1s.
+//
+// Its state is flat, indexed by set*ways+way: tags and flags in meta,
+// replacement ranks in rank (with one clock per set), and every line's
+// payload in one arena of LineSize bytes per way. Fills and write-backs
+// copy into the arena, Read returns the arena's own bytes, and a dirty
+// victim is copied into victim and returned through wb, so no operation
+// allocates.
 type SetAssoc struct {
-	sets  int
-	ways  int
-	lines []line // sets*ways
-	pols  []*policy
-	stats Stats
+	sets, ways int
+	// pow2 is set when sets is a power of two: setOf then masks the
+	// line number with mask instead of taking it modulo sets.
+	pow2 bool
+	mask uint64
+	repl ReplacementKind
+	meta []way
+	// rank orders a set's ways for replacement, higher = newer: the
+	// recency (LRU) or arrival (FIFO) clock value of the way's last
+	// touch or fill. A way that never held a line has rank 0, below
+	// every filled way.
+	rank  []uint64
+	clock []uint64 // per set: the last rank handed out
+	data  []byte   // the arena: sets*ways*LineSize bytes
+
+	victim [LineSize]byte
+	wb     [1]Writeback
+	stats  Stats
 }
 
-type line struct {
+// way is one way's tag and state.
+type way struct {
+	tag   uint64 // full line address
 	valid bool
 	dirty bool
-	tag   uint64 // full line address
-	data  []byte
 }
 
-// NewSetAssoc builds a cache of the given total size. Size must be
-// divisible by ways*LineSize.
+// CheckGeometry reports whether a cache of sizeBytes with the given
+// associativity can be built: both positive and the size a whole number
+// of sets of ways lines. NewSetAssoc panics with its error; the LLC
+// constructors apply it to their own geometry, and job validation calls
+// it to reject such a configuration before it runs.
+func CheckGeometry(sizeBytes, ways int) error {
+	if sizeBytes <= 0 || ways <= 0 || ways > sizeBytes/LineSize || sizeBytes%(ways*LineSize) != 0 {
+		return fmt.Errorf("cache: bad geometry size=%d ways=%d (want a positive multiple of ways×%d bytes)",
+			sizeBytes, ways, LineSize)
+	}
+	return nil
+}
+
+// NewSetAssoc builds a cache of the given total size, which must pass
+// CheckGeometry.
 func NewSetAssoc(sizeBytes, ways int, repl ReplacementKind) *SetAssoc {
-	if sizeBytes <= 0 || ways <= 0 || sizeBytes%(ways*LineSize) != 0 {
-		panic(fmt.Sprintf("cache: bad geometry size=%d ways=%d", sizeBytes, ways))
+	if err := CheckGeometry(sizeBytes, ways); err != nil {
+		panic(err)
 	}
 	sets := sizeBytes / (ways * LineSize)
-	c := &SetAssoc{sets: sets, ways: ways, lines: make([]line, sets*ways)}
-	c.pols = make([]*policy, sets)
-	for i := range c.pols {
-		c.pols[i] = newPolicy(repl, ways)
+	return &SetAssoc{
+		sets:  sets,
+		ways:  ways,
+		pow2:  sets&(sets-1) == 0,
+		mask:  uint64(sets - 1),
+		repl:  repl,
+		meta:  make([]way, sets*ways),
+		rank:  make([]uint64, sets*ways),
+		clock: make([]uint64, sets),
+		data:  make([]byte, sizeBytes),
 	}
-	return c
 }
 
 // Sets returns the number of sets.
@@ -186,122 +199,145 @@ func (c *SetAssoc) Sets() int { return c.sets }
 func (c *SetAssoc) Ways() int { return c.ways }
 
 func (c *SetAssoc) setOf(addr uint64) int {
+	if c.pow2 {
+		return int(LineTag(addr) & c.mask)
+	}
 	return int(LineTag(addr) % uint64(c.sets))
 }
 
-// find returns the way holding addr, or -1.
-func (c *SetAssoc) find(addr uint64) int {
+// find returns the set addr indexes to and the way holding it, or -1.
+func (c *SetAssoc) find(addr uint64) (set, w int) {
 	la := LineAddr(addr)
-	s := c.setOf(addr)
-	for w := 0; w < c.ways; w++ {
-		l := &c.lines[s*c.ways+w]
-		if l.valid && l.tag == la {
-			return w
+	set = c.setOf(addr)
+	for w, m := range c.meta[set*c.ways : (set+1)*c.ways] {
+		if m.valid && m.tag == la {
+			return set, w
 		}
 	}
-	return -1
+	return set, -1
 }
 
-// Read implements LLC.
+// line returns way i's payload in the arena, capped so an append cannot
+// reach the next way.
+func (c *SetAssoc) line(i int) []byte {
+	off := i * LineSize
+	return c.data[off : off+LineSize : off+LineSize]
+}
+
+// touch records a use of way w of set s; FIFO ignores uses.
+func (c *SetAssoc) touch(s, w int) {
+	if c.repl == LRU {
+		c.arrive(s, w)
+	}
+}
+
+// arrive records the arrival of a line in way w of set s.
+func (c *SetAssoc) arrive(s, w int) {
+	c.clock[s]++
+	c.rank[s*c.ways+w] = c.clock[s]
+}
+
+// victimWay returns the way of set s with the lowest rank, the lowest
+// way index on a tie. Ways that never held a line rank 0, so they fill
+// first, lowest index first.
+func (c *SetAssoc) victimWay(s int) int {
+	ranks := c.rank[s*c.ways : (s+1)*c.ways]
+	v := 0
+	for w, r := range ranks {
+		if r < ranks[v] {
+			v = w
+		}
+	}
+	return v
+}
+
+// Read implements LLC. A hit's Data is the line in the arena: it stays
+// valid until the next Fill, WriteBack or Update, and a private cache's
+// owner may mutate it in place and then call Update.
 func (c *SetAssoc) Read(addr uint64) ReadResult {
 	c.stats.Reads++
-	if w := c.find(addr); w >= 0 {
-		s := c.setOf(addr)
-		c.pols[s].touch(w)
-		c.stats.Hits++
-		return ReadResult{Hit: true, Data: c.lines[s*c.ways+w].data}
+	s, w := c.find(addr)
+	if w < 0 {
+		c.stats.Misses++
+		return ReadResult{}
 	}
-	c.stats.Misses++
-	return ReadResult{}
+	c.touch(s, w)
+	c.stats.Hits++
+	return ReadResult{Hit: true, Data: c.line(s*c.ways + w)}
 }
 
 // insert places data for addr (replacing any existing copy), returning a
 // dirty victim if one was displaced.
 func (c *SetAssoc) insert(addr uint64, data []byte, dirty bool) []Writeback {
-	la := LineAddr(addr)
-	s := c.setOf(addr)
-	w := c.find(addr)
+	if len(data) != LineSize {
+		panic(fmt.Sprintf("cache: insert of %d bytes", len(data)))
+	}
+	s, w := c.find(addr)
 	var wbs []Writeback
 	if w < 0 {
-		w = -1
-		for i := 0; i < c.ways; i++ {
-			if !c.lines[s*c.ways+i].valid {
-				w = i
-				break
-			}
+		w = c.victimWay(s)
+		v := &c.meta[s*c.ways+w]
+		if v.valid && v.dirty {
+			copy(c.victim[:], c.line(s*c.ways+w))
+			c.wb[0] = Writeback{Addr: v.tag, Data: c.victim[:]}
+			wbs = c.wb[:]
+			c.stats.MemWBs++
 		}
-		if w < 0 {
-			w = c.pols[s].victim()
-			v := &c.lines[s*c.ways+w]
-			if v.dirty {
-				wbs = append(wbs, Writeback{Addr: v.tag, Data: v.data})
-				c.stats.MemWBs++
-			}
-		}
+		*v = way{tag: LineAddr(addr), valid: true}
 	}
-	l := &c.lines[s*c.ways+w]
-	wasDirty := l.valid && l.tag == la && l.dirty
-	l.valid = true
-	l.tag = la
-	l.data = CloneLine(data)
-	l.dirty = dirty || wasDirty
-	c.pols[s].insert(w)
+	i := s*c.ways + w
+	c.meta[i].dirty = c.meta[i].dirty || dirty
+	copy(c.line(i), data)
+	c.arrive(s, w)
 	return wbs
 }
 
-// Fill implements LLC.
+// Fill implements LLC. A returned write-back's Data is the cache's
+// victim buffer: it stays valid until the next Fill or WriteBack.
 func (c *SetAssoc) Fill(addr uint64, data []byte) []Writeback {
 	c.stats.Fills++
 	return c.insert(addr, data, false)
 }
 
-// WriteBack implements LLC.
+// WriteBack implements LLC, with Fill's lifetime for write-backs.
 func (c *SetAssoc) WriteBack(addr uint64, data []byte) []Writeback {
 	c.stats.WriteBacks++
 	return c.insert(addr, data, true)
 }
 
-// Update overwrites the data of addr in place (marking it dirty when
-// dirty is set) and reports whether the line was present. Private caches
-// use this on store hits.
+// Update overwrites the data of addr (marking it dirty when dirty is
+// set) and reports whether the line was present. Private caches use it
+// on store hits: data may be the slice Read returned for addr, mutated
+// in place, and then only the dirty bit and the recency change.
 func (c *SetAssoc) Update(addr uint64, data []byte, dirty bool) bool {
-	w := c.find(addr)
+	s, w := c.find(addr)
 	if w < 0 {
 		return false
 	}
-	s := c.setOf(addr)
-	l := &c.lines[s*c.ways+w]
-	l.data = append(l.data[:0], data...)
+	if len(data) != LineSize {
+		panic(fmt.Sprintf("cache: update of %d bytes", len(data)))
+	}
+	i := s*c.ways + w
+	if l := c.line(i); &data[0] != &l[0] {
+		copy(l, data)
+	}
 	if dirty {
-		l.dirty = true
+		c.meta[i].dirty = true
 	}
-	c.pols[s].touch(w)
+	c.touch(s, w)
 	return true
-}
-
-// Invalidate drops addr if present, returning its data and dirtiness.
-// Private caches use this for evictions driven by the owner core.
-func (c *SetAssoc) Invalidate(addr uint64) (data []byte, dirty, ok bool) {
-	w := c.find(addr)
-	if w < 0 {
-		return nil, false, false
-	}
-	s := c.setOf(addr)
-	l := &c.lines[s*c.ways+w]
-	l.valid = false
-	return l.data, l.dirty, true
 }
 
 // Ratio implements LLC: an uncompressed cache's "compression ratio" is
 // its occupancy (≤ 1).
 func (c *SetAssoc) Ratio() float64 {
 	valid := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, m := range c.meta {
+		if m.valid {
 			valid++
 		}
 	}
-	return float64(valid) / float64(len(c.lines))
+	return float64(valid) / float64(len(c.meta))
 }
 
 // Stats implements LLC.
@@ -315,15 +351,26 @@ func (c *SetAssoc) Probes() map[string]float64 {
 
 // CheckInvariants verifies the cache's structural invariants: every
 // valid line is line-aligned, stored in the set its address indexes to,
-// holds exactly LineSize bytes, and no set holds two copies of the same
-// address. It exists for the internal/check differential harness; the
-// compressed organizations have analogous (much deeper) checkers.
+// and no set holds two copies of the same address; the replacement
+// state is the one victim selection relies on (a valid way's rank is
+// unique in its set and in [1, the set's clock], an empty way ranks 0
+// and is clean); and the arena holds LineSize bytes per way. It exists
+// for the internal/check differential harness; the compressed
+// organizations have analogous (much deeper) checkers.
 func (c *SetAssoc) CheckInvariants() error {
+	n := c.sets * c.ways
+	if len(c.meta) != n || len(c.rank) != n || len(c.clock) != c.sets || len(c.data) != n*LineSize {
+		return fmt.Errorf("cache: state sized %d/%d/%d/%d for %d sets of %d ways",
+			len(c.meta), len(c.rank), len(c.clock), len(c.data), c.sets, c.ways)
+	}
 	for s := 0; s < c.sets; s++ {
-		seen := make(map[uint64]bool, c.ways)
 		for w := 0; w < c.ways; w++ {
-			l := &c.lines[s*c.ways+w]
+			i := s*c.ways + w
+			l, r := &c.meta[i], c.rank[i]
 			if !l.valid {
+				if r != 0 || l.dirty {
+					return fmt.Errorf("cache: set %d way %d is empty but ranks %d (dirty %v)", s, w, r, l.dirty)
+				}
 				continue
 			}
 			if l.tag != LineAddr(l.tag) {
@@ -333,17 +380,18 @@ func (c *SetAssoc) CheckInvariants() error {
 				return fmt.Errorf("cache: set %d way %d holds %#x, which indexes to set %d",
 					s, w, l.tag, c.setOf(l.tag))
 			}
-			if len(l.data) != LineSize {
-				return fmt.Errorf("cache: set %d way %d holds %d bytes for %#x", s, w, len(l.data), l.tag)
+			if r < 1 || r > c.clock[s] {
+				return fmt.Errorf("cache: set %d way %d ranks %d, outside [1, %d]", s, w, r, c.clock[s])
 			}
-			if seen[l.tag] {
-				return fmt.Errorf("cache: set %d holds duplicate copies of %#x", s, l.tag)
+			for u := 0; u < w; u++ {
+				o := s*c.ways + u
+				if c.meta[o].valid && c.meta[o].tag == l.tag {
+					return fmt.Errorf("cache: set %d holds duplicate copies of %#x", s, l.tag)
+				}
+				if c.meta[o].valid && c.rank[o] == r {
+					return fmt.Errorf("cache: set %d ways %d and %d share rank %d", s, u, w, r)
+				}
 			}
-			seen[l.tag] = true
-		}
-		if len(c.pols[s].order) != c.ways {
-			return fmt.Errorf("cache: set %d replacement state tracks %d ways, want %d",
-				s, len(c.pols[s].order), c.ways)
 		}
 	}
 	return nil

@@ -34,6 +34,31 @@ func TestBadGeometryPanics(t *testing.T) {
 	NewSetAssoc(1000, 3, LRU)
 }
 
+func TestCheckGeometry(t *testing.T) {
+	cases := []struct {
+		size, ways int
+		ok         bool
+	}{
+		{32 * 1024, 4, true},
+		{24 * 1024, 3, true},      // 128 sets of 3 ways
+		{8 * 98304, 8, true},      // 1536 sets: not a power of two
+		{98304, 8, true},          // 192 sets
+		{32 * 1024, 0, false},     // no ways
+		{32 * 1024, 3, false},     // 32 KB is no whole number of 3-way sets
+		{1000, 4, false},          // not a whole number of lines
+		{0, 8, false},             // empty
+		{100000, 8, false},        // not a whole number of 8-way sets
+		{-64, 1, false},           // negative
+		{64, 2, false},            // fewer lines than ways
+		{1 << 20, 1 << 58, false}, // ways×LineSize overflows
+	}
+	for _, c := range cases {
+		if err := CheckGeometry(c.size, c.ways); (err == nil) != c.ok {
+			t.Errorf("CheckGeometry(%d, %d) = %v, want ok %v", c.size, c.ways, err, c.ok)
+		}
+	}
+}
+
 func TestFillThenRead(t *testing.T) {
 	c := NewSetAssoc(8*1024, 4, LRU)
 	c.Fill(0x1000, lineOf(7))
@@ -105,12 +130,21 @@ func TestDirtyEvictionProducesWriteback(t *testing.T) {
 	}
 }
 
+// evictsDirty reports whether filling the line that conflicts with addr
+// in a direct-mapped cache writes addr back, and with which data.
+func evictsDirty(c *SetAssoc, addr uint64) (data []byte, dirty bool) {
+	wbs := c.Fill(addr+uint64(c.Sets()*LineSize), lineOf(0xEE))
+	if len(wbs) != 1 || wbs[0].Addr != addr {
+		return nil, false
+	}
+	return wbs[0].Data, true
+}
+
 func TestFillPreservesDirtiness(t *testing.T) {
 	c := NewSetAssoc(4*LineSize, 1, LRU)
 	c.WriteBack(0, lineOf(5)) // dirty
 	c.Fill(0, lineOf(6))      // refill same line must stay dirty
-	_, dirty, ok := c.Invalidate(0)
-	if !ok || !dirty {
+	if data, dirty := evictsDirty(c, 0); !dirty || !bytes.Equal(data, lineOf(6)) {
 		t.Fatal("refill dropped dirtiness")
 	}
 }
@@ -128,24 +162,19 @@ func TestUpdate(t *testing.T) {
 	if !bytes.Equal(r.Data, lineOf(2)) {
 		t.Fatal("update did not change data")
 	}
-	_, dirty, _ := c.Invalidate(0x40)
-	if !dirty {
-		t.Fatal("update did not mark dirty")
+	// A store hit mutates Read's own bytes, then marks them dirty: the
+	// write-back carries the mutation.
+	d := NewSetAssoc(4*LineSize, 1, LRU)
+	d.Fill(0x40, lineOf(1))
+	r = d.Read(0x40)
+	r.Data[3] = 42
+	if !d.Update(0x40, r.Data, true) {
+		t.Fatal("in-place update missed present line")
 	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := NewSetAssoc(8*1024, 4, LRU)
-	c.Fill(0x80, lineOf(3))
-	data, dirty, ok := c.Invalidate(0x80)
-	if !ok || dirty || !bytes.Equal(data, lineOf(3)) {
-		t.Fatal("invalidate of clean line")
-	}
-	if c.Read(0x80).Hit {
-		t.Fatal("line still present after invalidate")
-	}
-	if _, _, ok := c.Invalidate(0x80); ok {
-		t.Fatal("double invalidate reported ok")
+	want := lineOf(1)
+	want[3] = 42
+	if data, dirty := evictsDirty(d, 0x40); !dirty || !bytes.Equal(data, want) {
+		t.Fatal("update did not mark dirty, or lost the in-place store")
 	}
 }
 
@@ -200,7 +229,7 @@ func TestInvariantsUnderMixedOps(t *testing.T) {
 			case 2:
 				c.Read(addr)
 			case 3:
-				c.Invalidate(addr)
+				c.Update(addr, lineOf(byte(i)), true)
 			}
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("repl %v, after op %d on %#x: %v", repl, i, addr, err)

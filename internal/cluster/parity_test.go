@@ -182,6 +182,11 @@ var parityCases = []parityCase{
 		want: `400 {"error":"trace: unknown workload \"nope\""}`,
 	},
 	{
+		name: "cache geometry no scheme can build",
+		do:   request("POST", "/v1/jobs", `{"mix":"M0","scheme":"Skewed","config":{"L1Ways":3}}`),
+		want: `400 {"error":"bad cache geometry: L1: cache: bad geometry size=32768 ways=3 (want a positive multiple of ways×64 bytes)"}`,
+	},
+	{
 		name: "queue full",
 		busy: true,
 		do:   request("POST", "/v1/jobs", fastSpecJSON),

@@ -65,6 +65,9 @@ type profCore struct {
 	l1    *cache.SetAssoc
 	now   uint64 // proxy cycles
 	instr uint64
+	// store is the line a store miss mutates: the proxy LLC's read
+	// result is the LLC's own bytes.
+	store [cache.LineSize]byte
 }
 
 // Run executes the profiling pass: a functional simulation of all cores
@@ -111,12 +114,11 @@ func Run(ctx context.Context, spec Spec) (*Profile, error) {
 			stores++
 		}
 
-		// L1 hit paths: loads read, stores mutate in place.
+		// L1 hit paths: loads read, stores mutate the L1's line in place.
 		if res := c.l1.Read(a.Addr); res.Hit {
 			if a.Kind == trace.Store {
-				mutated := cache.CloneLine(res.Data)
-				c.memv.ApplyStore(mutated, a.Addr)
-				c.l1.Update(a.Addr, mutated, true)
+				c.memv.ApplyStore(res.Data, a.Addr)
+				c.l1.Update(a.Addr, res.Data, true)
 			}
 			return
 		}
@@ -142,9 +144,9 @@ func Run(ctx context.Context, spec Spec) (*Profile, error) {
 			}
 		}
 		if a.Kind == trace.Store {
-			mutated := cache.CloneLine(data)
-			c.memv.ApplyStore(mutated, a.Addr)
-			data = mutated
+			copy(c.store[:], data)
+			c.memv.ApplyStore(c.store[:], a.Addr)
+			data = c.store[:]
 		}
 		for _, wb := range c.l1.Fill(a.Addr, data) {
 			for _, lwb := range llc.WriteBack(wb.Addr, wb.Data) {

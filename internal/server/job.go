@@ -127,9 +127,20 @@ func (sp JobSpec) Validate() error {
 		if err != nil {
 			return fmt.Errorf("bad config overrides: %w", err)
 		}
+		// The job's system sets the core count, as sim.NewSingle and
+		// sim.NewMix do; experiment jobs run their own configurations.
+		cfg.Cores = 1
+		if sp.Mix != "" {
+			cfg.Cores = len(trace.MultiProgramMixes()[sp.Mix])
+		}
 		if cfg.MORCConfig != nil {
 			if err := cfg.EffectiveMORCConfig().Validate(); err != nil {
 				return fmt.Errorf("bad MORCConfig override: %w", err)
+			}
+		}
+		if sp.Experiment == "" {
+			if err := cfg.CheckGeometry(); err != nil {
+				return fmt.Errorf("bad cache geometry: %w", err)
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -344,6 +346,25 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
+	// Cache geometries every scheme's constructors panic on get a 400
+	// that names the geometry. A mix job is checked with its 16 cores.
+	for _, sch := range sim.AllSchemes() {
+		bodies := []string{fmt.Sprintf(`{"mix":"M0","scheme":%q,"config":{"LLCBytesPerCore":0}}`, sch)}
+		for _, o := range badGeometries {
+			bodies = append(bodies, fmt.Sprintf(`{"workload":"gcc","scheme":%q,"config":{%s}}`, sch, o))
+		}
+		for _, body := range bodies {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bad cache geometry") {
+				t.Errorf("%s: HTTP %d %s, want a 400 for the cache geometry", body, resp.StatusCode, msg)
+			}
+		}
+	}
 	if resp, err := http.Get(ts.URL + "/v1/jobs/j999999"); err != nil {
 		t.Fatal(err)
 	} else {
@@ -356,6 +377,35 @@ func TestSpecValidation(t *testing.T) {
 	sp := JobSpec{Workload: "gcc", Scheme: sim.MORC, Config: json.RawMessage(`{"MORCConfig":` + morcConfigJSON(t, 64) + `}`)}
 	if err := sp.Validate(); err != nil {
 		t.Errorf("MORCConfig with 64 active logs: %v", err)
+	}
+}
+
+// badGeometries are config overrides whose caches no scheme can build:
+// no ways, 32 KB in 3-way sets, a size that is no whole number of
+// lines, and LLCs that are empty or no whole number of 8-way sets (nor
+// of MORC logs).
+var badGeometries = []string{
+	`"L1Ways":0`, `"L1Ways":3`, `"L1Bytes":1000`, `"LLCBytesPerCore":0`, `"LLCBytesPerCore":100000`,
+}
+
+// TestValidGeometriesRun checks that geometries which are valid but
+// not powers of two pass validation and run on every scheme: a 96 KB
+// LLC slice (192 8-way sets) and a 24 KB 3-way L1 (128 sets).
+func TestValidGeometriesRun(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	for _, sch := range sim.AllSchemes() {
+		for _, o := range []string{`"LLCBytesPerCore":98304`, `"L1Bytes":24576,"L1Ways":3`} {
+			sp := JobSpec{Workload: "gcc", Scheme: sch,
+				Config: json.RawMessage(`{"WarmupInstr":5000,"MeasureInstr":10000,` + o + `}`)}
+			resp, v := postJob(t, ts, sp)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("%s with %s: HTTP %d", sch, o, resp.StatusCode)
+			}
+			final := pollUntil(t, ts, v.ID, time.Minute, func(v JobView) bool { return v.Status.Terminal() })
+			if final.Status != StatusDone {
+				t.Errorf("%s with %s: job %s (error %q)", sch, o, final.Status, final.Error)
+			}
+		}
 	}
 }
 

@@ -131,26 +131,52 @@ func DefaultConfig() Config {
 
 // NewLLC builds the configured LLC organization. New calls it, and
 // test harnesses (internal/check) use it to obtain the exact
-// cache-under-test the simulator would run for a given Config.
+// cache-under-test the simulator would run for a given Config. It
+// panics on a configuration CheckGeometry rejects.
 func (cfg Config) NewLLC() cache.LLC {
+	build, err := cfg.llc()
+	if err != nil {
+		panic(err)
+	}
+	return build()
+}
+
+// CheckGeometry reports whether New can build this configuration's
+// caches: the private L1s, and the LLC of cfg.Scheme for cfg.Cores
+// cores. Each is checked by the rule its constructor panics on, so a
+// configuration that passes builds. Job validation calls it to reject
+// a bad geometry at submit.
+func (cfg Config) CheckGeometry() error {
+	if err := cache.CheckGeometry(cfg.L1Bytes, cfg.L1Ways); err != nil {
+		return fmt.Errorf("L1: %w", err)
+	}
+	_, err := cfg.llc()
+	return err
+}
+
+// llc resolves cfg.Scheme to its LLC constructor and checks cfg against
+// that constructor's own rule, so NewLLC and CheckGeometry cannot
+// disagree.
+func (cfg Config) llc() (func() cache.LLC, error) {
 	capacity := cfg.LLCBytesPerCore * cfg.Cores
 	switch cfg.Scheme {
-	case Uncompressed:
-		return cache.NewSetAssoc(capacity, 8, cache.LRU)
-	case Uncompressed8x:
-		return cache.NewSetAssoc(8*capacity, 8, cache.LRU)
-	case Adaptive:
-		return baseline.New(baseline.DefaultConfig(baseline.Adaptive, capacity))
-	case Decoupled:
-		return baseline.New(baseline.DefaultConfig(baseline.Decoupled, capacity))
-	case SC2:
-		return baseline.New(baseline.DefaultConfig(baseline.SC2, capacity))
+	case Uncompressed, Uncompressed8x:
+		size := capacity
+		if cfg.Scheme == Uncompressed8x {
+			size *= 8
+		}
+		return func() cache.LLC { return cache.NewSetAssoc(size, 8, cache.LRU) }, cache.CheckGeometry(size, 8)
+	case Adaptive, Decoupled, SC2:
+		kind := map[Scheme]baseline.Kind{Adaptive: baseline.Adaptive, Decoupled: baseline.Decoupled, SC2: baseline.SC2}[cfg.Scheme]
+		bc := baseline.DefaultConfig(kind, capacity)
+		return func() cache.LLC { return baseline.New(bc) }, bc.Validate()
 	case Skewed:
-		return baseline.NewSkewed(capacity)
+		return func() cache.LLC { return baseline.NewSkewed(capacity) }, baseline.ValidateSkewed(capacity)
 	case MORC, MORCMerged:
-		return core.New(cfg.EffectiveMORCConfig())
+		mc := cfg.EffectiveMORCConfig()
+		return func() cache.LLC { return core.New(mc) }, mc.Validate()
 	}
-	panic(fmt.Sprintf("sim: unknown scheme %v", cfg.Scheme))
+	return nil, fmt.Errorf("sim: unknown scheme %v", cfg.Scheme)
 }
 
 // EffectiveMORCConfig returns the MORC configuration NewLLC builds for

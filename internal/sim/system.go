@@ -24,6 +24,9 @@ type coreState struct {
 	gen  trace.Generator
 	memv *trace.Memory
 	l1   *cache.SetAssoc
+	// store is the line a store miss mutates before it enters the L1:
+	// the data the miss path hands back may be the LLC's own bytes.
+	store [cache.LineSize]byte
 
 	now    uint64 // local cycle count
 	instr  uint64
@@ -184,9 +187,10 @@ func (s *System) step(c *coreState) {
 
 // stepAccess executes the hit path of one access: the trace generator,
 // the per-core clocks, and the private L1 (including store-hit
-// mutation). It touches no cross-core state. On an L1 miss it returns
-// the access for serviceMiss to complete; the core is then mid-access
-// (clocks advanced, L1 untouched) until serviceMiss runs.
+// mutation, made in place on the L1's own line). It touches no
+// cross-core state. On an L1 miss it returns the access for serviceMiss
+// to complete; the core is then mid-access (clocks advanced, L1
+// untouched) until serviceMiss runs.
 func (s *System) stepAccess(c *coreState) (a trace.Access, miss bool) {
 	a = c.gen.Next()
 	c.now += uint64(a.NonMem) + 1
@@ -201,9 +205,8 @@ func (s *System) stepAccess(c *coreState) (a trace.Access, miss bool) {
 	}
 	// Store: write-allocate into the L1.
 	if res := c.l1.Read(a.Addr); res.Hit {
-		mutated := cache.CloneLine(res.Data)
-		c.memv.ApplyStore(mutated, a.Addr)
-		c.l1.Update(a.Addr, mutated, true)
+		c.memv.ApplyStore(res.Data, a.Addr)
+		c.l1.Update(a.Addr, res.Data, true)
 		return a, false
 	}
 	return a, true
@@ -224,9 +227,9 @@ func (s *System) serviceMiss(c *coreState, a trace.Access) {
 		return
 	}
 	data, lat := s.llcAccess(c, a.Addr, true)
-	mutated := cache.CloneLine(data)
-	c.memv.ApplyStore(mutated, a.Addr)
-	s.l1Insert(c, a.Addr, mutated, true)
+	copy(c.store[:], data)
+	c.memv.ApplyStore(c.store[:], a.Addr)
+	s.l1Insert(c, a.Addr, c.store[:], true)
 	s.block(c, lat)
 }
 
@@ -242,7 +245,8 @@ func (s *System) block(c *coreState, lat uint64) {
 
 // llcAccess services an L1 miss: LLC lookup, then memory on an LLC miss.
 // Non-inclusive LLCs do not allocate on store misses (§5.4.2); the line
-// arrives later as an L1 write-back.
+// arrives later as an L1 write-back. On an LLC hit data is the LLC's
+// read result, valid until the LLC's next Fill or WriteBack.
 func (s *System) llcAccess(c *coreState, addr uint64, isStore bool) (data []byte, lat uint64) {
 	res := s.llc.Read(addr)
 	lat = uint64(s.cfg.LLCLatency) + uint64(res.ExtraCycles)
@@ -259,7 +263,8 @@ func (s *System) llcAccess(c *coreState, addr uint64, isStore bool) (data []byte
 }
 
 // l1Insert fills the private L1, forwarding any dirty victim to the LLC
-// as a write-back.
+// as a write-back. The fill copies data before the LLC write-back can
+// overwrite it.
 func (s *System) l1Insert(c *coreState, addr uint64, data []byte, dirty bool) {
 	wbs := c.l1.Fill(addr, data)
 	if dirty {

@@ -11,7 +11,8 @@ import (
 // set, with stores and non-memory instruction gaps per the profile.
 type SynthGen struct {
 	prof      Profile
-	r         *rng.RNG
+	draws     genDraws
+	r         rng.RNG
 	base      uint64 // working-set base address
 	hotBase   uint64
 	stackBase uint64
@@ -23,6 +24,19 @@ type SynthGen struct {
 	objCursor uint64 // current object walk position (offset within WS)
 	objLeft   int    // references remaining in the current object walk
 }
+
+// genDraws are a profile's address-stream probabilities as thresholds,
+// built once per generator.
+type genDraws struct {
+	burst, objLines, nonMem rng.Threshold // geometric: burst length, object lines, instruction gap
+	// store[c] decides load vs. store for component c; finish draws it
+	// only where hasStore[c] (the component has references at all).
+	store    [3]rng.Threshold
+	hasStore [3]bool
+}
+
+// pPhaseJump is the chance a stream jumps to a new region at a burst.
+var pPhaseJump = rng.ThresholdOf(0.01)
 
 // regionBase spaces workloads apart in the address space; multi-program
 // runs give each core its own generator and memory, so overlap would not
@@ -37,9 +51,19 @@ func NewSynthGen(p Profile) *SynthGen {
 	}
 	g := &SynthGen{
 		prof: p,
-		r:    rng.New(p.Seed ^ 0x47454e), // "GEN"
+		draws: genDraws{
+			burst:    rng.ThresholdOf(1 / float64(p.StreamBurst)),
+			objLines: rng.ThresholdOf(1 / float64(p.ObjLines)),
+			nonMem:   rng.ThresholdOf(p.MemRefFrac),
+		},
 		base: regionBase + (hashName(p.Name)%1024)*(1<<30),
 	}
+	for comp := compStack; comp <= compCold; comp++ {
+		if pStore, ok := storeProb(&p, comp); ok {
+			g.draws.store[comp], g.draws.hasStore[comp] = rng.ThresholdOf(pStore), true
+		}
+	}
+	g.r.Seed(p.Seed ^ 0x47454e) // "GEN"
 	g.hotBase = g.base + uint64(p.WorkingSet)/2
 	g.hotBase -= g.hotBase % 64
 	// The stack sits just above the working set.
@@ -73,9 +97,9 @@ func (g *SynthGen) Next() Access {
 		// MORC's tag compression exploits).
 		if g.burstLeft <= 0 {
 			g.curStream = g.r.Intn(len(g.cursors))
-			g.burstLeft = g.r.Geometric(1 / float64(p.StreamBurst))
+			g.burstLeft = g.r.Trials(g.draws.burst)
 			// Occasional phase change: the stream jumps to a new region.
-			if g.r.Bool(0.01) {
+			if g.r.Chance(pPhaseJump) {
 				g.cursors[g.curStream] = g.r.Uint64n(uint64(p.WorkingSet))
 			}
 		}
@@ -98,7 +122,7 @@ func (g *SynthGen) Next() Access {
 				off = uint64(p.WorkingSet) - 1
 			}
 			g.objCursor = off &^ 63 // objects start line-aligned
-			lines := g.r.Geometric(1 / float64(p.ObjLines))
+			lines := g.r.Trials(g.draws.objLines)
 			g.objLeft = lines * 8 // 8-byte walk over the object
 		}
 		g.objLeft--
@@ -127,9 +151,19 @@ const stackStoreShare = 0.60
 // finish aligns the address, decides load vs store (stores concentrate on
 // the stack, then the hot set), and attaches the instruction gap.
 func (g *SynthGen) finish(addr uint64, comp component) Access {
-	p := &g.prof
 	addr &^= 7 // 8-byte aligned references
+	kind := Load
+	if g.draws.hasStore[comp] && g.r.Chance(g.draws.store[comp]) {
+		kind = Store
+	}
+	nonMem := uint32(g.r.Trials(g.draws.nonMem) - 1)
+	return Access{Kind: kind, Addr: addr, NonMem: nonMem}
+}
 
+// storeProb is the chance a reference of component comp is a store:
+// its share of all stores over its share of all references. ok is false
+// when the component has no references (finish then makes no draw).
+func storeProb(p *Profile, comp component) (pStore float64, ok bool) {
 	var share, pComp float64
 	switch comp {
 	case compStack:
@@ -149,18 +183,10 @@ func (g *SynthGen) finish(addr uint64, comp component) Access {
 			share += stackStoreShare * p.StoreSpread
 		}
 	}
-	kind := Load
-	if pComp > 0 {
-		pStore := p.StoreFrac * share / pComp
-		if pStore > 1 {
-			pStore = 1
-		}
-		if g.r.Bool(pStore) {
-			kind = Store
-		}
+	if !(pComp > 0) {
+		return 0, false
 	}
-	nonMem := uint32(g.r.Geometric(p.MemRefFrac) - 1)
-	return Access{Kind: kind, Addr: addr, NonMem: nonMem}
+	return p.StoreFrac * share / pComp, true
 }
 
 var _ Generator = (*SynthGen)(nil)

@@ -16,37 +16,66 @@ import (
 // compresses comparably to fill data, §5.4.2).
 type Memory struct {
 	prof    Profile
+	draws   valueDraws
 	written map[uint64][]byte
-	// pools hold the duplication chunks, instantiated lazily per address
-	// region: neighboring lines share a small vocabulary (which windowed
-	// inter-line compression can exploit), while the global vocabulary
-	// across regions is large (which bounds what a global frequency
-	// dictionary like SC2's can capture).
-	pools  map[poolKey][][]byte
+	// pools hold the duplication chunks of each address region, one
+	// pool per granularity level, each instantiated lazily: neighboring
+	// lines share a small vocabulary (which windowed inter-line
+	// compression can exploit), while the global vocabulary across
+	// regions is large (which bounds what a global frequency dictionary
+	// like SC2's can capture).
+	pools  map[uint64]*regionPools
 	fpPool [][]byte // 4-byte exponent-word pool for FP-like data (global)
-	storeR *rng.RNG
+	storeR rng.RNG
 
 	ReadLines  uint64 // lines synthesized or fetched
 	WriteLines uint64 // lines written back
 }
 
-type poolKey struct {
-	level  int
-	region uint64
+// regionPools are one region's chunk pools, indexed by level; a nil
+// pool is not built yet.
+type regionPools [4][][]byte
+
+// valueDraws are a profile's value-model probabilities as thresholds,
+// built once per Memory.
+type valueDraws struct {
+	zeroLine, zeroWord, narrow, storeComp rng.Threshold
+	gran                                  [4]rng.Threshold
 }
+
+// The value model's fixed probabilities, as thresholds.
+var (
+	pPoolPair    = rng.ThresholdOf(0.75)  // a pool entry joins two child entries
+	pNarrowHead  = rng.ThresholdOf(0.4)   // a narrow word comes from the frequent head
+	pFPHighWord  = rng.ThresholdOf(0.7)   // an FP high word comes from the exponent pool
+	pStorePool   = rng.ThresholdOf(0.5)   // a compressible store copies a pool chunk
+	gNarrowHead  = rng.ThresholdOf(0.05)  // geometric: the narrow head's values
+	gNarrowTail  = rng.ThresholdOf(0.002) // geometric: the narrow tail's values
+	gStoreNarrow = rng.ThresholdOf(0.01)  // geometric: a compressible store's narrow value
+)
 
 // RegionBytes is the granularity of value-vocabulary locality.
 const RegionBytes = 128 * 1024
 
-// pool returns the lazily built chunk pool for (level, region). Pools are
-// hierarchical: most larger-granule entries are concatenations of two
-// entries one level down, mirroring the self-similarity of real data
-// (records made of fields, stencil blocks made of repeated values). This
-// keeps a region's 32-bit vocabulary small enough for windowed
-// dictionaries to cover.
-func (m *Memory) pool(level int, region uint64) [][]byte {
-	k := poolKey{level, region}
-	if p, ok := m.pools[k]; ok {
+// regionPools returns region's pools, adding an empty set on first use.
+func (m *Memory) regionPools(region uint64) *regionPools {
+	rp := m.pools[region]
+	if rp == nil {
+		rp = new(regionPools)
+		m.pools[region] = rp
+	}
+	return rp
+}
+
+// pool returns region's chunk pool at level, building it on first use.
+// Pools are hierarchical: most larger-granule entries are concatenations
+// of two entries one level down, mirroring the self-similarity of real
+// data (records made of fields, stencil blocks made of repeated values).
+// This keeps a region's 32-bit vocabulary small enough for windowed
+// dictionaries to cover. Each pool's generator is seeded by (level,
+// region) alone, so the order pools are built in changes no draw.
+func (m *Memory) pool(rp *regionPools, level int, region uint64) [][]byte {
+	if p := rp[level]; p != nil {
 		return p
 	}
 	r := rng.New(m.prof.Seed ^ mix(0x504f4f4c^uint64(level)<<40^region*2654435761))
@@ -56,9 +85,9 @@ func (m *Memory) pool(level int, region uint64) [][]byte {
 			p[i] = m.genChunk(r, poolGran[level])
 		}
 	} else {
-		child := m.pool(level+1, region)
+		child := m.pool(rp, level+1, region)
 		for i := range p {
-			if r.Bool(0.75) {
+			if r.Chance(pPoolPair) {
 				b := make([]byte, 0, poolGran[level])
 				b = append(b, child[r.Intn(len(child))]...)
 				b = append(b, child[r.Intn(len(child))]...)
@@ -68,7 +97,7 @@ func (m *Memory) pool(level int, region uint64) [][]byte {
 			}
 		}
 	}
-	m.pools[k] = p
+	rp[level] = p
 	return p
 }
 
@@ -81,11 +110,20 @@ func NewMemory(p Profile) *Memory {
 		panic(err)
 	}
 	m := &Memory{
-		prof:    p,
+		prof: p,
+		draws: valueDraws{
+			zeroLine:  rng.ThresholdOf(p.ZeroLineFrac),
+			zeroWord:  rng.ThresholdOf(p.ZeroWordFrac),
+			narrow:    rng.ThresholdOf(p.NarrowFrac),
+			storeComp: rng.ThresholdOf(p.StoreComp),
+		},
 		written: make(map[uint64][]byte),
-		pools:   make(map[poolKey][][]byte),
-		storeR:  rng.New(p.Seed ^ 0x53544f5245), // "STORE"
+		pools:   make(map[uint64]*regionPools),
 	}
+	for i, w := range p.GranWeights {
+		m.draws.gran[i] = rng.ThresholdOf(w)
+	}
+	m.storeR.Seed(p.Seed ^ 0x53544f5245)  // "STORE"
 	poolR := rng.New(p.Seed ^ 0x504f4f4c) // "POOL"
 	m.fpPool = make([][]byte, 16)
 	for i := range m.fpPool {
@@ -110,21 +148,21 @@ func (m *Memory) genChunk(r *rng.RNG, g int) []byte {
 // random.
 func (m *Memory) genWord(r *rng.RNG, dst []byte, wordIdx int) {
 	switch {
-	case r.Bool(m.prof.ZeroWordFrac):
+	case r.Chance(m.draws.zeroWord):
 		for i := range dst {
 			dst[i] = 0
 		}
-	case r.Bool(m.prof.NarrowFrac):
+	case r.Chance(m.draws.narrow):
 		// Narrow integers: a frequent head (counters, flags, enum-like
 		// values a global frequency dictionary captures) plus a diverse
 		// tail (sizes, offsets, ids) that only significance-based codes
 		// like LBE's u8/u16 compress.
-		if r.Bool(0.4) {
-			binary.LittleEndian.PutUint32(dst, uint32(r.Geometric(0.05)))
+		if r.Chance(pNarrowHead) {
+			binary.LittleEndian.PutUint32(dst, uint32(r.Trials(gNarrowHead)))
 		} else {
-			binary.LittleEndian.PutUint32(dst, uint32(r.Geometric(0.002)))
+			binary.LittleEndian.PutUint32(dst, uint32(r.Trials(gNarrowTail)))
 		}
-	case m.prof.FPLike && wordIdx%2 == 1 && r.Bool(0.7):
+	case m.prof.FPLike && wordIdx%2 == 1 && r.Chance(pFPHighWord):
 		// High word of a little-endian double: clustered exponents.
 		copy(dst, m.fpPool[r.Intn(len(m.fpPool))])
 	default:
@@ -158,7 +196,7 @@ func (m *Memory) WriteLine(addr uint64, data []byte) {
 func (m *Memory) synthLine(la uint64) []byte {
 	r := rng.New(m.prof.Seed ^ mix(la))
 	line := make([]byte, cache.LineSize)
-	if r.Bool(m.prof.ZeroLineFrac) {
+	if r.Chance(m.draws.zeroLine) {
 		return line
 	}
 	m.fillRegion(r, line, 0, la/RegionBytes)
@@ -167,8 +205,10 @@ func (m *Memory) synthLine(la uint64) []byte {
 
 // fillRegion fills line[off:] hierarchically: at each granule boundary it
 // may draw the whole granule from that granularity's pool (inter-line
-// duplication) or recurse to smaller granules.
+// duplication) or recurse to smaller granules. The region's pools are
+// looked up once, at the first pooled granule.
 func (m *Memory) fillRegion(r *rng.RNG, line []byte, off int, region uint64) {
+	var rp *regionPools
 	for off < len(line) {
 		placed := false
 		for lvl := 0; lvl < 4; lvl++ {
@@ -176,8 +216,11 @@ func (m *Memory) fillRegion(r *rng.RNG, line []byte, off int, region uint64) {
 			if off%g != 0 || off+g > len(line) {
 				continue
 			}
-			if r.Bool(m.prof.GranWeights[lvl]) {
-				p := m.pool(lvl, region)
+			if r.Chance(m.draws.gran[lvl]) {
+				if rp == nil {
+					rp = m.regionPools(region)
+				}
+				p := m.pool(rp, lvl, region)
 				copy(line[off:off+g], p[r.Intn(len(p))])
 				off += g
 				placed = true
@@ -205,12 +248,13 @@ func (m *Memory) ApplyStore(line []byte, addr uint64) {
 		panic(fmt.Sprintf("trace: ApplyStore on %d bytes", len(line)))
 	}
 	off := int(m.storeR.Intn(cache.LineSize/8)) * 8
-	if m.storeR.Bool(m.prof.StoreComp) {
-		if m.storeR.Bool(0.5) {
-			p := m.pool(2, cache.LineAddr(addr)/RegionBytes)
+	if m.storeR.Chance(m.draws.storeComp) {
+		if m.storeR.Chance(pStorePool) {
+			region := cache.LineAddr(addr) / RegionBytes
+			p := m.pool(m.regionPools(region), 2, region)
 			copy(line[off:off+8], p[m.storeR.Intn(len(p))])
 		} else {
-			binary.LittleEndian.PutUint32(line[off:], uint32(m.storeR.Geometric(0.01)))
+			binary.LittleEndian.PutUint32(line[off:], uint32(m.storeR.Trials(gStoreNarrow)))
 			binary.LittleEndian.PutUint32(line[off+4:], 0)
 		}
 	} else {
