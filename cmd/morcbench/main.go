@@ -7,7 +7,6 @@
 //	morcbench -exp fig2,fig7 -workloads gcc,bzip2
 //	morcbench -exp fig6 -schemes Uncompressed,MORC
 //	morcbench -exp fig6 -json      # machine-readable tables (morcd's encoding)
-//	morcbench -exp fig6 -sample-interval 200000  # fast sampled estimates
 //	morcbench -list                # show experiment ids
 //
 // Output is aligned text tables, one per figure panel, written to stdout
@@ -38,11 +37,6 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "emit one JSON array of tables (the same encoding morcd serves)")
 		warmup    = flag.Uint64("warmup", 0, "override warmup instructions per core")
 		measure   = flag.Uint64("measure", 0, "override measured instructions per core")
-
-		sampleInterval = flag.Uint64("sample-interval", 0, "representative-interval sampling: interval length in instructions (0 = full-fidelity runs)")
-		sampleK        = flag.Int("sample-k", 0, "sampling: max clusters / detailed windows per run (0 = default)")
-		sampleReplay   = flag.Uint64("sample-replay", 0, "sampling: detailed warmup replay before each window (0 = interval/2)")
-		sampleSeed     = flag.Uint64("sample-seed", 0, "sampling: clustering seed")
 	)
 	flag.Parse()
 
@@ -63,16 +57,6 @@ func main() {
 	}
 	if *measure > 0 {
 		budget.Measure = *measure
-	}
-	budget.Sampling = sim.SamplingConfig{
-		IntervalInstr: *sampleInterval,
-		MaxClusters:   *sampleK,
-		ReplayInstr:   *sampleReplay,
-		Seed:          *sampleSeed,
-	}
-	if err := budget.Sampling.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "morcbench:", err)
-		os.Exit(1)
 	}
 	if *workloads != "" {
 		budget.Workloads = strings.Split(*workloads, ",")

@@ -8,10 +8,10 @@
 //	morcsim -workload astar -scheme MORC -logsize 1024 -activelogs 16
 //	morcsim -workload gcc -scheme MORC -json   # same Result JSON as morcd
 //	morcsim -workload gcc -scheme MORC -telemetry ts.ndjson -epoch 100000
-//	morcsim -workload gcc -scheme MORC -sample-interval 200000   # sampled estimate
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -21,7 +21,6 @@ import (
 	"morc/internal/core"
 	"morc/internal/sim"
 	tel "morc/internal/telemetry"
-	"morc/internal/trace"
 )
 
 // schemeNames is the -scheme help text, generated from the canonical
@@ -49,11 +48,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit the Result as JSON (the same encoding morcd serves)")
 		telemetry  = flag.String("telemetry", "", "write the per-epoch time series as NDJSON to this file (- for stdout)")
 		epoch      = flag.Uint64("epoch", tel.DefaultEvery, "telemetry epoch length in instructions (with -telemetry)")
-
-		sampleInterval = flag.Uint64("sample-interval", 0, "representative-interval sampling: interval length in instructions (0 = full-fidelity run)")
-		sampleK        = flag.Int("sample-k", 0, "sampling: max clusters / detailed windows (0 = default)")
-		sampleReplay   = flag.Uint64("sample-replay", 0, "sampling: detailed warmup replay before each window (0 = interval/2)")
-		sampleSeed     = flag.Uint64("sample-seed", 0, "sampling: clustering seed (results are deterministic per seed)")
 	)
 	flag.Parse()
 
@@ -72,16 +66,6 @@ func main() {
 	if *telemetry != "" {
 		cfg.Telemetry = tel.Config{Every: *epoch}
 	}
-	cfg.Sampling = sim.SamplingConfig{
-		IntervalInstr: *sampleInterval,
-		MaxClusters:   *sampleK,
-		ReplayInstr:   *sampleReplay,
-		Seed:          *sampleSeed,
-	}
-	if err := cfg.Sampling.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "morcsim:", err)
-		os.Exit(1)
-	}
 	if *logSize > 0 || *activeLogs > 0 {
 		mc := core.DefaultConfig(cfg.LLCBytesPerCore)
 		if *logSize > 0 {
@@ -98,17 +82,16 @@ func main() {
 	}
 
 	var res sim.Result
-	var label string
+	label := *workload
 	if *mix != "" {
 		label = "mix " + *mix
-		res = sim.RunMix(*mix, cfg)
+		res, err = sim.RunMixCtx(context.Background(), *mix, cfg)
 	} else {
-		if _, err := trace.Get(*workload); err != nil {
-			fmt.Fprintln(os.Stderr, "morcsim:", err)
-			os.Exit(1)
-		}
-		label = *workload
-		res = sim.RunSingle(*workload, cfg)
+		res, err = sim.RunSingleCtx(context.Background(), *workload, cfg)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "morcsim:", err)
+		os.Exit(1)
 	}
 
 	if *telemetry != "" {
@@ -143,12 +126,6 @@ func main() {
 	if res.Telemetry != nil {
 		fmt.Printf("  telemetry              %d epochs every %d instructions -> %s\n",
 			len(res.Telemetry.Epochs), res.Telemetry.Every, *telemetry)
-	}
-	if info := res.Sampling; info != nil {
-		fmt.Printf("  sampled                %d of %d intervals (%.1fx fewer detailed instructions)\n",
-			info.Clusters, info.Intervals, info.SpeedupX)
-		fmt.Printf("    est. rel. error      IPC %.1f%% / miss rate %.1f%% / ratio %.1f%%\n",
-			100*info.ErrorBars.IPC, 100*info.ErrorBars.MissRate, 100*info.ErrorBars.CompRatio)
 	}
 }
 

@@ -63,7 +63,7 @@ var corePkgs = []string{
 	"internal/sim", "internal/core", "internal/cache", "internal/compress",
 	"internal/baseline", "internal/mem", "internal/trace", "internal/energy",
 	"internal/stats", "internal/telemetry", "internal/exp", "internal/check",
-	"internal/rng", "internal/sample",
+	"internal/rng",
 }
 
 func (*DetTaint) Name() string { return "dettaint" }

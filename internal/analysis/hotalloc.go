@@ -71,7 +71,7 @@ var hotallocPkgs = []string{
 }
 
 // loopPkgs hold the loop roots, and are where the growth rule reports.
-var loopPkgs = []string{"internal/sim", "internal/sample", "internal/obs"}
+var loopPkgs = []string{"internal/sim", "internal/obs"}
 
 func (*HotAlloc) Scope(prog *Program, u *Unit) bool {
 	return u.Fixture() == "hotalloc" || u.InPaths(prog, hotallocPkgs...) || u.InPaths(prog, loopPkgs...)

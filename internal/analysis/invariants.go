@@ -24,7 +24,7 @@ func (*Invariants) Doc() string {
 
 func (*Invariants) Scope(prog *Program, u *Unit) bool {
 	return u.Fixture() == "invariants" ||
-		u.InPaths(prog, "internal/cache", "internal/baseline", "internal/core", "internal/sample")
+		u.InPaths(prog, "internal/cache", "internal/baseline", "internal/core")
 }
 
 func (iv *Invariants) Run(prog *Program, u *Unit) []Finding {

@@ -1,9 +1,9 @@
 // Package dettaint_core_sample is a morclint fixture: dettaint's source rule
-// applied to sampling-shaped code — interval profiling and clustering
-// like morc/internal/sample. The bugs here are the ones that would make
-// a sampled run non-reproducible: global-rand k-means seeding,
-// wall-clock profiling cost, and signature assembly in map iteration
-// order.
+// applied to sampling-shaped code — the interval profiling and
+// clustering of a representative-interval sampler. The bugs here are the
+// ones that would make a sampled run non-reproducible: global-rand
+// k-means seeding, wall-clock profiling cost, and signature assembly in
+// map iteration order.
 package dettaint_core_sample
 
 import (

@@ -45,7 +45,7 @@ type Entry struct {
 type Report struct {
 	// SchemaVersion is always Schema.
 	SchemaVersion string `json:"schema"`
-	// Name identifies the benchmark, e.g. "sampling-speedup".
+	// Name identifies the benchmark, e.g. "hot-path-allocs".
 	Name string `json:"name"`
 	// NumCPU is runtime.NumCPU() on the measuring host — the one piece
 	// of machine context scaling claims cannot be read without.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,14 +23,12 @@ import (
 // from instruction counts, never wall-clock, which is what makes this
 // byte-level identity possible at all.
 
-// tracedSpec is a sampled job: its trace carries one span per replayed
-// sampling window on top of warmup/fastforward, so shape identity
-// covers the whole sampling schedule.
+// tracedSpec is a quick job: its trace carries the job, queue and run
+// spans and, under run, the warmup and measure phase spans.
 func tracedSpec() server.JobSpec {
 	return server.JobSpec{
 		Workload: "gcc",
 		Scheme:   sim.MORC,
-		Sampling: &sim.SamplingConfig{IntervalInstr: 10_000, MaxClusters: 3, ReplayInstr: 5_000},
 		Config:   json.RawMessage(clusterWindow),
 	}
 }
@@ -71,24 +70,40 @@ func startTraceServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-// TestTraceShapeDeterministic: the same sampled spec run twice (on
-// fresh servers, so nothing is shared) yields byte-identical span
-// trees.
+// TestTraceShapeDeterministic: the same spec run twice (on fresh
+// servers, so nothing is shared) yields byte-identical span trees.
 func TestTraceShapeDeterministic(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	spec := tracedSpec()
 
-	a := obs.ShapeOf(traceOf(t, ctx, startTraceServer(t).URL, spec).Spans)
+	spans := traceOf(t, ctx, startTraceServer(t).URL, spec).Spans
+	a := obs.ShapeOf(spans)
 	b := obs.ShapeOf(traceOf(t, ctx, startTraceServer(t).URL, spec).Spans)
 	if a != b {
 		t.Errorf("same-seed span trees differ:\nrun A:\n%s\nrun B:\n%s", a, b)
 	}
-	// The shape must actually cover the sampled run, not vacuously match.
-	for _, want := range []string{"morcd:job", "morcd:queue", "morcd:run", "sim.warmup", "sim.window"} {
+	// The shape must actually cover the run, not vacuously match.
+	for _, want := range []string{"morcd:job", "morcd:queue", "morcd:run"} {
 		if !strings.Contains(a, want) {
 			t.Errorf("span tree lacks %s:\n%s", want, a)
 		}
+	}
+	// Under run: exactly one warmup and one measure phase.
+	var runID string
+	for _, sp := range spans {
+		if sp.Name == "run" {
+			runID = sp.SpanID
+		}
+	}
+	phases := map[string]int{}
+	for _, sp := range spans {
+		if sp.ParentID == runID {
+			phases[sp.Name]++
+		}
+	}
+	if want := map[string]int{"sim.warmup": 1, "sim.measure": 1}; runID == "" || !reflect.DeepEqual(phases, want) {
+		t.Errorf("spans under run = %v, want %v:\n%s", phases, want, a)
 	}
 }
 

@@ -187,6 +187,39 @@ var parityCases = []parityCase{
 		want: `400 {"error":"bad cache geometry: L1: cache: bad geometry size=32768 ways=3 (want a positive multiple of ways×64 bytes)"}`,
 	},
 	{
+		// Removed settings fail strict decoding; values no run can use
+		// fail sim.Config.Validate.
+		name: "settings no run can use",
+		do: func(t *testing.T, a *jobsAPI) string {
+			var got []string
+			for _, body := range []string{
+				`{"workload":"gcc","sampling":{"IntervalInstr":15000}}`,
+				`{"workload":"gcc","config":{"sampling":{"IntervalInstr":15000}}}`,
+				`{"workload":"gcc","config":{"Telemetry":{"Every":1,"MaxEpochs":1000000000}}}`,
+				`{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":{"LogReplacement":1}}}`,
+				`{"workload":"gcc","config":{"BWPerCore":0}}`,
+				`{"workload":"gcc","config":{"BWPerCore":-1}}`,
+				`{"workload":"gcc","config":{"ClockHz":0}}`,
+				`{"workload":"gcc","config":{"SampleEvery":0}}`,
+				`{"mix":"M0","config":{"Threads":0}}`,
+				`{"workload":"gcc","config":{"LLCLatency":-5}}`,
+			} {
+				got = append(got, answer(t, a.call(t, "POST", "/v1/jobs", body)))
+			}
+			return strings.Join(got, "; ")
+		},
+		want: `400 {"error":"json: unknown field \"sampling\""}; ` +
+			`400 {"error":"bad config overrides: json: unknown field \"IntervalInstr\""}; ` +
+			`400 {"error":"bad config overrides: json: unknown field \"MaxEpochs\""}; ` +
+			`400 {"error":"bad config overrides: json: unknown field \"LogReplacement\""}; ` +
+			`400 {"error":"bad config: BWPerCore 0 must be positive"}; ` +
+			`400 {"error":"bad config: BWPerCore -1 must be positive"}; ` +
+			`400 {"error":"bad config: ClockHz 0 must be positive"}; ` +
+			`400 {"error":"bad config: SampleEvery must be positive"}; ` +
+			`400 {"error":"bad config: Threads 0 must be at least 1"}; ` +
+			`400 {"error":"bad config: LLCLatency -5 must not be negative"}`,
+	},
+	{
 		name: "queue full",
 		busy: true,
 		do:   request("POST", "/v1/jobs", fastSpecJSON),

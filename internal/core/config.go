@@ -58,10 +58,6 @@ type Config struct {
 	// invalidation study, which disables compression to accentuate
 	// write-back effects).
 	DisableCompression bool
-	// LogReplacement selects the victim-log policy. The paper studies
-	// FIFO "for simplicity" but notes any typical replacement policy
-	// works (§3.2.1); LRU victimizes the log least recently hit.
-	LogReplacement LogReplacement
 	// VerifyReads makes every read hit actually decompress the log
 	// through the requested line and compare against the bookkeeping
 	// copy, panicking on mismatch. Slow; for tests and debugging (the
@@ -71,15 +67,6 @@ type Config struct {
 	LBE lbe.Config
 	Tag tagdelta.Config
 }
-
-// LogReplacement selects the victim-log policy.
-type LogReplacement int
-
-// Victim-log policies.
-const (
-	LogFIFO LogReplacement = iota
-	LogLRU
-)
 
 // DefaultConfig returns the paper's default MORC for the given capacity.
 func DefaultConfig(cacheBytes int) Config {

@@ -7,71 +7,6 @@ import (
 	"morc/internal/rng"
 )
 
-// TestLogLRUReplacement: with LRU victim selection, a log whose lines
-// are re-read survives longer than untouched logs.
-func TestLogLRUReplacement(t *testing.T) {
-	for _, policy := range []LogReplacement{LogFIFO, LogLRU} {
-		cfg := smallConfig()
-		cfg.LogReplacement = policy
-		c := New(cfg)
-		r := rng.New(42)
-		// Fill a protected set first, then keep touching it while
-		// churning through a large fill stream.
-		protected := make([]uint64, 32)
-		for i := range protected {
-			protected[i] = uint64(i) * cache.LineSize
-			c.Fill(protected[i], lineVal(r, 2))
-		}
-		survived := 0
-		addr := uint64(1 << 20)
-		for round := 0; round < 200; round++ {
-			for _, a := range protected {
-				c.Read(a)
-			}
-			for k := 0; k < 16; k++ {
-				c.Fill(addr, lineVal(r, 2))
-				addr += cache.LineSize
-			}
-		}
-		for _, a := range protected {
-			if c.Read(a).Hit {
-				survived++
-			}
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("policy %v: %v", policy, err)
-		}
-		t.Logf("policy %v: %d/32 hot lines survived", policy, survived)
-		if policy == LogLRU && survived == 0 {
-			t.Error("LRU protected nothing")
-		}
-	}
-}
-
-// TestLogLRUNotWorseThanFIFOOnReuse compares hit counts directly on a
-// reuse-heavy stream.
-func TestLogLRUNotWorseThanFIFOOnReuse(t *testing.T) {
-	run := func(policy LogReplacement) uint64 {
-		cfg := smallConfig()
-		cfg.LogReplacement = policy
-		c := New(cfg)
-		r := rng.New(7)
-		for i := 0; i < 6000; i++ {
-			// Zipf-ish reuse: low addresses much hotter.
-			addr := uint64(r.Geometric(0.01)) * cache.LineSize
-			if !c.Read(addr).Hit {
-				c.Fill(addr, lineVal(r, 1))
-			}
-		}
-		return c.MorcStats().Hits
-	}
-	fifo, lru := run(LogFIFO), run(LogLRU)
-	t.Logf("FIFO hits %d, LRU hits %d", fifo, lru)
-	if float64(lru) < float64(fifo)*0.85 {
-		t.Fatalf("LRU (%d) much worse than FIFO (%d) on reuse-heavy stream", lru, fifo)
-	}
-}
-
 // TestMergedWithWriteTraffic exercises the merged layout under the
 // append+invalidate churn that stresses shared tag/data capacity.
 func TestMergedWithWriteTraffic(t *testing.T) {

@@ -47,7 +47,6 @@ type logT struct {
 	valid     int
 	active    bool
 	closedSeq uint64 // FIFO stamp set when the log is closed
-	lastTouch uint64 // recency stamp (reads and appends), for LogLRU
 	rawBytes  int    // occupancy when DisableCompression is set
 	// prev and next link the log into the Cache's closed FIFO while it
 	// is closed and holds valid lines.
@@ -87,7 +86,7 @@ type Cache struct {
 	fifoHead *logT
 	fifoTail *logT
 	lmt      []lmtEntry
-	seq      uint64 // global recency / FIFO counter
+	seq      uint64 // stamps LMT recency and log closing order
 	st       Stats
 	symTotal lbe.SymbolStats // aggregated from retired encoders
 	// unlimited-mode index (UnlimitedTags): addr -> lmt slot is replaced
@@ -281,8 +280,6 @@ func (c *Cache) Read(addr uint64) cache.ReadResult {
 	}
 	lg := c.logs[logIdx]
 	rec := &lg.lines[lineIdx]
-	c.seq++
-	lg.lastTouch = c.seq
 	extra := tagDecodeCycles(lineIdx+1) + dataDecodeCycles(lineIdx)
 	c.st.Hits++
 	c.st.ExtraCycles += uint64(extra)
@@ -613,8 +610,6 @@ func (c *Cache) commitAppend(slot, dataBits int, tag, la uint64, data []byte) in
 		data:    cache.CloneLine(data),
 	})
 	lg.valid++
-	c.seq++
-	lg.lastTouch = c.seq
 	return len(lg.lines) - 1
 }
 
@@ -655,9 +650,8 @@ func (c *Cache) recycle(slot int) []cache.Writeback {
 
 // pickVictim selects the log to reclaim and takes it out of the victim
 // structures: the oldest all-invalid closed log if any (reuse priority,
-// §3.2.1) — a never-opened log before any other — else by the
-// configured policy: oldest-closed (FIFO, the paper's default) or
-// least-recently-touched (LRU).
+// §3.2.1) — a never-opened log before any other — else the oldest
+// closed log (FIFO, the policy the paper evaluates).
 func (c *Cache) pickVictim() *logT {
 	if c.fresh < len(c.logs) {
 		c.fresh++
@@ -667,15 +661,6 @@ func (c *Cache) pickVictim() *logT {
 		return c.popReuse()
 	}
 	victim := c.fifoHead
-	if c.cfg.LogReplacement == LogLRU {
-		// An ablation no workload runs, so it keeps the scan.
-		victim = nil
-		for _, lg := range c.logs {
-			if !lg.active && (victim == nil || lg.lastTouch < victim.lastTouch) {
-				victim = lg
-			}
-		}
-	}
 	if victim == nil {
 		panic("core: no closed log to reclaim (ActiveLogs too large)")
 	}

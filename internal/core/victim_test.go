@@ -9,15 +9,9 @@ import (
 
 // oracleVictim is the scan pickVictim made over every log before the
 // victim structures replaced it, kept as their differential oracle: the
-// oldest all-invalid closed log if any (reuse priority), else the lowest
-// ranked closed log under the policy.
-func oracleVictim(logs []*logT, policy LogReplacement) *logT {
-	rank := func(lg *logT) uint64 {
-		if policy == LogLRU {
-			return lg.lastTouch
-		}
-		return lg.closedSeq
-	}
+// oldest all-invalid closed log if any (reuse priority), else the oldest
+// closed log.
+func oracleVictim(logs []*logT) *logT {
 	var reuse, victim *logT
 	for _, lg := range logs {
 		if lg.active {
@@ -28,7 +22,7 @@ func oracleVictim(logs []*logT, policy LogReplacement) *logT {
 				reuse = lg
 			}
 		}
-		if victim == nil || rank(lg) < rank(victim) {
+		if victim == nil || lg.closedSeq < victim.closedSeq {
 			victim = lg
 		}
 	}
@@ -52,18 +46,17 @@ type victimRun struct {
 // victimConfig is an 8 KB MORC (16 logs, 2 active) with a one-way LMT
 // sized for 1× compression, so a short op stream recycles logs by both
 // eviction and reuse and conflicts in the LMT often.
-func victimConfig(policy LogReplacement) Config {
+func victimConfig() Config {
 	cfg := DefaultConfig(8 * 1024)
 	cfg.ActiveLogs = 2
 	cfg.LMTFactor = 1
 	cfg.LMTAssoc = 1
-	cfg.LogReplacement = policy
 	return cfg
 }
 
-func newVictimRun(t testing.TB, policy LogReplacement) *victimRun {
+func newVictimRun(t testing.TB) *victimRun {
 	r := rng.New(77)
-	v := &victimRun{t: t, c: New(victimConfig(policy)), fresh: 1 << 20}
+	v := &victimRun{t: t, c: New(victimConfig()), fresh: 1 << 20}
 	for i := 0; i < 48; i++ {
 		v.lines = append(v.lines, lineVal(r, i%3))
 	}
@@ -96,8 +89,8 @@ func (v *victimRun) step(op, arg byte) {
 //   - the line went into the log that took the recycled slot, which is
 //     the victim, and the slot's previous log is the one that closed;
 //   - the closing log is the newest closed;
-//   - closedSeq and lastTouch do not change between the insert's start
-//     and the pick for any log the pick may choose;
+//   - closedSeq does not change between the insert's start and the
+//     pick for any log the pick may choose;
 //   - after the pick only the victim changes, so every other log's
 //     valid count is its count after the insert, and the victim was
 //     all-invalid exactly when the recycle was a reuse.
@@ -138,64 +131,58 @@ func (v *victimRun) insert(addr uint64, data []byte, writeBack bool) {
 	} else {
 		view[victim].valid = 1
 	}
-	if want := oracleVictim(view, c.cfg.LogReplacement); want.id != victim {
-		t.Fatalf("recycle %d reclaimed log %d; the scan picks log %d (closed %d, touched %d, valid %d)",
-			v.victims+1, victim, want.id, want.closedSeq, want.lastTouch, want.valid)
+	if want := oracleVictim(view); want.id != victim {
+		t.Fatalf("recycle %d reclaimed log %d; the scan picks log %d (closed %d, valid %d)",
+			v.victims+1, victim, want.id, want.closedSeq, want.valid)
 	}
 	v.victims++
 }
 
-// TestVictimSelectionMatchesScan runs a seeded op stream under both
-// policies and checks every reclaimed log against the scan, with the
-// victim structures checked against the logs along the way. Every other
-// thousand ops only write back the hot set, which empties closed logs
-// faster than recycles reclaim them and so fills the reuse heap.
+// TestVictimSelectionMatchesScan runs a seeded op stream and checks
+// every reclaimed log against the scan, with the victim structures
+// checked against the logs along the way. Every other thousand ops only
+// write back the hot set, which empties closed logs faster than
+// recycles reclaim them and so fills the reuse heap.
 func TestVictimSelectionMatchesScan(t *testing.T) {
-	for _, policy := range []LogReplacement{LogFIFO, LogLRU} {
-		v := newVictimRun(t, policy)
-		r := rng.New(uint64(policy) + 5)
-		maxReuse := 0
-		for i := 0; i < 20_000; i++ {
-			op := byte(r.Intn(256))
-			if i/1000%2 == 1 {
-				op = 2
-			}
-			v.step(op, byte(r.Intn(256)))
-			maxReuse = max(maxReuse, len(v.c.reuse))
-			if i%500 == 0 {
-				if err := v.c.CheckInvariants(); err != nil {
-					t.Fatalf("policy %v, op %d: %v", policy, i, err)
-				}
+	v := newVictimRun(t)
+	r := rng.New(5)
+	maxReuse := 0
+	for i := 0; i < 20_000; i++ {
+		op := byte(r.Intn(256))
+		if i/1000%2 == 1 {
+			op = 2
+		}
+		v.step(op, byte(r.Intn(256)))
+		maxReuse = max(maxReuse, len(v.c.reuse))
+		if i%500 == 0 {
+			if err := v.c.CheckInvariants(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
 			}
 		}
-		if err := v.c.CheckInvariants(); err != nil {
-			t.Fatalf("policy %v: %v", policy, err)
-		}
-		st := v.c.MorcStats()
-		if st.LogEvictions == 0 || st.LogReuses == 0 || st.LMTConflicts == 0 || maxReuse < 4 {
-			t.Fatalf("policy %v: evictions %d, reuses %d, LMT conflicts %d, reuse heap up to %d: the stream misses a case",
-				policy, st.LogEvictions, st.LogReuses, st.LMTConflicts, maxReuse)
-		}
-		t.Logf("policy %v: %d victims checked (%d evictions, %d reuses, %d LMT conflicts, reuse heap up to %d)",
-			policy, v.victims, st.LogEvictions, st.LogReuses, st.LMTConflicts, maxReuse)
 	}
+	if err := v.c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	st := v.c.MorcStats()
+	if st.LogEvictions == 0 || st.LogReuses == 0 || st.LMTConflicts == 0 || maxReuse < 4 {
+		t.Fatalf("evictions %d, reuses %d, LMT conflicts %d, reuse heap up to %d: the stream misses a case",
+			st.LogEvictions, st.LogReuses, st.LMTConflicts, maxReuse)
+	}
+	t.Logf("%d victims checked (%d evictions, %d reuses, %d LMT conflicts, reuse heap up to %d)",
+		v.victims, st.LogEvictions, st.LogReuses, st.LMTConflicts, maxReuse)
 }
 
 // FuzzVictimSelection is TestVictimSelectionMatchesScan with the ops
 // picked by the fuzz data: each byte pair is an op and its argument.
 func FuzzVictimSelection(f *testing.F) {
-	f.Add([]byte{}, false)
-	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 0, 11, 0, 12, 0, 13, 0, 14, 0, 15}, false)
-	f.Add([]byte{2, 1, 2, 1, 2, 2, 2, 2, 1, 7, 3, 1, 2, 3, 2, 4, 2, 5, 2, 6, 2, 7, 2, 8, 2, 9, 0, 33, 0, 34}, true)
-	f.Fuzz(func(t *testing.T, data []byte, lru bool) {
-		policy := LogFIFO
-		if lru {
-			policy = LogLRU
-		}
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 0, 10, 0, 11, 0, 12, 0, 13, 0, 14, 0, 15})
+	f.Add([]byte{2, 1, 2, 1, 2, 2, 2, 2, 1, 7, 3, 1, 2, 3, 2, 4, 2, 5, 2, 6, 2, 7, 2, 8, 2, 9, 0, 33, 0, 34})
+	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 8192 {
 			data = data[:8192]
 		}
-		v := newVictimRun(t, policy)
+		v := newVictimRun(t)
 		for i := 0; i+1 < len(data); i += 2 {
 			v.step(data[i], data[i+1])
 		}

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"morc/internal/sim"
 )
@@ -35,13 +34,6 @@ type Budget struct {
 	// listed organizations (nil = the experiment's full paper set).
 	// Schemes an experiment does not compare are ignored.
 	Schemes []sim.Scheme
-	// Sampling is forwarded to sim.Config.Sampling: when enabled, every
-	// simulation in the experiment runs in representative-interval
-	// sampling mode (profile, cluster, simulate one window per cluster,
-	// extrapolate — see morc/internal/sample). This changes the
-	// numbers: tables become estimates within the error bounds
-	// internal/check pins.
-	Sampling sim.SamplingConfig
 }
 
 // restrictSchemes intersects an experiment's scheme series with the
@@ -79,14 +71,10 @@ type Table struct {
 	Rows    []RowData `json:"rows"`
 }
 
-// RowData is one table row. Errs, when present, are per-value absolute
-// error half-widths (the ± of each cell) propagated from the sampling
-// profiler's relative-error estimates; exact runs leave it empty, so
-// their JSON and rendered text are unchanged.
+// RowData is one table row.
 type RowData struct {
 	Label  string    `json:"label"`
 	Values []float64 `json:"values"`
-	Errs   []float64 `json:"errs,omitempty"`
 }
 
 // AddRow appends a row; the number of values must match Columns[1:].
@@ -97,69 +85,30 @@ func (t *Table) AddRow(label string, values ...float64) {
 	t.Rows = append(t.Rows, RowData{Label: label, Values: values})
 }
 
-// AddRowErr appends a row with per-value error bars. An all-zero errs
-// slice is dropped entirely, so exact runs produce rows byte-identical
-// to AddRow's.
-func (t *Table) AddRowErr(label string, values, errs []float64) {
-	if len(values) != len(t.Columns)-1 {
-		panic(fmt.Sprintf("exp: row %q has %d values for %d columns", label, len(values), len(t.Columns)-1))
-	}
-	if errs != nil && len(errs) != len(values) {
-		panic(fmt.Sprintf("exp: row %q has %d errs for %d values", label, len(errs), len(values)))
-	}
-	zero := true
-	for _, e := range errs {
-		if e != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero {
-		errs = nil
-	}
-	t.Rows = append(t.Rows, RowData{Label: label, Values: values, Errs: errs})
-}
-
-// Render writes the table as aligned text. Widths are counted in runes,
-// not bytes, so error-bar cells ("3.09±0.12") line up despite the
-// multi-byte ±.
+// Render writes the table as aligned text. fmt pads to a width in
+// runes, so a column sized by the byte length of its widest cell stays
+// aligned whatever its characters.
 func (t *Table) Render(w io.Writer) {
 	fmt.Fprintf(w, "## %s — %s\n", t.ID, t.Title)
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = utf8.RuneCountInString(c)
+		widths[i] = len(c)
 	}
 	cells := make([][]string, len(t.Rows))
 	for r, row := range t.Rows {
 		cells[r] = make([]string, len(t.Columns))
 		cells[r][0] = row.Label
-		if n := utf8.RuneCountInString(row.Label); n > widths[0] {
-			widths[0] = n
-		}
+		widths[0] = max(widths[0], len(row.Label))
 		for i, v := range row.Values {
 			s := formatValue(v)
-			if i < len(row.Errs) && row.Errs[i] != 0 {
-				s += "±" + formatValue(row.Errs[i])
-			}
 			cells[r][i+1] = s
-			if n := utf8.RuneCountInString(s); n > widths[i+1] {
-				widths[i+1] = n
-			}
+			widths[i+1] = max(widths[i+1], len(s))
 		}
-	}
-	pad := func(s string, n int) string {
-		if d := n - utf8.RuneCountInString(s); d > 0 {
-			return strings.Repeat(" ", d)
-		}
-		return ""
 	}
 	writeRow := func(row []string) {
-		for i, c := range row {
-			if i == 0 {
-				fmt.Fprintf(w, "%s%s", c, pad(c, widths[i]))
-			} else {
-				fmt.Fprintf(w, "  %s%s", pad(c, widths[i]), c)
-			}
+		fmt.Fprintf(w, "%-*s", widths[0], row[0])
+		for i, c := range row[1:] {
+			fmt.Fprintf(w, "  %*s", widths[i+1], c)
 		}
 		fmt.Fprintln(w)
 	}

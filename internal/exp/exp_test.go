@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"morc/internal/sim"
 )
@@ -62,96 +61,6 @@ func TestTableRender(t *testing.T) {
 	for _, want := range []string{"## x — demo", "first", "1.500", "second"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestAddRowErr(t *testing.T) {
-	tab := &Table{ID: "x", Title: "demo", Columns: []string{"row", "a", "b"}}
-	tab.AddRowErr("bars", []float64{3.0915, 2}, []float64{0.12, 0})
-	tab.AddRowErr("exact", []float64{1, 2}, []float64{0, 0})
-	tab.AddRowErr("nil", []float64{1, 2}, nil)
-	if tab.Rows[0].Errs == nil {
-		t.Fatal("non-zero errs dropped")
-	}
-	// All-zero errs are dropped so exact rows stay byte-identical.
-	if tab.Rows[1].Errs != nil || tab.Rows[2].Errs != nil {
-		t.Fatal("zero errs kept")
-	}
-
-	var buf bytes.Buffer
-	tab.Render(&buf)
-	out := buf.String()
-	if !strings.Contains(out, "3.091±0.120") {
-		t.Fatalf("render lacks ± cell:\n%s", out)
-	}
-	// A zero per-cell err renders the plain value even in a bar row.
-	if strings.Contains(out, "2±") {
-		t.Fatalf("zero err rendered a bar:\n%s", out)
-	}
-	// Rune-counted widths: every rendered row is equally wide on screen
-	// despite the multi-byte ±.
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	width := utf8.RuneCountInString(lines[1])
-	for _, ln := range lines[1:] {
-		if utf8.RuneCountInString(ln) != width {
-			t.Fatalf("misaligned row %q (width %d, want %d)", ln, utf8.RuneCountInString(ln), width)
-		}
-	}
-
-	buf.Reset()
-	if err := tab.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	js := buf.String()
-	if !strings.Contains(js, `"errs"`) {
-		t.Fatalf("JSON lacks errs:\n%s", js)
-	}
-	if strings.Count(js, `"errs"`) != 1 {
-		t.Fatalf("errs emitted for exact rows:\n%s", js)
-	}
-}
-
-func TestAddRowErrArityPanics(t *testing.T) {
-	tab := &Table{Columns: []string{"row", "a", "b"}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched errs did not panic")
-		}
-	}()
-	tab.AddRowErr("x", []float64{1, 2}, []float64{1})
-}
-
-// TestFig6SampledErrorBars: a sampled budget surfaces the profiler's
-// error estimates as per-cell bars; the exact budget keeps every row
-// bar-free (ROADMAP leftover: bars existed on Result but were dropped
-// by table rendering).
-func TestFig6SampledErrorBars(t *testing.T) {
-	skipIfShort(t)
-	e, _ := Get("fig6")
-	b := tiny()
-	b.Workloads = []string{"gcc"}
-	b.Sampling = sim.SamplingConfig{IntervalInstr: 30_000, MaxClusters: 3, ReplayInstr: 10_000}
-	tables := e.Run(b)
-	found := false
-	for _, row := range tables[0].Rows {
-		if row.Label == "gcc" {
-			if len(row.Errs) != len(row.Values) {
-				t.Fatalf("sampled fig6a gcc row has no error bars: %+v", row)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no gcc row")
-	}
-
-	exact := e.Run(func() Budget { b := tiny(); b.Workloads = []string{"gcc"}; return b }())
-	for _, tab := range exact {
-		for _, row := range tab.Rows {
-			if row.Errs != nil {
-				t.Fatalf("exact run grew error bars: %s %s %+v", tab.ID, row.Label, row.Errs)
-			}
 		}
 	}
 }

@@ -119,7 +119,6 @@ func extSyncedThreads(b Budget) *Table {
 		cfg.WarmupInstr = b.Warmup / 4
 		cfg.MeasureInstr = b.Measure / 4
 		cfg.SampleEvery = b.SampleEvery
-		cfg.Sampling = b.Sampling
 		progs := trace.MultiProgramMixes()[mixes[mi]]
 		var ps []trace.Profile
 		if synced {

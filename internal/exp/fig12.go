@@ -41,7 +41,6 @@ func runFig12(b Budget) []*Table {
 		cfg.WarmupInstr = b.Warmup
 		cfg.MeasureInstr = b.Measure
 		cfg.SampleEvery = b.SampleEvery
-		cfg.Sampling = b.Sampling
 		cfg.Inclusive = jobs[j].inclusive
 		mc := core.DefaultConfig(cfg.LLCBytesPerCore)
 		mc.DisableCompression = true

@@ -35,7 +35,6 @@ func runFig14(b Budget) []*Table {
 		cfg.WarmupInstr = b.Warmup
 		cfg.MeasureInstr = b.Measure
 		cfg.SampleEvery = b.SampleEvery
-		cfg.Sampling = b.Sampling
 		run := sim.RunSingleSystem(workloads[i], cfg)
 		h := run.System.LLC().(*core.Cache).MorcStats().LatencyBytes
 		rows[i] = h.Fraction()

@@ -17,17 +17,6 @@ func init() {
 // fig6Schemes are the five series of Figure 6.
 func fig6Schemes() []sim.Scheme { return sim.ComparedSchemes() }
 
-// samplingErrs returns a sampled result's per-metric relative-error
-// estimates (zeros for exact runs, so error bars vanish from exact
-// tables).
-func samplingErrs(r sim.Result) (ipc, miss, ratio float64) {
-	if r.Sampling == nil {
-		return 0, 0, 0
-	}
-	b := r.Sampling.ErrorBars
-	return b.IPC, b.MissRate, b.CompRatio
-}
-
 // runSingleSet runs every (workload, scheme) pair of a single-program
 // experiment in parallel and returns results indexed [workload][scheme].
 func runSingleSet(b Budget, workloads []string, schemes []sim.Scheme, mutate func(*sim.Config)) [][]sim.Result {
@@ -47,7 +36,6 @@ func runSingleSet(b Budget, workloads []string, schemes []sim.Scheme, mutate fun
 		cfg.WarmupInstr = b.Warmup
 		cfg.MeasureInstr = b.Measure
 		cfg.SampleEvery = b.SampleEvery
-		cfg.Sampling = b.Sampling
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -85,42 +73,24 @@ func runFig6(b Budget) []*Table {
 	}
 	for wi, w := range workloads {
 		base := results[wi][0]
-		baseIPCErr, _, _ := samplingErrs(base)
 		var ratios, bws, ipcs, tputs []float64
-		var ratioE, bwE, ipcE, tputE []float64
 		for si := range schemes {
 			r := results[wi][si]
-			ipcErr, missErr, ratioErr := samplingErrs(r)
 			ratios = append(ratios, r.CompRatio)
 			bws = append(bws, r.GBPerBillionInstr)
-			ratioE = append(ratioE, ratioErr*r.CompRatio)
-			bwE = append(bwE, missErr*r.GBPerBillionInstr)
 			agg["ratio"][si] = append(agg["ratio"][si], r.CompRatio)
 			agg["bw"][si] = append(agg["bw"][si], r.GBPerBillionInstr)
 			if si > 0 {
 				ipcs = append(ipcs, pct(r.IPC, base.IPC))
 				tputs = append(tputs, pct(r.Throughput, base.Throughput))
-				// A ratio of two sampled estimates carries both runs'
-				// relative errors; the bar is on the improvement itself.
-				rel := ipcErr + baseIPCErr
-				if base.IPC > 0 {
-					ipcE = append(ipcE, 100*(r.IPC/base.IPC)*rel)
-				} else {
-					ipcE = append(ipcE, 0)
-				}
-				if base.Throughput > 0 {
-					tputE = append(tputE, 100*(r.Throughput/base.Throughput)*rel)
-				} else {
-					tputE = append(tputE, 0)
-				}
 				agg["ipc"][si] = append(agg["ipc"][si], r.IPC/base.IPC)
 				agg["tput"][si] = append(agg["tput"][si], r.Throughput/base.Throughput)
 			}
 		}
-		ratio.AddRowErr(w, ratios, ratioE)
-		bwT.AddRowErr(w, bws, bwE)
-		ipcT.AddRowErr(w, ipcs, ipcE)
-		tputT.AddRowErr(w, tputs, tputE)
+		ratio.AddRow(w, ratios...)
+		bwT.AddRow(w, bws...)
+		ipcT.AddRow(w, ipcs...)
+		tputT.AddRow(w, tputs...)
 	}
 	var am, gm []float64
 	for si := range schemes {

@@ -35,7 +35,6 @@ func runFig7(b Budget) []*Table {
 		cfg.WarmupInstr = b.Warmup
 		cfg.MeasureInstr = b.Measure
 		cfg.SampleEvery = b.SampleEvery
-		cfg.Sampling = b.Sampling
 		run := sim.RunSingleSystem(workloads[i], cfg)
 		st := run.System.LLC().(*core.Cache).SymbolStats()
 

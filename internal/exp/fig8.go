@@ -36,7 +36,6 @@ func runFig8(b Budget) []*Table {
 		cfg.WarmupInstr = b.Warmup / 4
 		cfg.MeasureInstr = b.Measure / 4
 		cfg.SampleEvery = b.SampleEvery
-		cfg.Sampling = b.Sampling
 		results[mi][si] = sim.RunMix(mixes[mi], cfg)
 	})
 

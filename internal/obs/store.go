@@ -5,8 +5,8 @@ import (
 )
 
 // Default store bounds: enough for every job a morcd instance keeps in
-// its own (also bounded) job table, with sampled runs' per-window spans
-// fitting comfortably under the per-trace cap.
+// its own (also bounded) job table, with every job's spans fitting
+// comfortably under the per-trace cap.
 const (
 	DefaultMaxTraces        = 512
 	DefaultMaxSpansPerTrace = 1024

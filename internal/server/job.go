@@ -69,14 +69,6 @@ type JobSpec struct {
 	// results stay byte-identical to plain sim runs.
 	Telemetry uint64 `json:"telemetry,omitempty"`
 
-	// Sampling, when set, runs the job in representative-interval
-	// sampling mode (sim.Config.Sampling): the Result (or every
-	// simulation of an experiment job) is an extrapolated estimate, and
-	// workload/mix results carry result.sampling describing the schedule
-	// and error bars. Like every other knob it is deterministic: the same
-	// spec always returns byte-identical results.
-	Sampling *sim.SamplingConfig `json:"sampling,omitempty"`
-
 	// Config holds sim.Config field overrides (JSON object, same field
 	// names as sim.Config) applied on top of the defaults and budget —
 	// e.g. {"BWPerCore": 1.6e9, "MeasureInstr": 500000}. Only provided
@@ -84,7 +76,9 @@ type JobSpec struct {
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
-// Validate checks the spec against the catalog of runnable work.
+// Validate checks the spec against the catalog of runnable work, and the
+// configuration a workload or mix job would run with against
+// sim.Config.Validate, so no job the simulator would reject is queued.
 func (sp JobSpec) Validate() error {
 	set := 0
 	for _, s := range []string{sp.Workload, sp.Mix, sp.Experiment} {
@@ -117,34 +111,28 @@ func (sp JobSpec) Validate() error {
 	if sp.Telemetry > 0 && sp.Experiment != "" {
 		return fmt.Errorf("telemetry streaming is only available for workload and mix jobs")
 	}
-	if sp.Sampling != nil {
-		if err := sp.Sampling.Validate(); err != nil {
-			return err
+	if len(sp.Config) == 0 && sp.Experiment != "" {
+		return nil
+	}
+	cfg, err := sp.simConfig()
+	if err != nil {
+		return fmt.Errorf("bad config overrides: %w", err)
+	}
+	if cfg.MORCConfig != nil {
+		if err := cfg.EffectiveMORCConfig().Validate(); err != nil {
+			return fmt.Errorf("bad MORCConfig override: %w", err)
 		}
 	}
-	if len(sp.Config) > 0 {
-		cfg, err := sp.simConfig()
-		if err != nil {
-			return fmt.Errorf("bad config overrides: %w", err)
-		}
-		// The job's system sets the core count, as sim.NewSingle and
-		// sim.NewMix do; experiment jobs run their own configurations.
-		cfg.Cores = 1
-		if sp.Mix != "" {
-			cfg.Cores = len(trace.MultiProgramMixes()[sp.Mix])
-		}
-		if cfg.MORCConfig != nil {
-			if err := cfg.EffectiveMORCConfig().Validate(); err != nil {
-				return fmt.Errorf("bad MORCConfig override: %w", err)
-			}
-		}
-		if sp.Experiment == "" {
-			if err := cfg.CheckGeometry(); err != nil {
-				return fmt.Errorf("bad cache geometry: %w", err)
-			}
-		}
+	if sp.Experiment != "" {
+		return nil // experiment jobs run their own configurations
 	}
-	return nil
+	// The job's system sets the core count, as sim.NewSingle and
+	// sim.NewMix do.
+	cfg.Cores = 1
+	if sp.Mix != "" {
+		cfg.Cores = len(trace.MultiProgramMixes()[sp.Mix])
+	}
+	return cfg.Validate()
 }
 
 // strictUnmarshal decodes JSON rejecting unknown fields, so typos in
@@ -164,9 +152,6 @@ func (sp JobSpec) budget() exp.Budget {
 	}
 	b.Workloads = sp.Workloads
 	b.Schemes = sp.Schemes
-	if sp.Sampling != nil {
-		b.Sampling = *sp.Sampling
-	}
 	return b
 }
 
@@ -179,9 +164,6 @@ func (sp JobSpec) simConfig() (sim.Config, error) {
 	cfg.MeasureInstr = b.Measure
 	cfg.SampleEvery = b.SampleEvery
 	cfg.Scheme = sp.Scheme
-	if sp.Sampling != nil {
-		cfg.Sampling = *sp.Sampling
-	}
 	if sp.Telemetry > 0 {
 		cfg.Telemetry.Every = sp.Telemetry
 	}
@@ -390,22 +372,15 @@ func (j *Job) notePhase(ev sim.PhaseEvent) {
 	j.phaseSp.End()
 	sp := j.runSp.StartSpan("sim." + ev.Phase)
 	sp.SetAttr("instr", strconv.FormatUint(ev.Instr, 10))
-	if ev.Window >= 0 {
-		sp.SetAttr("window", strconv.Itoa(ev.Window))
-		sp.SetAttr("interval", strconv.Itoa(ev.Interval))
-	}
 	j.phaseSp = sp
 }
 
 // endSpansLocked closes every open span for a job reaching the terminal
 // state st. Caller holds j.mu. Returns the run span's duration (0 for
 // jobs that never started).
-func (j *Job) endSpansLocked(st Status, res *sim.Result) time.Duration {
+func (j *Job) endSpansLocked(st Status) time.Duration {
 	j.phaseSp.End()
 	j.phaseSp = nil
-	if res != nil && res.Sampling != nil {
-		j.runSp.SetAttr("windows", strconv.Itoa(len(res.Sampling.Windows)))
-	}
 	runDur := j.runSp.End()
 	j.runSp = nil
 	j.queueSp.End() // non-nil only when cancelled while queued
@@ -433,10 +408,7 @@ func (j *Job) finish(st Status, res *sim.Result, tables []*exp.Table, errMsg str
 	if st == StatusDone {
 		j.progress = 1
 	}
-	m.spanObserved("run", j.endSpansLocked(st, res))
-	if res != nil && res.Sampling != nil {
-		m.sampledJob(len(res.Sampling.Windows), res.Sampling.SpeedupX)
-	}
+	m.spanObserved("run", j.endSpansLocked(st))
 	m.jobFinished(st, schemeLabel(j.Spec), j.finished.Sub(j.started).Seconds())
 	close(j.done)
 }
@@ -455,7 +427,7 @@ func (j *Job) requestCancel(m *metrics) {
 	if j.status == StatusQueued {
 		j.status = StatusCancelled
 		j.finished = time.Now()
-		j.endSpansLocked(StatusCancelled, nil)
+		j.endSpansLocked(StatusCancelled)
 		m.jobFinished(StatusCancelled, "", -1)
 		close(j.done)
 		j.mu.Unlock()

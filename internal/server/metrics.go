@@ -20,13 +20,6 @@ var durationBuckets = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120
 // in durationBuckets territory.
 var spanBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 
-// windowBuckets bound the windows-chosen histogram (sampling schedules
-// rarely exceed a few dozen representatives).
-var windowBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-
-// speedupBuckets bound the instruction-reduction-factor histogram.
-var speedupBuckets = []float64{1, 1.5, 2, 3, 5, 8, 12, 20, 50, 100}
-
 // histogram is a fixed-bucket Prometheus-style histogram.
 type histogram struct {
 	bounds []float64
@@ -73,9 +66,6 @@ type metrics struct {
 	byScheme    map[string]*histogram // job wall time by scheme label
 	bySpan      map[string]*histogram // span duration by phase label
 	sseDropped  uint64                // SSE fan-out frames dropped on slow subscribers
-	sampledJobs uint64                // jobs that ran with interval sampling
-	windows     *histogram            // sampling windows replayed per sampled job
-	speedup     *histogram            // instruction-reduction factor per sampled job
 }
 
 func newMetrics() *metrics {
@@ -87,8 +77,6 @@ func newMetrics() *metrics {
 		start:    time.Now(),
 		byScheme: map[string]*histogram{},
 		bySpan:   bySpan,
-		windows:  newHistogram(windowBuckets),
-		speedup:  newHistogram(speedupBuckets),
 	}
 }
 
@@ -148,19 +136,6 @@ func (m *metrics) sseDroppedFrames(n int) {
 	m.mu.Unlock()
 }
 
-// sampledJob records the sampling schedule a finished job actually ran:
-// how many representative windows were replayed and the instruction
-// reduction factor versus a full-fidelity run.
-func (m *metrics) sampledJob(windows int, speedup float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sampledJobs++
-	m.windows.observe(float64(windows))
-	if speedup > 0 {
-		m.speedup.observe(speedup)
-	}
-}
-
 // snapshot of counters for tests and /v1/status.
 type counters struct {
 	Submitted, Rejected, Done, Failed, Cancelled, SSEDropped uint64
@@ -188,16 +163,6 @@ func writeHistogram(w io.Writer, name, label, value string, h *histogram) {
 	fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, value, h.count)
 	fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, value, h.sum)
 	fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, value, h.count)
-}
-
-// writeBareHistogram emits an unlabelled histogram series.
-func writeBareHistogram(w io.Writer, name string, h *histogram) {
-	for i, bound := range h.bounds {
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, bound, h.counts[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.count)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count)
 }
 
 // write emits the Prometheus text exposition format (version 0.0.4).
@@ -280,18 +245,6 @@ func (m *metrics) write(dst io.Writer, queueDepth, queueCap, workers int) {
 	fmt.Fprintln(w, "# HELP morcd_sse_dropped_frames_total Telemetry frames dropped from slow SSE subscriber buffers.")
 	fmt.Fprintln(w, "# TYPE morcd_sse_dropped_frames_total counter")
 	fmt.Fprintf(w, "morcd_sse_dropped_frames_total %d\n", m.sseDropped)
-
-	fmt.Fprintln(w, "# HELP morcd_sampled_jobs_total Jobs that ran with representative-interval sampling.")
-	fmt.Fprintln(w, "# TYPE morcd_sampled_jobs_total counter")
-	fmt.Fprintf(w, "morcd_sampled_jobs_total %d\n", m.sampledJobs)
-
-	fmt.Fprintln(w, "# HELP morcd_sampling_windows Representative windows replayed per sampled job.")
-	fmt.Fprintln(w, "# TYPE morcd_sampling_windows histogram")
-	writeBareHistogram(w, "morcd_sampling_windows", m.windows)
-
-	fmt.Fprintln(w, "# HELP morcd_sampling_speedup Instruction-reduction factor per sampled job.")
-	fmt.Fprintln(w, "# TYPE morcd_sampling_speedup histogram")
-	writeBareHistogram(w, "morcd_sampling_speedup", m.speedup)
 	m.mu.Unlock()
 
 	dst.Write(buf.Bytes())

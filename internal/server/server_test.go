@@ -335,6 +335,19 @@ func TestSpecValidation(t *testing.T) {
 		{"partial MORCConfig override", `{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":{"ActiveLogs":0}}}`},
 		{"MORCConfig with 65 active logs", `{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":` + morcConfigJSON(t, 65) + `}}`},
 		{"not json", `{{{`},
+		{"removed sampling field", `{"workload":"gcc","sampling":{"IntervalInstr":15000}}`},
+		// Field names decode case-insensitively: this names sim.Config's
+		// field-less sampling shim.
+		{"removed sampling override", `{"workload":"gcc","config":{"sampling":{"IntervalInstr":15000}}}`},
+		{"removed MaxEpochs override", `{"workload":"gcc","config":{"Telemetry":{"Every":1,"MaxEpochs":1000000000}}}`},
+		{"removed LogReplacement override", `{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":` +
+			strings.Replace(morcConfigJSON(t, 8), "{", `{"LogReplacement":1,`, 1) + `}}`},
+		{"zero bandwidth", `{"workload":"gcc","config":{"BWPerCore":0}}`},
+		{"negative bandwidth", `{"workload":"gcc","config":{"BWPerCore":-1}}`},
+		{"zero clock", `{"workload":"gcc","config":{"ClockHz":0}}`},
+		{"zero ratio-sampling interval", `{"workload":"gcc","config":{"SampleEvery":0}}`},
+		{"no CGMT threads", `{"mix":"M0","config":{"Threads":0}}`},
+		{"negative LLC latency", `{"workload":"gcc","config":{"LLCLatency":-5}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))

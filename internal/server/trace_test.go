@@ -14,13 +14,12 @@ import (
 	"morc/internal/telemetry"
 )
 
-// sampledSpec is a quick sampled gcc job: small enough to finish fast,
-// sampled so the trace carries sim window/replay phase spans.
-func sampledSpec() JobSpec {
+// tracedSpec is a quick gcc job, small enough to finish fast; its trace
+// carries the sim warmup and measure phase spans.
+func tracedSpec() JobSpec {
 	return JobSpec{
 		Workload: "gcc",
 		Scheme:   sim.MORC,
-		Sampling: &sim.SamplingConfig{IntervalInstr: 15_000, MaxClusters: 3, ReplayInstr: 7_500},
 		Config:   json.RawMessage(`{"WarmupInstr": 60000, "MeasureInstr": 90000, "SampleEvery": 30000}`),
 	}
 }
@@ -44,7 +43,7 @@ func getTrace(t *testing.T, ts *httptest.Server, id string) obs.TraceExport {
 
 func TestTraceEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	resp, v := postJob(t, ts, sampledSpec())
+	resp, v := postJob(t, ts, tracedSpec())
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", resp.StatusCode)
 	}
@@ -54,9 +53,6 @@ func TestTraceEndpoint(t *testing.T) {
 	done := pollUntil(t, ts, v.ID, 30*time.Second, func(v JobView) bool { return v.Status.Terminal() })
 	if done.Status != StatusDone {
 		t.Fatalf("job ended %s: %s", done.Status, done.Error)
-	}
-	if done.Result == nil || done.Result.Sampling == nil {
-		t.Fatal("job did not sample")
 	}
 
 	te := getTrace(t, ts, v.ID)
@@ -86,11 +82,8 @@ func TestTraceEndpoint(t *testing.T) {
 		}
 	}
 	run := byName["run"][0]
-	if got, want := run.Attrs["windows"], len(done.Result.Sampling.Windows); got == "" {
-		t.Fatalf("run span missing windows attr (want %d)", want)
-	}
-	// Every sim phase parents to run; every scheduled window appears.
-	windows := 0
+	// The run has exactly one warmup and one measure phase, both under
+	// run, and no other sim phase.
 	simPhases := 0
 	for _, sp := range te.Spans {
 		if !strings.HasPrefix(sp.Name, "sim.") {
@@ -100,18 +93,13 @@ func TestTraceEndpoint(t *testing.T) {
 		if sp.ParentID != run.SpanID {
 			t.Fatalf("sim phase %s not parented to run", sp.Name)
 		}
-		if sp.Name == "sim.window" {
-			windows++
-			if sp.Attrs["window"] == "" || sp.Attrs["interval"] == "" {
-				t.Fatalf("window span missing attrs: %+v", sp)
-			}
+		if sp.Attrs["instr"] == "" {
+			t.Fatalf("phase span missing its instr attr: %+v", sp)
 		}
 	}
-	if simPhases == 0 {
-		t.Fatal("no sim phase spans recorded")
-	}
-	if windows != len(done.Result.Sampling.Windows) {
-		t.Fatalf("%d window spans for %d scheduled windows", windows, len(done.Result.Sampling.Windows))
+	if len(byName["sim.warmup"]) != 1 || len(byName["sim.measure"]) != 1 || simPhases != 2 {
+		t.Fatalf("sim phase spans: %d warmup, %d measure, %d in all; want one warmup and one measure",
+			len(byName["sim.warmup"]), len(byName["sim.measure"]), simPhases)
 	}
 
 	// NDJSON export: one parseable span per line, same count.
@@ -253,28 +241,6 @@ func TestSpanHistogramsExposed(t *testing.T) {
 		`morcd_span_duration_seconds_count{phase="queue"} 1`,
 		`morcd_span_duration_seconds_count{phase="run"} 1`,
 		`morcd_span_duration_seconds_bucket{phase="encode"`,
-		"morcd_sampled_jobs_total 0",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
-		}
-	}
-}
-
-// TestSamplingMetrics: a sampled job increments the sampled counter and
-// the windows/speedup histograms.
-func TestSamplingMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	_, v := postJob(t, ts, sampledSpec())
-	done := pollUntil(t, ts, v.ID, 30*time.Second, func(v JobView) bool { return v.Status.Terminal() })
-	if done.Status != StatusDone {
-		t.Fatalf("job ended %s: %s", done.Status, done.Error)
-	}
-	text := metricsText(t, ts)
-	for _, want := range []string{
-		"morcd_sampled_jobs_total 1",
-		"morcd_sampling_windows_count 1",
-		"morcd_sampling_speedup_count 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)

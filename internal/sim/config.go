@@ -97,18 +97,27 @@ type Config struct {
 	// pays only a nil check.
 	Telemetry telemetry.Config
 
-	// Sampling, when enabled (IntervalInstr > 0), switches the run to
-	// representative-interval sampling: profile, cluster, simulate only
-	// one window per cluster in detail, extrapolate (see sampling.go and
-	// morc/internal/sample). Result.Sampling then reports the schedule
-	// and error estimates. Composable with Telemetry (one epoch per
-	// measured window).
+	// Sampling holds nothing: every run simulates its whole window.
+	//
+	// Deprecated: see SamplingConfig.
 	Sampling SamplingConfig
 
 	// MORCConfig overrides the MORC configuration (nil = paper default
 	// for the LLC capacity). Used by the sensitivity studies.
 	MORCConfig *core.Config
 }
+
+// SamplingConfig has no fields and cannot enable anything, so a job
+// override naming a sampling parameter fails strict decoding.
+//
+// Deprecated: the simulator has no sampled mode; representative-interval
+// sampling was removed because, cold, it ran sampled MORC less than 2x
+// faster than a full run. The type stays only while cmd/morcperf's
+// replay still calls Enabled.
+type SamplingConfig struct{}
+
+// Enabled reports false: no run is sampled.
+func (SamplingConfig) Enabled() bool { return false }
 
 // DefaultConfig returns the Table 5 system for one core.
 func DefaultConfig() Config {
@@ -129,6 +138,31 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports whether New can build this configuration and the run
+// it describes means something: positive bandwidth and clock (the memory
+// controller divides by them), a nonzero ratio-sampling interval, at
+// least one CGMT thread, a non-negative LLC latency, and cache
+// geometries CheckGeometry accepts. NewSingle, NewMix and RunCtx return
+// its error; job validation calls it at submit.
+func (cfg Config) Validate() error {
+	switch {
+	case !(cfg.BWPerCore > 0):
+		return fmt.Errorf("bad config: BWPerCore %v must be positive", cfg.BWPerCore)
+	case !(cfg.ClockHz > 0):
+		return fmt.Errorf("bad config: ClockHz %v must be positive", cfg.ClockHz)
+	case cfg.SampleEvery == 0:
+		return fmt.Errorf("bad config: SampleEvery must be positive")
+	case cfg.Threads < 1:
+		return fmt.Errorf("bad config: Threads %d must be at least 1", cfg.Threads)
+	case cfg.LLCLatency < 0:
+		return fmt.Errorf("bad config: LLCLatency %d must not be negative", cfg.LLCLatency)
+	}
+	if err := cfg.CheckGeometry(); err != nil {
+		return fmt.Errorf("bad cache geometry: %w", err)
+	}
+	return nil
+}
+
 // NewLLC builds the configured LLC organization. New calls it, and
 // test harnesses (internal/check) use it to obtain the exact
 // cache-under-test the simulator would run for a given Config. It
@@ -144,8 +178,7 @@ func (cfg Config) NewLLC() cache.LLC {
 // CheckGeometry reports whether New can build this configuration's
 // caches: the private L1s, and the LLC of cfg.Scheme for cfg.Cores
 // cores. Each is checked by the rule its constructor panics on, so a
-// configuration that passes builds. Job validation calls it to reject
-// a bad geometry at submit.
+// configuration that passes builds. Validate calls it.
 func (cfg Config) CheckGeometry() error {
 	if err := cache.CheckGeometry(cfg.L1Bytes, cfg.L1Ways); err != nil {
 		return fmt.Errorf("L1: %w", err)

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"morc/internal/trace"
 )
 
 // TestRunCtxCancelMidMeasurement cancels a run once the measurement
@@ -86,25 +88,74 @@ func TestRunCtxCancelledBeforeStart(t *testing.T) {
 
 // TestRunPanicsOnRunCtxError covers sim.Run's panic path: Run promises
 // an infallible signature and must panic loudly when RunCtx fails (here
-// on a sampling configuration RunCtx rejects before touching any core).
+// on a thread count RunCtx rejects before touching any core; New builds
+// the system, since nothing it constructs depends on Threads).
 func TestRunPanicsOnRunCtxError(t *testing.T) {
 	cfg := boundaryCfg(Uncompressed)
-	cfg.Sampling = SamplingConfig{IntervalInstr: 10_000, MaxClusters: -1}
-	s, err := NewSingle("gcc", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Cores = 1
+	cfg.Threads = 0
+	s := New(cfg, []trace.Profile{trace.MustGet("gcc")})
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("Run did not panic on RunCtx error")
 		}
 		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "MaxClusters") {
-			t.Fatalf("panic value %v, want message naming MaxClusters", r)
+		if !ok || !strings.Contains(msg, "Threads") {
+			t.Fatalf("panic value %v, want message naming Threads", r)
 		}
 	}()
 	s.Run()
+}
+
+// badConfigs are overrides Config.Validate rejects. Each of the first
+// four once panicked in mem.NewController or stats.NewSampler; a
+// negative LLCLatency wrapped through uint64 into an LLC faster than
+// free, and zero Threads reported throughput below IPC.
+var badConfigs = []struct {
+	name   string
+	mutate func(*Config)
+}{
+	{"BWPerCore 0", func(c *Config) { c.BWPerCore = 0 }},
+	{"BWPerCore -1", func(c *Config) { c.BWPerCore = -1 }},
+	{"ClockHz 0", func(c *Config) { c.ClockHz = 0 }},
+	{"SampleEvery 0", func(c *Config) { c.SampleEvery = 0 }},
+	{"Threads 0", func(c *Config) { c.Threads = 0 }},
+	{"LLCLatency -5", func(c *Config) { c.LLCLatency = -5 }},
+	{"L1Ways 3", func(c *Config) { c.L1Ways = 3 }},
+	{"LLC of 0 bytes", func(c *Config) { c.LLCBytesPerCore = 0 }},
+}
+
+// TestRunCtxRejectsBadConfig: RunSingleCtx, RunMixCtx and RunCtx return
+// Config.Validate's error for every bad configuration, without a panic
+// and before simulating anything.
+func TestRunCtxRejectsBadConfig(t *testing.T) {
+	for _, bc := range badConfigs {
+		t.Run(bc.name, func(t *testing.T) {
+			cfg := boundaryCfg(MORC)
+			bc.mutate(&cfg)
+			if cfg.Validate() == nil {
+				t.Fatal("Validate accepted the configuration")
+			}
+			if _, err := RunSingleCtx(context.Background(), "gcc", cfg); err == nil {
+				t.Error("RunSingleCtx returned no error")
+			}
+			if _, err := RunMixCtx(context.Background(), "M0", cfg); err == nil {
+				t.Error("RunMixCtx returned no error")
+			}
+		})
+	}
+	// RunCtx checks a system New could build.
+	cfg := boundaryCfg(MORC)
+	cfg.Cores = 1
+	cfg.LLCLatency = -5
+	s := New(cfg, []trace.Profile{trace.MustGet("gcc")})
+	if _, err := s.RunCtx(context.Background()); err == nil || !strings.Contains(err.Error(), "LLCLatency") {
+		t.Errorf("RunCtx error = %v, want one naming LLCLatency", err)
+	}
+	if s.cores[0].instr != 0 {
+		t.Errorf("RunCtx simulated %d instructions of a rejected configuration", s.cores[0].instr)
+	}
 }
 
 // TestRunCtxMatchesRun: the context plumbing must not change results.

@@ -31,9 +31,6 @@ func (s *System) runScan(ctx context.Context) error {
 			return nil
 		}
 		s.step(pick)
-		if pick.instr >= pick.snapAt {
-			s.windowSnap(pick)
-		}
 		if steps++; steps >= checkEvery {
 			steps = 0
 			select {
@@ -72,7 +69,7 @@ func (s *System) runScan(ctx context.Context) error {
 
 // runFullScan is RunCtx's full-fidelity path with runScan as the loop.
 func (s *System) runFullScan(ctx context.Context) (Result, error) {
-	s.emitPhase("warmup", -1, -1)
+	s.emitPhase("warmup")
 	for _, c := range s.cores {
 		c.target = s.cfg.WarmupInstr
 	}
@@ -80,7 +77,7 @@ func (s *System) runFullScan(ctx context.Context) (Result, error) {
 		return Result{}, err
 	}
 	s.beginMeasurement()
-	s.emitPhase("measure", -1, -1)
+	s.emitPhase("measure")
 	for _, c := range s.cores {
 		c.target = c.instr + s.cfg.MeasureInstr
 	}

@@ -56,11 +56,6 @@ type Result struct {
 	// per-epoch deltas sum to this Result's window totals and its
 	// sample-weighted mean ratio reproduces CompRatio.
 	Telemetry *telemetry.Series `json:"telemetry,omitempty"`
-	// Sampling describes the representative-interval schedule when the
-	// run used Config.Sampling (nil on full-fidelity runs): the windows
-	// simulated, the instruction-reduction factor, and the profiling
-	// pass's error estimates.
-	Sampling *SamplingInfo `json:"sampling,omitempty"`
 }
 
 // collect computes the Result after the measurement window.
@@ -149,17 +144,9 @@ func (s *System) collect() Result {
 	return res
 }
 
+// computeEnergy applies the Table 7 model to the window's events.
 func (s *System) computeEnergy(res Result) energy.Breakdown {
 	ms := s.memctl.Stats()
-	return s.energyFor(res, (ms.Reads+ms.Writes)-(s.memSnap.Reads+s.memSnap.Writes))
-}
-
-// energyFor applies the Table 7 model to a Result plus a DRAM access
-// count. collect passes the live controller delta; sampled runs pass the
-// population-extrapolated count (the model is linear in events, so
-// applying it once to extrapolated events equals the weighted sum of
-// per-window breakdowns).
-func (s *System) energyFor(res Result, dramAccesses uint64) energy.Breakdown {
 	p := energy.ForScheme(s.cfg.Scheme.String())
 	p.ClockHz = s.cfg.ClockHz
 	if s.cfg.Scheme == Uncompressed8x {
@@ -174,7 +161,7 @@ func (s *System) energyFor(res Result, dramAccesses uint64) energy.Breakdown {
 		Cores:             s.cfg.Cores,
 		L1Accesses:        refs,
 		LLCAccesses:       res.LLCStats.Reads + res.LLCStats.Fills + res.LLCStats.WriteBacks,
-		DRAMAccesses:      dramAccesses,
+		DRAMAccesses:      (ms.Reads + ms.Writes) - (s.memSnap.Reads + s.memSnap.Writes),
 		Compressions:      res.LLCStats.Compressions,
 		DecompressedBytes: res.LLCStats.Decompressed,
 	}

@@ -17,8 +17,8 @@ func RunSingle(workload string, cfg Config) Result {
 }
 
 // RunSingleCtx is RunSingle under a context: the run stops early with
-// ctx.Err() if cancelled, and unknown workloads are an error instead of
-// a panic.
+// ctx.Err() if cancelled, and unknown workloads and configurations
+// Config.Validate rejects are an error instead of a panic.
 func RunSingleCtx(ctx context.Context, workload string, cfg Config) (Result, error) {
 	s, err := NewSingle(workload, cfg)
 	if err != nil {
@@ -27,11 +27,15 @@ func RunSingleCtx(ctx context.Context, workload string, cfg Config) (Result, err
 	return s.RunCtx(ctx)
 }
 
-// NewSingle builds a single-core system running the given workload.
+// NewSingle builds a single-core system running the given workload, or
+// returns the error Config.Validate reports for cfg on one core.
 func NewSingle(workload string, cfg Config) (*System, error) {
 	cfg.Cores = 1
 	p, err := trace.Get(workload)
 	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return New(cfg, []trace.Profile{p}), nil
@@ -56,7 +60,8 @@ func RunMixCtx(ctx context.Context, mixName string, cfg Config) (Result, error) 
 	return s.RunCtx(ctx)
 }
 
-// NewMix builds the 16-core system for one of Table 6's mixes.
+// NewMix builds the 16-core system for one of Table 6's mixes, or
+// returns the error Config.Validate reports for cfg on its cores.
 func NewMix(mixName string, cfg Config) (*System, error) {
 	mixes := trace.MultiProgramMixes()
 	progs, ok := mixes[mixName]
@@ -64,6 +69,9 @@ func NewMix(mixName string, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("unknown mix %q", mixName)
 	}
 	cfg.Cores = len(progs)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	return New(cfg, trace.MixPrograms(progs)), nil
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"morc/internal/cache"
@@ -44,17 +43,6 @@ type coreState struct {
 	missLat   *stats.Histogram
 	startCyc  uint64
 	startInst uint64
-
-	// Window-boundary snapshots for sampled segment phases (sampling.go):
-	// when this core's instr crosses snapAt, run records a winSnap of the
-	// core-private counters into snaps[snapIdx] (preallocated per
-	// segment) and advances snapAt to the next boundary in
-	// System.snapBounds. Disarmed (snapAt == ^uint64(0)) everywhere
-	// outside a sampled measurement phase, so full runs pay one
-	// always-false comparison per access.
-	snapAt  uint64
-	snapIdx int
-	snaps   []winSnap
 }
 
 // System wires cores, the shared LLC, and the memory channel together.
@@ -63,9 +51,6 @@ type System struct {
 	cores  []*coreState
 	llc    cache.LLC
 	memctl *mem.Controller
-	// programs are the per-core workload profiles, retained so sampled
-	// runs can hand them to the profiling pass (morc/internal/sample).
-	programs []trace.Profile
 
 	ratio     *stats.Sampler
 	sampleAt  uint64
@@ -73,19 +58,6 @@ type System struct {
 	memSnap   mem.Stats
 	measuring bool
 	tel       *telemetry.Recorder
-
-	// Sampled-run segment state (sampling.go): snapBounds are the
-	// ascending per-core instruction boundaries of the current segment
-	// phase, snapCrossed[j] counts cores that have crossed boundary j,
-	// and cuts[j] is the consistent global snapshot taken the moment the
-	// last core crosses boundary j. boundPhases[j], when its Phase is
-	// non-empty, is the OnPhase event announcing the region that begins
-	// at boundary j; windowSnap emits it at the last-core crossing.
-	snapBounds  []uint64
-	snapCrossed []int
-	cuts        []segCut
-	snapTel     bool
-	boundPhases []PhaseEvent
 
 	// OnProgress, when set, is called at most every checkEvery accesses
 	// with the instructions retired so far (clamped to the total) and the
@@ -104,37 +76,34 @@ type System struct {
 	// OnPhase, when set before RunCtx, receives each simulation phase
 	// transition synchronously: every event marks the BEGINNING of a
 	// phase on the instruction clock and implicitly ends the previous
-	// one (the run's end ends the last). Full runs announce "warmup"
-	// then "measure"; sampled runs announce "fastforward", "warmup",
-	// "replay", and one "window" per replayed representative window.
-	// Events carry instruction counts only — no wall-clock enters the
-	// deterministic core; morcd stamps times at the service layer to
-	// build sim-phase trace spans. Same contract as the other hooks:
-	// cheap, and no calling back into the System.
+	// one (the run's end ends the last). A run announces "warmup" then
+	// "measure". Events carry instruction counts only — no wall-clock
+	// enters the deterministic core; morcd stamps times at the service
+	// layer to build sim-phase trace spans. Same contract as the other
+	// hooks: cheap, and no calling back into the System.
 	OnPhase func(PhaseEvent)
 }
 
-// PhaseEvent is one OnPhase notification. For "window" phases Window is
-// the window's 0-based sequence number across the whole run (schedule
-// order) and Interval its representative interval index; both are -1
-// otherwise. Instr is total instructions retired across cores when the
-// phase begins. Identical same-seed runs produce identical event
-// sequences.
+// PhaseEvent is one OnPhase notification. Instr is total instructions
+// retired across cores when the phase begins. Identical same-seed runs
+// produce identical event sequences.
 type PhaseEvent struct {
-	Phase    string
-	Window   int
-	Interval int
-	Instr    uint64
+	Phase string
+	Instr uint64
 }
 
 // emitPhase announces a phase beginning at the current instruction
 // position. Only called at phase boundaries, never on the per-access
 // path.
-func (s *System) emitPhase(phase string, window, interval int) {
+func (s *System) emitPhase(phase string) {
 	if s.OnPhase == nil {
 		return
 	}
-	s.OnPhase(PhaseEvent{Phase: phase, Window: window, Interval: interval, Instr: s.totalInstr()})
+	var instr uint64
+	for _, c := range s.cores {
+		instr += c.instr
+	}
+	s.OnPhase(PhaseEvent{Phase: phase, Instr: instr})
 }
 
 // checkEvery is how many accesses pass between context-cancellation and
@@ -156,16 +125,14 @@ func New(cfg Config, programs []trace.Profile) *System {
 			BandwidthBytesPerSec: cfg.BWPerCore * float64(cfg.Cores),
 			AccessLatency:        cfg.MemLatency,
 		}),
-		ratio:    stats.NewSampler(cfg.SampleEvery),
-		programs: append([]trace.Profile(nil), programs...),
+		ratio: stats.NewSampler(cfg.SampleEvery),
 	}
 	for i, p := range programs {
 		s.cores = append(s.cores, &coreState{
-			id:     i,
-			gen:    trace.NewSynthGen(p),
-			memv:   trace.NewMemory(p),
-			l1:     cache.NewSetAssoc(cfg.L1Bytes, cfg.L1Ways, cache.LRU),
-			snapAt: ^uint64(0),
+			id:   i,
+			gen:  trace.NewSynthGen(p),
+			memv: trace.NewMemory(p),
+			l1:   cache.NewSetAssoc(cfg.L1Bytes, cfg.L1Ways, cache.LRU),
 		})
 	}
 	return s
@@ -330,9 +297,6 @@ func (s *System) run(ctx context.Context) error {
 		} else {
 			ready.down(0)
 		}
-		if pick.instr >= pick.snapAt {
-			s.windowSnap(pick)
-		}
 		if steps++; steps >= checkEvery {
 			steps = 0
 			select {
@@ -435,27 +399,16 @@ func (s *System) Run() Result {
 }
 
 // RunCtx is Run under a context: warmup, then the measurement window,
-// returning the collected result. If ctx is cancelled mid-run it stops
-// within checkEvery accesses and returns ctx.Err() with a zero Result;
-// the System's counters stay internally consistent (each core simply
-// halts short of its target) but the run cannot be resumed.
+// returning the collected result. It returns the error Config.Validate
+// reports before simulating anything. If ctx is cancelled mid-run it
+// stops within checkEvery accesses and returns ctx.Err() with a zero
+// Result; the System's counters stay internally consistent (each core
+// simply halts short of its target) but the run cannot be resumed.
 func (s *System) RunCtx(ctx context.Context) (Result, error) {
-	if s.cfg.Sampling.Enabled() {
-		if err := s.cfg.Sampling.Validate(); err != nil {
-			return Result{}, err
-		}
-		// Fewer than two whole intervals means there is nothing to
-		// sample between; fall through to the full-fidelity run
-		// (Result.Sampling stays nil). Likewise when clustering turns
-		// out degenerate (every interval its own representative).
-		if s.cfg.sampledIntervals() >= 2 {
-			res, err := s.runSampled(ctx)
-			if !errors.Is(err, errSamplingDegenerate) {
-				return res, err
-			}
-		}
+	if err := s.cfg.Validate(); err != nil {
+		return Result{}, err
 	}
-	s.emitPhase("warmup", -1, -1)
+	s.emitPhase("warmup")
 	for _, c := range s.cores {
 		c.target = s.cfg.WarmupInstr
 	}
@@ -463,7 +416,7 @@ func (s *System) RunCtx(ctx context.Context) (Result, error) {
 		return Result{}, err
 	}
 	s.beginMeasurement()
-	s.emitPhase("measure", -1, -1)
+	s.emitPhase("measure")
 	for _, c := range s.cores {
 		c.target = c.instr + s.cfg.MeasureInstr
 	}
@@ -488,8 +441,7 @@ func (s *System) RunCtx(ctx context.Context) (Result, error) {
 
 // beginMeasurement snapshots counters so the measurement window reports
 // deltas, resets the per-core window counters, and opens the window.
-// RunCtx calls it once after warmup; sampled runs call it once per
-// representative window.
+// RunCtx calls it once, after warmup.
 func (s *System) beginMeasurement() {
 	s.llcSnap = *s.llc.Stats()
 	s.memSnap = *s.memctl.Stats()

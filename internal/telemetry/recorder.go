@@ -27,12 +27,6 @@ func NewRecorder(cfg Config, scheme string, onEpoch func(Epoch)) *Recorder {
 	if cfg.Every == 0 {
 		panic("telemetry: NewRecorder with Every == 0 (gate on Config.Enabled)")
 	}
-	if cfg.MaxEpochs <= 0 {
-		cfg.MaxEpochs = DefaultMaxEpochs
-	}
-	if cfg.MaxEpochs < 2 {
-		cfg.MaxEpochs = 2
-	}
 	return &Recorder{
 		cfg:     cfg,
 		onEpoch: onEpoch,
@@ -139,7 +133,7 @@ func (r *Recorder) emit(s Sample) {
 	if r.onEpoch != nil {
 		r.onEpoch(e)
 	}
-	if len(r.series.Epochs) > r.cfg.MaxEpochs {
+	if len(r.series.Epochs) > DefaultMaxEpochs {
 		r.compact()
 	}
 }

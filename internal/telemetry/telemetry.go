@@ -32,7 +32,9 @@ const DefaultEvery = 10_000_000
 // DefaultMaxEpochs bounds a series' memory. When a run produces more
 // epochs than this, adjacent epochs are merged pairwise and the epoch
 // length doubles, so arbitrarily long runs keep a bounded, uniformly
-// gridded series instead of growing without limit or dropping data.
+// gridded series instead of growing without limit or dropping data. It
+// is not configurable: a job could otherwise lift the bound and make its
+// result grow with its instruction count.
 const DefaultMaxEpochs = 4096
 
 // Config parameterizes a Recorder. It lives on sim.Config (and is
@@ -41,10 +43,6 @@ type Config struct {
 	// Every is the epoch length in retired instructions summed across
 	// all cores. 0 disables telemetry entirely.
 	Every uint64
-	// MaxEpochs caps the series length (0 = DefaultMaxEpochs). On
-	// overflow the recorder compacts: epochs merge pairwise and Every
-	// doubles.
-	MaxEpochs int
 }
 
 // Enabled reports whether a Recorder should be created at all.

@@ -109,22 +109,27 @@ func TestRecorderFinishFoldsTrailingSamples(t *testing.T) {
 	}
 }
 
+// TestRecorderCompaction drives a recorder past the real cap,
+// DefaultMaxEpochs, which no configuration can lift.
 func TestRecorderCompaction(t *testing.T) {
+	const records = 2 * DefaultMaxEpochs
 	var streamed int
-	r := NewRecorder(Config{Every: 10, MaxEpochs: 4}, "", func(Epoch) { streamed++ })
+	r := NewRecorder(Config{Every: 10}, "", func(Epoch) { streamed++ })
 	r.Begin(sampleAt(0))
-	for i := uint64(1); i <= 8; i++ {
+	for i := uint64(1); i <= records; i++ {
 		r.Record(sampleAt(i * 10))
 	}
-	s := r.Finish(sampleAt(85))
+	end := uint64(records*10 + 5)
+	s := r.Finish(sampleAt(end))
 
 	// Every epoch streams at its original grid before compaction folds it:
-	// 8 records plus the final partial epoch Finish emits.
-	if streamed != 9 {
-		t.Errorf("streamed %d epochs, want 9", streamed)
+	// every record plus the final partial epoch Finish emits.
+	if streamed != records+1 {
+		t.Errorf("streamed %d epochs, want %d", streamed, records+1)
 	}
-	// Compaction fires each time the series exceeds 4 epochs, doubling the
-	// grid 10 -> 20 -> 40 -> 80 over the run.
+	// Compaction fires each time the series exceeds DefaultMaxEpochs
+	// epochs, leaving DefaultMaxEpochs/2+1 of them: at records 4097 and
+	// 6145, and at Finish, doubling the grid 10 -> 20 -> 40 -> 80.
 	if s.Every != 80 {
 		t.Errorf("post-compaction grid %d, want 80", s.Every)
 	}
@@ -132,10 +137,10 @@ func TestRecorderCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Conservation across merges.
-	if tot := s.Totals(); tot.Instr != 85 || tot.LLCReads != 8 {
+	if tot := s.Totals(); tot.Instr != end || tot.LLCReads != end/10 {
 		t.Errorf("compacted totals %+v do not conserve the window", tot)
 	}
-	if len(s.Epochs) > 4 {
+	if len(s.Epochs) > DefaultMaxEpochs {
 		t.Errorf("series still holds %d epochs after compaction", len(s.Epochs))
 	}
 }
