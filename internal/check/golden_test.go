@@ -12,7 +12,10 @@ import (
 	"morc/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
+var (
+	update     = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
+	fullBudget = flag.Bool("full-budget", false, "also run the goldens pinned at exp.Full (about a minute each on 2 CPUs)")
+)
 
 // goldenTol is the relative tolerance for simulator-derived metrics.
 // The simulator is fully deterministic, so goldens normally match
@@ -20,13 +23,24 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // differences across platforms while still catching real drift.
 const goldenTol = 1e-6
 
-// goldenCase pins one experiment at a tiny fixed budget. The budgets
-// are far below the paper's (the goldens are regression anchors, not
-// results); what matters is that they are deterministic and fast.
+// goldenCase pins one experiment at a fixed budget. Most budgets are
+// far below the paper's (the goldens are regression anchors, not
+// results); what matters is that they are deterministic and fast. A
+// full case pins the reproduction budget, whose long runs no tiny
+// budget reaches, and runs only under -full-budget.
 type goldenCase struct {
 	name   string
+	file   string // golden file stem, and the subtest name; name if empty
 	budget exp.Budget
 	heavy  bool // skipped under -short
+	full   bool // run only under -full-budget
+}
+
+func (gc goldenCase) stem() string {
+	if gc.file != "" {
+		return gc.file
+	}
+	return gc.name
 }
 
 func goldenCases() []goldenCase {
@@ -42,6 +56,8 @@ func goldenCases() []goldenCase {
 	}
 	return []goldenCase{
 		{name: "fig6", budget: tiny, heavy: true},
+		{name: "fig6", file: "fig6-full", budget: exp.Full(), heavy: true, full: true},
+		{name: "fig7", budget: tiny, heavy: true},
 		{name: "fig8", budget: fig8, heavy: true},
 		{name: "fig9", budget: tiny, heavy: true},
 		// Static tables need no simulation and stay in the -short lane.
@@ -52,15 +68,22 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// TestGoldenResults runs each pinned experiment at its tiny budget and
-// compares every metric against testdata/golden/<name>.json. Regenerate
+// TestGoldenResults runs each pinned experiment at its budget and
+// compares every metric against testdata/golden/<stem>.json. Regenerate
 // after an intentional change with:
 //
-//	go test ./internal/check -run TestGoldenResults -update
+//	go test ./internal/check -run TestGoldenResults -update [-full-budget]
+//
+// The full-budget goldens run only with -full-budget:
+//
+//	go test ./internal/check -run TestGoldenResults/fig6-full -full-budget
 func TestGoldenResults(t *testing.T) {
 	for _, gc := range goldenCases() {
 		gc := gc
-		t.Run(gc.name, func(t *testing.T) {
+		t.Run(gc.stem(), func(t *testing.T) {
+			if gc.full && !*fullBudget {
+				t.Skip("full-budget golden; run with -full-budget")
+			}
 			if gc.heavy && testing.Short() {
 				t.Skip("heavy golden run; use the full (non -short) lane")
 			}
@@ -69,7 +92,7 @@ func TestGoldenResults(t *testing.T) {
 				t.Fatalf("experiment %q is not registered", gc.name)
 			}
 			got := e.Run(gc.budget)
-			path := filepath.Join("testdata", "golden", gc.name+".json")
+			path := filepath.Join("testdata", "golden", gc.stem()+".json")
 			if *update {
 				fh, err := os.Create(path)
 				if err != nil {

@@ -177,6 +177,13 @@ var parityCases = []parityCase{
 		want: `400 {"error":"bad config overrides: json: unknown field \"Warmup\""}`,
 	},
 	{
+		// An experiment runs its own configurations, so overrides it
+		// would ignore are refused.
+		name: "config on an experiment job",
+		do:   request("POST", "/v1/jobs", `{"experiment":"fig7","config":{"WarmupInstr":1,"MeasureInstr":1,"BWPerCore":0}}`),
+		want: `400 {"error":"config overrides are only available for workload and mix jobs (an experiment runs its own configurations)"}`,
+	},
+	{
 		name: "unknown workload",
 		do:   request("POST", "/v1/jobs", `{"workload":"nope"}`),
 		want: `400 {"error":"trace: unknown workload \"nope\""}`,

@@ -14,10 +14,10 @@ import (
 var tinyConfig = Config{Dict32: 4, Dict64: 2, Dict128: 2, Dict256: 2}
 
 // diffRun drives an Encoder and the reference encoder through the same
-// interleaving of trials, drops, commits, resets and dictionary
-// hand-offs, failing on the first divergence in trial sizes, committed
-// streams, symbol counts or dictionaries, and checking that the
-// Encoder's stream decodes back to what was committed.
+// interleaving of trials, drops, commits and resets, failing on the
+// first divergence in trial sizes, committed streams, symbol counts or
+// dictionaries, and checking that the Encoder's stream decodes back to
+// what was committed.
 type diffRun struct {
 	t         testing.TB
 	cfg       Config
@@ -81,62 +81,17 @@ func (d *diffRun) step(op byte, b, alt []byte) {
 			t.Fatalf("AppendCommit=%d bits, reference %d", got, want)
 		}
 		d.committed = append(d.committed, b)
-	default: // occasionally recycle the log, in place or by a hand-off
+	default: // occasionally recycle the log
 		if op&0x38 != 0 {
 			d.step(2, b, alt)
 			return
 		}
 		d.finish()
-		if op&0x40 != 0 {
-			d.handOff(b)
-		} else {
-			d.enc.Reset()
-		}
+		d.enc.Reset()
 		d.ref = newRefEncoder(d.cfg)
 		d.committed = nil
 	}
 	d.compare()
-}
-
-// handOff moves the encoder's dictionaries to a fresh, closed encoder,
-// the way MORC passes an active slot's set from the log it closes to the
-// log that replaces it, and continues the run on the new encoder. The
-// closed encoder must keep its stream and symbol counts and refuse every
-// append.
-func (d *diffRun) handOff(b []byte) {
-	t := d.t
-	t.Helper()
-	old, next := d.enc, new(Encoder)
-	bits, stream, stats := old.Bits(), append([]byte(nil), old.Bytes()...), old.Stats()
-	p := old.Append(b)
-	old.HandOff(next)
-	if !old.Closed() || next.Closed() {
-		t.Fatalf("after HandOff: old closed %v, new closed %v", old.Closed(), next.Closed())
-	}
-	if old.Bits() != bits || !bytes.Equal(old.Bytes(), stream) || old.Stats() != stats {
-		t.Fatal("HandOff changed the closed encoder's stream or symbol counts")
-	}
-	for _, c := range []struct {
-		name string
-		f    func()
-	}{
-		{"TrialBits", func() { old.TrialBits(b) }},
-		{"Append", func() { old.Append(b) }},
-		{"AppendCommit", func() { old.AppendCommit(b) }},
-		{"Commit", func() { old.Commit(p) }},
-		{"HandOff", func() { old.HandOff(new(Encoder)) }},
-	} {
-		if !panics(c.f) {
-			t.Fatalf("%s on a closed encoder did not panic", c.name)
-		}
-	}
-	if old.Bits() != bits {
-		t.Fatal("a refused append changed the closed encoder's stream")
-	}
-	if !panics(func() { next.HandOff(NewEncoder(d.cfg)) }) {
-		t.Fatal("HandOff to an encoder that holds dictionaries did not panic")
-	}
-	d.enc = next
 }
 
 func (d *diffRun) compare() {
@@ -152,11 +107,11 @@ func (d *diffRun) compare() {
 	if d.enc.InputBytes() != d.ref.InputBytes() {
 		t.Fatalf("InputBytes %d, reference %d", d.enc.InputBytes(), d.ref.InputBytes())
 	}
-	if err := checkTables(d.enc.dicts); err != nil {
+	if err := checkTables(&d.enc.dicts); err != nil {
 		t.Fatal(err)
 	}
 	for lvl, want := range d.ref.dicts {
-		got := entryBytes(d.enc.dicts, lvl)
+		got := entryBytes(&d.enc.dicts, lvl)
 		if len(got) != len(want.entries) {
 			t.Fatalf("level %d: %d dictionary entries, reference %d", lvl, len(got), len(want.entries))
 		}

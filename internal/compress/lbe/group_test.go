@@ -6,66 +6,90 @@ import (
 	"morc/internal/rng"
 )
 
-// groupRun drives a Group through commits to random slots and slot
-// recycles, checking before every commit that the group's trial sizes
-// equal each slot encoder's own TrialBits (the per-log loop the group
-// replaces), and the index after every step.
+// groupRun drives a Group through kept trials and slot resets next to
+// its oracle: an Encoder per slot, fed exactly the blocks the slot
+// keeps and reset with it, which is the encode-on-commit kept trials
+// replace. Before every Keep it checks the group's trial sizes against
+// each oracle's TrialBits; after it, the kept bits and symbols against
+// what the oracle's AppendCommit coded and the slot's dictionaries
+// against the oracle's; and the index after every step.
 type groupRun struct {
-	t testing.TB
-	g *Group
+	t      testing.TB
+	g      *Group
+	oracle []*Encoder
 }
 
-// insert sizes b in every slot, against the oracle, and commits it to
-// slot pick (mod the slot count).
-func (gr *groupRun) insert(b []byte, pick int) {
+func newGroupRun(t testing.TB, cfg Config, n int) *groupRun {
+	gr := &groupRun{t: t, g: NewGroup(cfg, n)}
+	for i := 0; i < n; i++ {
+		gr.oracle = append(gr.oracle, NewEncoder(cfg))
+	}
+	return gr
+}
+
+// insert sizes b in every slot, or in slot pick alone when single is
+// set, and keeps it in slot pick (mod the slot count).
+func (gr *groupRun) insert(b []byte, pick int, single bool) {
 	t, g := gr.t, gr.g
 	t.Helper()
-	got := g.TrialBits(b)
-	for s := range g.slots {
-		if want := g.Encoder(s).TrialBits(b); got[s] != want {
-			t.Fatalf("slot %d: group trial %d bits, its encoder's TrialBits %d", s, got[s], want)
+	s := pick % len(g.slots)
+	var want int
+	if single {
+		want = g.TrialSlot(s, b)
+		if o := gr.oracle[s].TrialBits(b); want != o {
+			t.Fatalf("slot %d: one-slot trial %d bits, its oracle's TrialBits %d", s, want, o)
 		}
+	} else {
+		got := g.TrialBits(b)
+		for i, o := range gr.oracle {
+			if w := o.TrialBits(b); got[i] != w {
+				t.Fatalf("slot %d: group trial %d bits, its oracle's TrialBits %d", i, got[i], w)
+			}
+		}
+		want = got[s]
 	}
 	if err := g.Check(); err != nil {
 		t.Fatalf("after a trial: %v", err)
 	}
-	s := pick % len(g.slots)
-	want := got[s]
-	if n := g.AppendCommit(s, b); n != want {
-		t.Fatalf("slot %d: committed %d bits, the group trial sized %d", s, n, want)
+	o := gr.oracle[s]
+	before := o.Stats()
+	n, syms := g.Keep(s)
+	if coded := o.AppendCommit(b); n != want || coded != want {
+		t.Fatalf("slot %d: kept %d bits of a trial that sized %d; its oracle coded %d", s, n, want, coded)
+	}
+	coded := o.Stats()
+	for i := range coded {
+		coded[i] -= before[i]
+	}
+	if syms != coded {
+		t.Fatalf("slot %d: kept symbols %v, its oracle coded %v", s, syms, coded)
+	}
+	if err := g.CheckSlot(s, o); err != nil {
+		t.Fatalf("after a Keep: %v", err)
 	}
 	if err := g.Check(); err != nil {
-		t.Fatalf("after a commit to slot %d: %v", s, err)
+		t.Fatalf("after a Keep in slot %d: %v", s, err)
 	}
 }
 
-// recycle releases slot s and hands its dictionaries to a fresh encoder,
-// or, when self is set, back to its own encoder once reset, the way a
-// MORC log reclaims itself.
-func (gr *groupRun) recycle(s int, self bool) {
+// reset empties slot s and its oracle, the way a MORC slot passes to
+// the log that replaces the one it closes.
+func (gr *groupRun) reset(s int) {
 	t, g := gr.t, gr.g
 	t.Helper()
-	g.Release(s)
-	if err := g.Check(); err != nil {
-		t.Fatalf("after releasing slot %d: %v", s, err)
-	}
-	to := new(Encoder)
-	if self {
-		to = g.Encoder(s)
-		to.Reset()
-	}
-	g.HandOff(s, to)
-	if g.Encoder(s) != to || to.Closed() || to.Bits() != 0 {
-		t.Fatalf("slot %d: HandOff did not install an open, empty encoder", s)
+	g.Reset(s)
+	gr.oracle[s].Reset()
+	if err := g.CheckSlot(s, gr.oracle[s]); err != nil {
+		t.Fatalf("after a Reset: %v", err)
 	}
 	if err := g.Check(); err != nil {
-		t.Fatalf("after handing off slot %d: %v", s, err)
+		t.Fatalf("after resetting slot %d: %v", s, err)
 	}
 }
 
-// TestGroupMatchesPerEncoderTrials runs seeded commit and recycle
-// streams through groups of 1, 3, 8 and 64 slots, under the default and
-// the tiny (quickly full) configuration.
+// TestGroupMatchesPerEncoderTrials runs seeded streams of kept trials,
+// one-slot trials and resets through groups of 1, 3, 8 and 64 slots,
+// under the default and the tiny (quickly full) configuration.
 func TestGroupMatchesPerEncoderTrials(t *testing.T) {
 	for _, cfg := range []Config{DefaultConfig(), tinyConfig} {
 		for _, n := range []int{1, 3, 8, 64} {
@@ -83,53 +107,59 @@ func TestGroupMatchesPerEncoderTrials(t *testing.T) {
 				for i := range chunks {
 					chunks[i] = diffChunk(r, words, quads)
 				}
-				gr := &groupRun{t: t, g: NewGroup(cfg, n)}
+				gr := newGroupRun(t, cfg, n)
 				for step := 0; step < 400; step++ {
 					if r.Bool(0.05) {
-						gr.recycle(r.Intn(n), r.Bool(0.5))
+						gr.reset(r.Intn(n))
 						continue
 					}
-					gr.insert(diffBlock(r, words, quads, chunks), r.Intn(n))
+					gr.insert(diffBlock(r, words, quads, chunks), r.Intn(n), r.Bool(0.1))
 				}
 			}
 		}
 	}
 }
 
-// TestGroupRefusesMisuse: a released slot blocks trials and commits
-// until it is handed off, and only a released slot can be handed off.
+// TestGroupRefusesMisuse: Keep needs a trial of its slot that no Keep
+// or Reset has ended, and NewGroup and the trials refuse bad arguments.
 func TestGroupRefusesMisuse(t *testing.T) {
 	b := make([]byte, 64)
 	b[5] = 7
 	g := NewGroup(tinyConfig, 2)
-	g.AppendCommit(1, b)
 	for name, f := range map[string]func(){
-		"HandOff without Release": func() { g.HandOff(1, new(Encoder)) },
-		"a slot count of 0":       func() { NewGroup(tinyConfig, 0) },
-		"a slot count of 65":      func() { NewGroup(tinyConfig, MaxGroupSlots+1) },
-		"a bad configuration":     func() { NewGroup(Config{}, 2) },
-		"a 16-byte block":         func() { g.TrialBits(b[:16]) },
+		"Keep before any trial":       func() { g.Keep(0) },
+		"a slot count of 0":           func() { NewGroup(tinyConfig, 0) },
+		"a slot count of 65":          func() { NewGroup(tinyConfig, MaxGroupSlots+1) },
+		"a bad configuration":         func() { NewGroup(Config{}, 2) },
+		"a 16-byte block":             func() { g.TrialBits(b[:16]) },
+		"a 16-byte block in one slot": func() { g.TrialSlot(0, b[:16]) },
 	} {
 		if !panics(f) {
 			t.Errorf("%s did not panic", name)
 		}
 	}
-	g.Release(1)
-	for name, f := range map[string]func(){
-		"TrialBits":          func() { g.TrialBits(b) },
-		"AppendCommit":       func() { g.AppendCommit(1, b) },
-		"a second Release":   func() { g.Release(1) },
-		"HandOff to an open": func() { g.HandOff(1, NewEncoder(tinyConfig)) },
-	} {
-		if !panics(f) {
-			t.Errorf("%s with a released slot did not panic", name)
-		}
+	g.TrialBits(b)
+	g.Keep(1)
+	if !panics(func() { g.Keep(1) }) {
+		t.Error("a second Keep did not panic")
 	}
-	g.HandOff(1, new(Encoder))
+	if !panics(func() { g.Keep(0) }) {
+		t.Error("a Keep after another slot kept the trial did not panic")
+	}
+	g.TrialBits(b)
+	g.Reset(0)
+	if !panics(func() { g.Keep(1) }) {
+		t.Error("a Keep after a Reset did not panic")
+	}
+	g.TrialSlot(0, b)
+	if !panics(func() { g.Keep(1) }) {
+		t.Error("a Keep of a slot the trial did not size did not panic")
+	}
+	g.Keep(0)
 	if err := g.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if got := g.TrialBits(b); got[0] != got[1] {
-		t.Fatalf("two empty slots sized a block at %d and %d bits", got[0], got[1])
+		t.Fatalf("two slots that kept the same block size it again at %d and %d bits", got[0], got[1])
 	}
 }

@@ -24,18 +24,19 @@
 // dictionary) and the granularity's dictionary is not yet full.
 // Dictionaries freeze when full, exactly like C-Pack's.
 //
-// The Encoder supports trial appends: MORC compresses an inserted line
-// into all active logs but commits only the winner (§3.2.3). A trial
-// (TrialBits, or Append for a committable Pending) only counts bits: it
-// adds its dictionary entries in place and rolls them back when it ends,
-// so it allocates nothing and leaves the encoder unchanged. Committing
-// encodes the block again, for real, into the one log that keeps it. A
-// Group sizes a block against several encoders in one walk, with an
-// index of which encoders' dictionaries hold each value.
+// The Encoder supports trial appends: a trial (TrialBits, or Append for
+// a committable Pending) only counts bits. It adds its dictionary
+// entries in place and rolls them back when it ends, so it allocates
+// nothing and leaves the encoder unchanged; committing encodes the
+// block again, for real.
 //
-// Only appending needs the dictionaries; a decoder rebuilds them from
-// the stream. HandOff closes an encoder and moves its dictionaries to
-// another, so MORC holds one set per active log, not one per log.
+// MORC does not commit that way. It compresses an inserted line into
+// every active log and keeps the smallest (§3.2.3): a Group holds the
+// active logs' dictionaries, sizes the line in all of them in one walk,
+// and lets the winner keep its trial, with its bits and symbol counts,
+// so the line is encoded once and no log writes a stream. A log's
+// stream depends only on its own lines, so an Encoder fed them rebuilds
+// it whenever it is needed for decoding or checking.
 package lbe
 
 import (
@@ -168,16 +169,11 @@ func ptrBits(n int) int {
 }
 
 // Encoder compresses a stream of 32-byte-multiple blocks, maintaining
-// dictionary state across appends (one Encoder per MORC log).
-//
-// An encoder that has handed its dictionaries off (HandOff) is closed:
-// it keeps its stream, bit count and symbol counts, but appending to it
-// panics. The zero Encoder is closed and empty; it can only be opened by
-// receiving another encoder's dictionaries.
+// dictionary state across appends.
 type Encoder struct {
 	ptr   [4]int // match-pointer width per level
 	w     bitstream.Writer
-	dicts *dicts // nil while closed
+	dicts dicts
 	stats SymbolStats
 	inLen int // uncompressed bytes appended
 
@@ -193,44 +189,18 @@ func NewEncoder(cfg Config) *Encoder {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	d := newDicts(cfg)
-	return &Encoder{ptr: cfg.ptrWidths(), dicts: &d}
+	return &Encoder{ptr: cfg.ptrWidths(), dicts: newDicts(cfg)}
 }
 
 // Reset empties the encoder for reuse with the same configuration,
-// keeping its allocated storage; a closed encoder stays closed. A
-// Pending from before the reset must not be committed after it, and an
-// encoder in a Group's slot must be released from the group first.
+// keeping its allocated storage. A Pending from before the reset must
+// not be committed after it.
 func (e *Encoder) Reset() {
 	e.w.Reset()
-	if e.dicts != nil {
-		e.dicts.reset()
-	}
+	e.dicts.reset()
 	e.stats = SymbolStats{}
 	e.inLen = 0
 }
-
-// HandOff closes e and gives its dictionaries, emptied, to the empty,
-// closed encoder to, which can then append a fresh stream; e may be to
-// itself once its stream is reset. e keeps its stream for decoding (a
-// decoder rebuilds the dictionaries from the stream) and its symbol
-// counts. Nothing is allocated: MORC keeps one dictionary set per active
-// log and passes it from each log it closes to the log that replaces it.
-func (e *Encoder) HandOff(to *Encoder) {
-	if e.dicts == nil {
-		panic("lbe: HandOff from a closed encoder")
-	}
-	if to.w.Len() != 0 || (to != e && to.dicts != nil) {
-		panic("lbe: HandOff to an encoder that holds dictionaries or a stream")
-	}
-	d := e.dicts
-	d.reset()
-	e.dicts = nil
-	to.ptr, to.dicts = e.ptr, d
-}
-
-// Closed reports whether the encoder has no dictionaries to append with.
-func (e *Encoder) Closed() bool { return e.dicts == nil }
 
 // Bits returns the compressed stream length in bits.
 func (e *Encoder) Bits() int { return e.w.Len() }
@@ -303,9 +273,6 @@ func (e *Encoder) AppendCommit(block []byte) int { return e.encode(block, true) 
 func (e *Encoder) encode(block []byte, commit bool) int {
 	if len(block) == 0 || len(block)%32 != 0 {
 		panic(fmt.Sprintf("lbe: Append block of %d bytes (need positive multiple of 32)", len(block)))
-	}
-	if e.dicts == nil {
-		panic("lbe: Append to a closed encoder")
 	}
 	saved := e.dicts.lens()
 	e.commit, e.bits = commit, 0

@@ -239,31 +239,6 @@ func TestResetMatchesFreshEncoder(t *testing.T) {
 	}
 }
 
-// TestHandOffToItself: a log that is its own recycling victim hands its
-// dictionaries to itself once its stream is reset, and then appends
-// exactly like a fresh encoder; with its stream still there the
-// hand-off would strand bits no decoder could follow, so it panics.
-func TestHandOffToItself(t *testing.T) {
-	r := rng.New(6)
-	b := make([]byte, 64)
-	for i := range b {
-		b[i] = byte(r.Uint64())
-	}
-	e := NewEncoder(DefaultConfig())
-	e.AppendCommit(b)
-	if !panics(func() { e.HandOff(e) }) {
-		t.Fatal("HandOff to itself with a stream did not panic")
-	}
-	e.Reset()
-	e.HandOff(e)
-	if e.Closed() {
-		t.Fatal("HandOff to itself closed the encoder")
-	}
-	if got, want := e.AppendCommit(b), NewEncoder(DefaultConfig()).AppendCommit(b); got != want {
-		t.Fatalf("encoder appended %d bits after HandOff to itself, fresh encoder %d", got, want)
-	}
-}
-
 func TestDictionaryFreeze(t *testing.T) {
 	// Tiny dictionary: after it fills, literals must still round-trip.
 	cfg := Config{Dict32: 4, Dict64: 2, Dict128: 2, Dict256: 2}

@@ -58,10 +58,12 @@ type Config struct {
 	// invalidation study, which disables compression to accentuate
 	// write-back effects).
 	DisableCompression bool
-	// VerifyReads makes every read hit actually decompress the log
-	// through the requested line and compare against the bookkeeping
-	// copy, panicking on mismatch. Slow; for tests and debugging (the
-	// test suite also verifies all streams via CheckInvariants).
+	// VerifyReads makes every read hit rebuild the log's stream through
+	// the requested line from the lines' copies, checking each line's
+	// recorded end bit, then decompress it and compare the line against
+	// its bookkeeping copy, panicking on a mismatch. Slow; for tests and
+	// debugging (the test suite also checks every log this way via
+	// CheckInvariants).
 	VerifyReads bool
 	// LBE configures the data codec; Tag configures the tag codec.
 	LBE lbe.Config

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"slices"
 	"testing"
@@ -10,17 +11,6 @@ import (
 	"morc/internal/rng"
 )
 
-// perLogTrialBits is the loop Cache.append ran before the group trial
-// replaced it, kept as the group's oracle: each active log's encoder
-// sizes the line on its own.
-func perLogTrialBits(c *Cache, data []byte) []int {
-	bits := make([]int, len(c.actives))
-	for i, li := range c.actives {
-		bits[i] = c.logs[li].enc.TrialBits(data)
-	}
-	return bits
-}
-
 // groupConfig is one cache shape the group differential runs.
 type groupConfig struct {
 	name string
@@ -28,10 +18,11 @@ type groupConfig struct {
 }
 
 // groupConfigs are the shapes the group must size exactly: the default
-// 8 slots, dictionaries that fill within a few lines, 1, 2 and 64
-// slots, merged tags, unlimited tags, and caches of ActiveLogs+1 logs,
-// where a log that closes holding only stale lines is often the one
-// log to reuse, so it reclaims its own slot.
+// 8 slots, dictionaries that fill within a few lines, 1, 2 and 64 slots
+// (in a cache of 66 logs, so that even the short stream recycles),
+// merged tags, unlimited tags, and caches of ActiveLogs+1 logs, where a
+// log that closes holding only stale lines is often the one log to
+// reuse, so it reclaims its own slot.
 func groupConfigs() []groupConfig {
 	with := func(bytes int, f func(*Config)) Config {
 		cfg := DefaultConfig(bytes)
@@ -43,7 +34,7 @@ func groupConfigs() []groupConfig {
 		{"lbe{4,2,2,2}", with(16*1024, func(c *Config) { c.LBE = lbe.Config{Dict32: 4, Dict64: 2, Dict128: 2, Dict256: 2} })},
 		{"1 active", with(8*1024, func(c *Config) { c.ActiveLogs = 1 })},
 		{"2 active", with(8*1024, func(c *Config) { c.ActiveLogs = 2 })},
-		{"64 active", with(64*1024, func(c *Config) { c.ActiveLogs = 64 })},
+		{"64 active", with(66*256, func(c *Config) { c.ActiveLogs, c.LogBytes = 64, 256 })},
 		{"merged", with(16*1024, func(c *Config) { c.Merged = true })},
 		{"unlimited tags", with(16*1024, func(c *Config) { c.UnlimitedTags = true })},
 		{"self-victim, 1 active", with(1024, func(c *Config) { c.ActiveLogs = 1 })},
@@ -51,13 +42,21 @@ func groupConfigs() []groupConfig {
 	}
 }
 
-// groupRun drives a MORC through fills, write-backs and reads. Before
-// every insert it sizes the line with the group and with the per-log
-// oracle and requires the same bits in every slot; the insert itself
-// then checks that the winner's real encode matches its size.
+// groupRun drives a MORC through fills, write-backs and reads next to
+// its oracle: a shadow lbe.Encoder per log that appends exactly the
+// lines the cache keeps and resets when the log is recycled, which is
+// the encode-on-commit the group's kept trials replaced. Before every
+// insert it requires each active slot's group trial to size the line
+// as the slot's shadow does. After it, the log that took the line must
+// hold it and have kept the bits and symbols its shadow coded, and its
+// slot must hold its shadow's dictionaries, entry for entry. A shadow's
+// stream must decode to the lines it took, checked once the stream is
+// complete: when its log is recycled, and for every log at the end of
+// a run (finish).
 type groupRun struct {
 	t           testing.TB
 	c           *Cache
+	shadows     []*shadow // per log, made when the log takes its first line
 	lines       [][]byte
 	fresh       uint64 // next never-used line address
 	actives     []int  // scratch: c.actives before an insert
@@ -68,6 +67,7 @@ type groupRun struct {
 func newGroupRun(t testing.TB, cfg Config, seed uint64) *groupRun {
 	r := rng.New(seed)
 	g := &groupRun{t: t, c: New(cfg), fresh: 1 << 20}
+	g.shadows = make([]*shadow, len(g.c.logs))
 	words := make([]uint32, 16)
 	for i := range words {
 		words[i] = r.Uint32()
@@ -133,17 +133,60 @@ func (g *groupRun) step(op, arg byte) {
 	}
 }
 
-// insert compares the group's sizes of data with the oracle's, then
-// fills or writes it back, counting a recycle that left every slot's
-// log in place as a log reclaiming its own slot.
+// shadow is one log's oracle: an encoder and the lines it took.
+type shadow struct {
+	enc   *lbe.Encoder
+	lines [][]byte
+}
+
+// shadow returns log li's shadow.
+func (g *groupRun) shadow(li int) *shadow {
+	if g.shadows[li] == nil {
+		g.shadows[li] = &shadow{enc: lbe.NewEncoder(g.c.cfg.LBE)}
+	}
+	return g.shadows[li]
+}
+
+// decode requires log li's shadow stream to decode to the lines it took.
+func (g *groupRun) decode(li int) {
+	t, sh := g.t, g.shadows[li]
+	t.Helper()
+	dec := lbe.NewDecoder(g.c.cfg.LBE, sh.enc.Bytes(), sh.enc.Bits())
+	for i, want := range sh.lines {
+		if line, err := dec.Next(cache.LineSize); err != nil || !bytes.Equal(line, want) {
+			t.Fatalf("insert %d: log %d's shadow stream does not decode to its line %d (%v)", g.inserts, li, i, err)
+		}
+	}
+	if dec.BitPos() != sh.enc.Bits() {
+		t.Fatalf("insert %d: log %d's shadow stream decodes in %d of its %d bits", g.inserts, li, dec.BitPos(), sh.enc.Bits())
+	}
+}
+
+// finish decodes every shadow and checks the invariants.
+func (g *groupRun) finish() {
+	g.t.Helper()
+	for li, sh := range g.shadows {
+		if sh != nil {
+			g.decode(li)
+		}
+	}
+	if err := g.c.CheckInvariants(); err != nil {
+		g.t.Fatalf("after %d inserts: %v", g.inserts, err)
+	}
+}
+
+// insert compares the group's sizes of data with the shadows', fills or
+// writes it back, and checks the log that took it against its shadow,
+// counting a recycle that left every slot's log in place as a log
+// reclaiming its own slot.
 func (g *groupRun) insert(addr uint64, data []byte, writeBack bool) {
 	t, c := g.t, g.c
 	t.Helper()
-	got, want := c.group.TrialBits(data), perLogTrialBits(c, data)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("insert %d: slot %d (log %d): group trial %d bits, its encoder's TrialBits %d",
-				g.inserts, i, c.actives[i], got[i], want[i])
+	got := c.group.TrialBits(data)
+	for i, li := range c.actives {
+		if want := g.shadow(li).enc.TrialBits(data); got[i] != want {
+			t.Fatalf("insert %d: slot %d (log %d): group trial %d bits, its shadow's TrialBits %d",
+				g.inserts, i, li, got[i], want)
 		}
 	}
 	g.actives = append(g.actives[:0], c.actives...)
@@ -153,10 +196,66 @@ func (g *groupRun) insert(addr uint64, data []byte, writeBack bool) {
 	} else {
 		c.Fill(addr, data)
 	}
-	if c.st.LogEvictions+c.st.LogReuses != recycles && slices.Equal(g.actives, c.actives) {
+	recycled := c.st.LogEvictions+c.st.LogReuses != recycles
+	if recycled && slices.Equal(g.actives, c.actives) {
 		g.selfVictims++
 	}
+	g.kept(addr, data, recycled)
 	g.inserts++
+}
+
+// kept appends data to the shadow of the log that took it, and checks
+// the log against it. An insert that recycled a log put the line in
+// the log it opened, so that log's shadow decodes its old stream and
+// resets first.
+func (g *groupRun) kept(addr uint64, data []byte, recycled bool) {
+	t, c := g.t, g.c
+	t.Helper()
+	li, idx := g.where(addr)
+	lg, sh := c.logs[li], g.shadow(li)
+	if recycled {
+		g.decode(li)
+		sh.enc.Reset()
+		sh.lines = sh.lines[:0]
+	}
+	if len(sh.lines) != idx || !bytes.Equal(lg.lines[idx].data, data) {
+		t.Fatalf("insert %d: log %d took the line as line %d, its shadow holds %d lines",
+			g.inserts, li, idx, len(sh.lines))
+	}
+	sh.enc.AppendCommit(data)
+	sh.lines = append(sh.lines, data)
+	if lg.lines[idx].endBits != sh.enc.Bits() || lg.bits != sh.enc.Bits() {
+		t.Fatalf("insert %d: log %d ends line %d at bit %d of %d, its shadow at %d",
+			g.inserts, li, idx, lg.lines[idx].endBits, lg.bits, sh.enc.Bits())
+	}
+	if lg.syms != sh.enc.Stats() {
+		t.Fatalf("insert %d: log %d's symbols %v, its shadow's %v", g.inserts, li, lg.syms, sh.enc.Stats())
+	}
+	slot := slices.Index(c.actives, li)
+	if slot < 0 {
+		t.Fatalf("insert %d: log %d took the line in no group slot", g.inserts, li)
+	}
+	if err := c.group.CheckSlot(slot, sh.enc); err != nil {
+		t.Fatalf("insert %d: log %d: %v", g.inserts, li, err)
+	}
+}
+
+// where returns the log and line that hold addr, without touching the
+// LMT's recency as a read would.
+func (g *groupRun) where(addr uint64) (logIdx, lineIdx int) {
+	c := g.c
+	if c.cfg.UnlimitedTags {
+		pos, ok := c.unlIndex[cache.LineAddr(addr)]
+		if !ok {
+			g.t.Fatalf("insert %d: %#x is not in the cache", g.inserts, addr)
+		}
+		return int(pos[0]), int(pos[1])
+	}
+	i := c.lmtLookup(addr)
+	if i < 0 {
+		g.t.Fatalf("insert %d: %#x is not in the cache", g.inserts, addr)
+	}
+	return int(c.lmt[i].logIdx), int(c.lmt[i].lineIdx)
 }
 
 // selfVictimStream parks one valid line, then writes back a single
@@ -171,9 +270,9 @@ func (g *groupRun) selfVictimStream(n int) {
 
 // TestGroupTrialMatchesPerLog runs seeded streams of fills, write-backs
 // and reads (and, in the ActiveLogs+1-log caches, the self-victim
-// stream) through every group config, comparing every slot's group
-// trial with the per-log oracle before every insert and checking the
-// invariants, the group's index among them, along the way.
+// stream) through every group config, checking every insert against
+// the shadow encoders and the invariants, the group's index among them,
+// along the way. Every config must see both recycle kinds.
 func TestGroupTrialMatchesPerLog(t *testing.T) {
 	seeds, inserts := 4, 4000
 	if testing.Short() {
@@ -200,9 +299,7 @@ func TestGroupTrialMatchesPerLog(t *testing.T) {
 					}
 				}
 			}
-			if err := g.c.CheckInvariants(); err != nil {
-				t.Fatalf("%s, seed %d: %v", gc.name, seed, err)
-			}
+			g.finish()
 			st.LogEvictions += g.c.st.LogEvictions
 			st.LogReuses += g.c.st.LogReuses
 			selfVictims += g.selfVictims
@@ -240,8 +337,6 @@ func FuzzGroupTrial(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			g.step(data[i], data[i+1])
 		}
-		if err := g.c.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+		g.finish()
 	})
 }

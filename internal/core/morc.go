@@ -31,17 +31,19 @@ type lineRec struct {
 	addr    uint64 // line-aligned address
 	valid   bool
 	endBits int    // data-stream length after this line's append
-	data    []byte // uncompressed copy (verified against the stream)
+	data    []byte // uncompressed copy, from which the stream is rebuilt
 	lmtIdx  int    // owning LMT entry (meaningful while valid)
 }
 
-// logT is one fixed-size log. Only active logs are compressed into, so
-// only their encoders hold LBE dictionaries; a closed log keeps its
-// stream, bit count and symbol counts, and reading it decompresses the
-// stream, which rebuilds the dictionaries.
+// logT is one fixed-size log. Its data stream is the LBE encoding of
+// its lines in order, from empty dictionaries, so the log records only
+// the stream's length and symbol counts, which the group's kept trials
+// supply (the group holds the active logs' dictionaries).
+// CheckInvariants and VerifyReads rebuild the stream from the lines.
 type logT struct {
 	id        int
-	enc       *lbe.Encoder
+	bits      int             // data-stream length
+	syms      lbe.SymbolStats // the stream's symbols (Figure 7)
 	tags      *tagdelta.Stream
 	lines     []lineRec
 	valid     int
@@ -88,21 +90,20 @@ type Cache struct {
 	lmt      []lmtEntry
 	seq      uint64 // stamps LMT recency and log closing order
 	st       Stats
-	symTotal lbe.SymbolStats // aggregated from retired encoders
+	symTotal lbe.SymbolStats // aggregated from retired logs
 	// unlimited-mode index (UnlimitedTags): addr -> lmt slot is replaced
 	// by a plain map to (log, line).
 	unlIndex map[uint64][2]int32
-	// group holds the active logs' encoders, slot i for c.actives[i],
-	// and sizes a line in all of them in one walk.
+	// group holds the active logs' dictionaries, slot i for
+	// c.actives[i], and sizes a line in all of them in one walk.
 	group  *lbe.Group
 	trials []trial // per-insert scratch, one per active log
 }
 
 // trial is one active log's sizing of the line being inserted.
 type trial struct {
-	dataBits int
-	bits     int // data + tag growth: the storage the append consumes
-	fits     bool
+	bits int // data + tag growth: the storage the append consumes
+	fits bool
 }
 
 // New builds a MORC cache, panicking on invalid configuration (a
@@ -118,17 +119,15 @@ func New(cfg Config) *Cache {
 		trials: make([]trial, cfg.ActiveLogs),
 		fresh:  cfg.ActiveLogs,
 	}
-	// Open the first ActiveLogs logs, each with the one dictionary set its
-	// slot will ever have; stamp the rest closed in order so the FIFO
-	// victim sequence is deterministic.
+	// Open the first ActiveLogs logs, log i in group slot i; stamp the
+	// rest closed in order so the FIFO victim sequence is deterministic.
 	c.logs = make([]*logT, numLogs)
 	for i := range c.logs {
 		lg := &logT{id: i, tags: tagdelta.NewStream(cfg.Tag)}
 		if i < cfg.ActiveLogs {
-			lg.enc, lg.active = c.group.Encoder(i), true
+			lg.active = true
 			c.actives = append(c.actives, i)
 		} else {
-			lg.enc = new(lbe.Encoder) // closed and empty
 			c.seq++
 			lg.closedSeq = c.seq
 		}
@@ -158,7 +157,7 @@ func (c *Cache) MorcStats() *Stats { return &c.st }
 func (c *Cache) SymbolStats() lbe.SymbolStats {
 	total := c.symTotal
 	for _, lg := range c.logs {
-		total.Add(lg.enc.Stats())
+		total.Add(lg.syms)
 	}
 	return total
 }
@@ -294,10 +293,15 @@ func (c *Cache) Read(addr uint64) cache.ReadResult {
 	return cache.ReadResult{Hit: true, Data: out, ExtraCycles: extra}
 }
 
-// verifyRead decompresses the log through lineIdx and panics if the
-// stream disagrees with the bookkeeping copy (VerifyReads mode).
+// verifyRead rebuilds the log's stream through lineIdx, checking each
+// line's recorded end, then decompresses it and panics if the stream
+// disagrees with the bookkeeping copy (VerifyReads mode).
 func (c *Cache) verifyRead(lg *logT, lineIdx int) {
-	dec := lbe.NewDecoder(c.cfg.LBE, lg.enc.Bytes(), lg.enc.Bits())
+	enc := lbe.NewEncoder(c.cfg.LBE)
+	if err := rebuild(enc, lg, lineIdx+1); err != nil {
+		panic(fmt.Sprintf("core: VerifyReads: log %d: %v", lg.id, err))
+	}
+	dec := lbe.NewDecoder(c.cfg.LBE, enc.Bytes(), enc.Bits())
 	for i := 0; i <= lineIdx; i++ {
 		got, err := dec.Next(cache.LineSize)
 		if err != nil {
@@ -486,11 +490,11 @@ func (c *Cache) fit(lg *logT, tag uint64, dataBits int) (tagBits int, fits bool)
 	capBits := c.cfg.LogBytes * 8
 	switch {
 	case c.cfg.UnlimitedTags:
-		fits = lg.enc.Bits()+dataBits <= capBits
+		fits = lg.bits+dataBits <= capBits
 	case c.cfg.Merged:
-		fits = lg.enc.Bits()+dataBits+lg.tags.Bits()+tagBits <= capBits
+		fits = lg.bits+dataBits+lg.tags.Bits()+tagBits <= capBits
 	default:
-		fits = lg.enc.Bits()+dataBits <= capBits &&
+		fits = lg.bits+dataBits <= capBits &&
 			lg.tags.Bits()+tagBits <= c.cfg.TagBytesPerLog*8
 	}
 	c.st.Compressions++
@@ -514,7 +518,7 @@ func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache
 			db = dataBits[i]
 		}
 		tb, fits := c.fit(c.logs[li], tag, db)
-		trials[i] = trial{dataBits: db, bits: db + tb, fits: fits}
+		trials[i] = trial{bits: db + tb, fits: fits}
 	}
 
 	best, worst := -1, -1
@@ -545,12 +549,12 @@ func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache
 		if !c.cfg.DisableCompression {
 			// The fresh log's dictionaries are empty; sizing it alone
 			// costs one trial per recycle.
-			db = lg.enc.TrialBits(data)
+			db = c.group.TrialSlot(fullest, data)
 		}
 		if _, fits := c.fit(lg, tag, db); !fits {
 			panic(fmt.Sprintf("core: line does not fit in an empty %dB log", c.cfg.LogBytes))
 		}
-		return lg.id, c.commitAppend(fullest, db, tag, la, data), wbs
+		return lg.id, c.commitAppend(fullest, tag, la, data), wbs
 	}
 
 	// Fudge-factor diversification: when best and worst are within the
@@ -570,7 +574,7 @@ func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache
 		choice = least
 	}
 
-	return c.actives[choice], c.commitAppend(choice, trials[choice].dataBits, tag, la, data), wbs
+	return c.actives[choice], c.commitAppend(choice, tag, la, data), wbs
 }
 
 // occBits returns a log's current occupancy in bits.
@@ -579,23 +583,22 @@ func (c *Cache) occBits(lg *logT) int {
 		return lg.rawBytes * 8
 	}
 	if c.cfg.Merged {
-		return lg.enc.Bits() + lg.tags.Bits()
+		return lg.bits + lg.tags.Bits()
 	}
-	return lg.enc.Bits()
+	return lg.bits
 }
 
-// commitAppend compresses the line into the active log in slot (index
-// into c.actives), the one log that keeps it, and records the line.
-// dataBits is the log's trial size of the line, which the real encode
-// must reproduce.
-func (c *Cache) commitAppend(slot, dataBits int, tag, la uint64, data []byte) int {
+// commitAppend appends the line to the active log in slot (index into
+// c.actives), the one log that keeps it, and records the line: the
+// slot keeps the group's last trial, which sized the line in it.
+func (c *Cache) commitAppend(slot int, tag, la uint64, data []byte) int {
 	lg := c.logs[c.actives[slot]]
 	if c.cfg.DisableCompression {
 		lg.rawBytes += cache.LineSize
 	} else {
-		if got := c.group.AppendCommit(slot, data); got != dataBits {
-			panic(fmt.Sprintf("core: log %d encoded a line in %d bits, its trial sized it at %d", lg.id, got, dataBits))
-		}
+		bits, syms := c.group.Keep(slot)
+		lg.bits += bits
+		lg.syms.Add(syms)
 		tb := lg.tags.Append(tag)
 		c.st.TagBitsAppended += uint64(tb)
 		if tb >= 40 {
@@ -606,7 +609,7 @@ func (c *Cache) commitAppend(slot, dataBits int, tag, la uint64, data []byte) in
 	lg.lines = append(lg.lines, lineRec{
 		addr:    la,
 		valid:   true,
-		endBits: lg.enc.Bits(),
+		endBits: lg.bits,
 		data:    cache.CloneLine(data),
 	})
 	lg.valid++
@@ -618,10 +621,6 @@ func (c *Cache) commitAppend(slot, dataBits int, tag, la uint64, data []byte) in
 // if needed, and installs the fresh log in the slot with the slot's
 // dictionaries, emptied. The closing log can be its own victim.
 func (c *Cache) recycle(slot int) []cache.Writeback {
-	// The slot's dictionaries leave the group's index first, while they
-	// still hold its entries: when the closing log is its own victim,
-	// resetting it below empties them.
-	c.group.Release(slot)
 	closing := c.logs[c.actives[slot]]
 	closing.active = false
 	c.seq++
@@ -641,7 +640,7 @@ func (c *Cache) recycle(slot int) []cache.Writeback {
 		c.st.LogReuses++
 		c.retireInvalid(victim)
 	}
-	c.group.HandOff(slot, victim.enc)
+	c.group.Reset(slot)
 	victim.active = true
 	victim.closedSeq = 0
 	c.actives[slot] = victim.id
@@ -779,11 +778,11 @@ func (c *Cache) retireInvalid(lg *logT) {
 	c.resetLog(lg)
 }
 
-// resetLog aggregates the retiring encoder's symbol stats and empties
-// the log's streams in place.
+// resetLog aggregates the retiring log's symbol counts and empties the
+// log in place.
 func (c *Cache) resetLog(lg *logT) {
-	c.symTotal.Add(lg.enc.Stats())
-	lg.enc.Reset()
+	c.symTotal.Add(lg.syms)
+	lg.bits, lg.syms = 0, lbe.SymbolStats{}
 	lg.tags.Reset()
 	lg.lines = lg.lines[:0]
 	lg.valid = 0

@@ -10,28 +10,41 @@ import (
 )
 
 // CheckInvariants verifies the structural invariants listed in DESIGN.md:
-// every log's compressed data stream decodes back to exactly the line
-// data recorded, the compressed tag stream decodes to the line tags with
-// matching validity, occupancy never exceeds capacity, the LMT and logs
-// agree about which lines are live, every closed log is in the one
-// victim structure its state calls for, and the group's index of which
-// active logs' dictionaries hold each value agrees with those
-// dictionaries. It is O(cache contents) and meant for tests.
+// every log's data stream, rebuilt from its lines, ends each line where
+// the log recorded it, has the log's bit and symbol counts and decodes
+// back to exactly the line data recorded; each active log's group slot
+// holds the rebuilt stream's dictionaries, entry for entry, and the
+// group's index of which slots hold each value agrees with them; the
+// compressed tag stream decodes to the line tags with matching
+// validity, occupancy never exceeds capacity, the LMT and logs agree
+// about which lines are live, and every closed log is in the one victim
+// structure its state calls for. It is O(cache contents) and meant for
+// tests.
 func (c *Cache) CheckInvariants() error {
 	if err := c.checkVictims(); err != nil {
 		return err
 	}
+	slotOf := make(map[int]int, len(c.actives))
 	for i, li := range c.actives {
-		if c.group.Encoder(i) != c.logs[li].enc {
-			return fmt.Errorf("group slot %d does not hold active log %d's encoder", i, li)
+		if _, dup := slotOf[li]; dup {
+			return fmt.Errorf("log %d holds two group slots", li)
 		}
+		slotOf[li] = i
 	}
 	if err := c.group.Check(); err != nil {
 		return err
 	}
+	enc := lbe.NewEncoder(c.cfg.LBE)
 	validLines := 0
 	for _, lg := range c.logs {
-		if err := c.checkLog(lg); err != nil {
+		slot, ok := slotOf[lg.id]
+		if lg.active != ok {
+			return fmt.Errorf("log %d: active %v, but in a group slot %v", lg.id, lg.active, ok)
+		}
+		if !ok {
+			slot = -1
+		}
+		if err := c.checkLog(lg, slot, enc); err != nil {
 			return fmt.Errorf("log %d: %w", lg.id, err)
 		}
 		validLines += lg.valid
@@ -138,10 +151,9 @@ func (c *Cache) checkVictims() error {
 	return nil
 }
 
-func (c *Cache) checkLog(lg *logT) error {
-	if lg.enc.Closed() == lg.active {
-		return fmt.Errorf("active %v, but its encoder closed %v: exactly the active logs hold dictionaries", lg.active, lg.enc.Closed())
-	}
+// checkLog checks one log, rebuilding its stream in enc; slot is its
+// group slot, or -1 if it is closed.
+func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 	validCount := 0
 	for i := range lg.lines {
 		if lg.lines[i].valid {
@@ -164,23 +176,34 @@ func (c *Cache) checkLog(lg *logT) error {
 	capBits := c.cfg.LogBytes * 8
 	switch {
 	case c.cfg.UnlimitedTags:
-		if lg.enc.Bits() > capBits {
-			return fmt.Errorf("data %d bits exceeds %d", lg.enc.Bits(), capBits)
+		if lg.bits > capBits {
+			return fmt.Errorf("data %d bits exceeds %d", lg.bits, capBits)
 		}
 	case c.cfg.Merged:
-		if lg.enc.Bits()+lg.tags.Bits() > capBits {
-			return fmt.Errorf("data+tags %d bits exceeds %d", lg.enc.Bits()+lg.tags.Bits(), capBits)
+		if lg.bits+lg.tags.Bits() > capBits {
+			return fmt.Errorf("data+tags %d bits exceeds %d", lg.bits+lg.tags.Bits(), capBits)
 		}
 	default:
-		if lg.enc.Bits() > capBits {
-			return fmt.Errorf("data %d bits exceeds %d", lg.enc.Bits(), capBits)
+		if lg.bits > capBits {
+			return fmt.Errorf("data %d bits exceeds %d", lg.bits, capBits)
 		}
 		if lg.tags.Bits() > c.cfg.TagBytesPerLog*8 {
 			return fmt.Errorf("tags %d bits exceed region %d", lg.tags.Bits(), c.cfg.TagBytesPerLog*8)
 		}
 	}
-	// The data stream must decode to exactly the recorded lines.
-	dec := lbe.NewDecoder(c.cfg.LBE, lg.enc.Bytes(), lg.enc.Bits())
+	// The stream rebuilt from the lines must match what the log
+	// recorded of it and decode to exactly the recorded lines, and an
+	// active log's slot must hold its dictionaries.
+	if err := rebuild(enc, lg, len(lg.lines)); err != nil {
+		return err
+	}
+	if enc.Bits() != lg.bits {
+		return fmt.Errorf("the rebuilt stream is %d bits, recorded %d", enc.Bits(), lg.bits)
+	}
+	if enc.Stats() != lg.syms {
+		return fmt.Errorf("the rebuilt stream's symbols %v, recorded %v", enc.Stats(), lg.syms)
+	}
+	dec := lbe.NewDecoder(c.cfg.LBE, enc.Bytes(), enc.Bits())
 	for i := range lg.lines {
 		got, err := dec.Next(cache.LineSize)
 		if err != nil {
@@ -189,8 +212,10 @@ func (c *Cache) checkLog(lg *logT) error {
 		if !bytes.Equal(got, lg.lines[i].data) {
 			return fmt.Errorf("line %d: stream decodes to %x, recorded %x", i, got[:8], lg.lines[i].data[:8])
 		}
-		if lg.lines[i].endBits > lg.enc.Bits() {
-			return fmt.Errorf("line %d: endBits %d beyond stream %d", i, lg.lines[i].endBits, lg.enc.Bits())
+	}
+	if slot >= 0 {
+		if err := c.group.CheckSlot(slot, enc); err != nil {
+			return err
 		}
 	}
 	// The tag stream must decode to the line tags with matching validity.
@@ -209,6 +234,20 @@ func (c *Cache) checkLog(lg *logT) error {
 	return nil
 }
 
+// rebuild resets enc and encodes lg's first n lines into it, from empty
+// dictionaries as the log began, checking that each line ends where the
+// log recorded it.
+func rebuild(enc *lbe.Encoder, lg *logT, n int) error {
+	enc.Reset()
+	for i := range lg.lines[:n] {
+		enc.AppendCommit(lg.lines[i].data)
+		if enc.Bits() != lg.lines[i].endBits {
+			return fmt.Errorf("line %d: the rebuilt stream ends at bit %d, recorded %d", i, enc.Bits(), lg.lines[i].endBits)
+		}
+	}
+	return nil
+}
+
 // DebugLogSummary reports average per-log occupancy statistics; used by
 // calibration tooling (cmd/morctrace) and tests.
 func (c *Cache) DebugLogSummary() string {
@@ -220,7 +259,7 @@ func (c *Cache) DebugLogSummary() string {
 		n++
 		lines += len(lg.lines)
 		valid += lg.valid
-		dataBits += lg.enc.Bits()
+		dataBits += lg.bits
 		tagBits += lg.tags.Bits()
 	}
 	if n == 0 {

@@ -69,6 +69,10 @@ type Table struct {
 	Title   string    `json:"title"`
 	Columns []string  `json:"columns"` // first column is the row label
 	Rows    []RowData `json:"rows"`
+	// Note states a rule the values follow that the title cannot, such
+	// as which rows an aggregate leaves out; Render prints it below the
+	// rows.
+	Note string `json:"note,omitempty"`
 }
 
 // RowData is one table row.
@@ -115,6 +119,9 @@ func (t *Table) Render(w io.Writer) {
 	writeRow(t.Columns)
 	for _, row := range cells {
 		writeRow(row)
+	}
+	if t.Note != "" {
+		fmt.Fprintf(w, "(%s)\n", t.Note)
 	}
 	fmt.Fprintln(w)
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -351,5 +352,43 @@ func TestFormatValue(t *testing.T) {
 		if got := formatValue(v); got != want {
 			t.Fatalf("formatValue(%g) = %q, want %q", v, got, want)
 		}
+	}
+}
+
+// TestFig8BWMeanLeavesOutZeroTrafficMixes: a mix in which Uncompressed
+// moved no memory bytes has no bandwidth reduction to average. Its cell
+// reads 0, and fig8b's Mean, which would divide 0 by 0, leaves it out;
+// the table's note names it, and Render prints the note.
+func TestFig8BWMeanLeavesOutZeroTrafficMixes(t *testing.T) {
+	results := [][]sim.Result{
+		{{MemBytes: 1000}, {MemBytes: 750}},
+		{{MemBytes: 0}, {MemBytes: 0}},
+		{{MemBytes: 0}, {MemBytes: 64}},
+		{{MemBytes: 500}, {MemBytes: 450}},
+	}
+	tb := fig8BW([]string{"A", "B", "C", "D"}, results, []string{"mix", "MORC"})
+	want := []struct {
+		label string
+		value float64
+	}{{"A", 25}, {"B", 0}, {"C", 0}, {"D", 10}, {"Mean", 17.5}}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(tb.Rows), len(want))
+	}
+	for i, w := range want {
+		if r := tb.Rows[i]; r.Label != w.label || len(r.Values) != 1 || math.Abs(r.Values[0]-w.value) > 1e-9 {
+			t.Errorf("row %d: %s %v, want %s %v", i, r.Label, r.Values, w.label, w.value)
+		}
+	}
+	if !strings.HasSuffix(tb.Note, "left out: B, C") {
+		t.Errorf("note %q does not name the left-out mixes", tb.Note)
+	}
+	var buf bytes.Buffer
+	tb.Render(&buf)
+	if !strings.Contains(buf.String(), tb.Note) {
+		t.Errorf("Render does not print the note:\n%s", buf.String())
+	}
+	all := fig8BW([]string{"A"}, results[:1], []string{"mix", "MORC"})
+	if !strings.HasSuffix(all.Note, "left out: none") {
+		t.Errorf("note %q with every mix averaged", all.Note)
 	}
 }

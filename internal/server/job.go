@@ -53,7 +53,8 @@ type JobSpec struct {
 	Scheme sim.Scheme `json:"scheme"`
 
 	// Budget selects the simulation window: "quick" (default) or "full",
-	// mirroring morcbench. Warmup/measure can be fine-tuned via Config.
+	// mirroring morcbench. A workload or mix job can fine-tune
+	// warmup/measure via Config.
 	Budget string `json:"budget,omitempty"`
 
 	// Workloads/Schemes restrict experiment jobs, like morcbench's
@@ -72,7 +73,9 @@ type JobSpec struct {
 	// Config holds sim.Config field overrides (JSON object, same field
 	// names as sim.Config) applied on top of the defaults and budget —
 	// e.g. {"BWPerCore": 1.6e9, "MeasureInstr": 500000}. Only provided
-	// fields override; everything else keeps its default.
+	// fields override; everything else keeps its default. Workload and
+	// mix jobs only: an experiment runs its own configurations, so
+	// Validate rejects an experiment job that sets Config.
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
@@ -108,10 +111,13 @@ func (sp JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("unknown budget %q (want quick or full)", sp.Budget)
 	}
-	if sp.Telemetry > 0 && sp.Experiment != "" {
-		return fmt.Errorf("telemetry streaming is only available for workload and mix jobs")
-	}
-	if len(sp.Config) == 0 && sp.Experiment != "" {
+	if sp.Experiment != "" {
+		if sp.Telemetry > 0 {
+			return fmt.Errorf("telemetry streaming is only available for workload and mix jobs")
+		}
+		if len(sp.Config) > 0 {
+			return fmt.Errorf("config overrides are only available for workload and mix jobs (an experiment runs its own configurations)")
+		}
 		return nil
 	}
 	cfg, err := sp.simConfig()
@@ -122,9 +128,6 @@ func (sp JobSpec) Validate() error {
 		if err := cfg.EffectiveMORCConfig().Validate(); err != nil {
 			return fmt.Errorf("bad MORCConfig override: %w", err)
 		}
-	}
-	if sp.Experiment != "" {
-		return nil // experiment jobs run their own configurations
 	}
 	// The job's system sets the core count, as sim.NewSingle and
 	// sim.NewMix do.
