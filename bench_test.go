@@ -23,6 +23,7 @@ import (
 	"morc/internal/rng"
 	"morc/internal/sim"
 	"morc/internal/telemetry"
+	"morc/internal/trace"
 )
 
 // benchBudget is the scaled-down experiment budget for testing.B runs.
@@ -302,6 +303,27 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		fillCache.Fill(fillAddr*cache.LineSize, line)
 	}
 
+	// A warm value model: one region's pools built by synthesizing its
+	// first 64 lines, the first of which that is not a zero line is
+	// read again, and a line past them written back.
+	memv := trace.NewMemory(trace.MustGet("gcc"))
+	var fetched [cache.LineSize]byte
+	const region = 1 << 36
+	var synthAddr uint64
+	for a := uint64(region); a < region+64*cache.LineSize; a += cache.LineSize {
+		memv.ReadLineInto(fetched[:], a)
+		if synthAddr == 0 && fetched != [cache.LineSize]byte{} {
+			synthAddr = a
+		}
+	}
+	writtenAddr := uint64(region + 64*cache.LineSize)
+	memv.WriteLine(writtenAddr, line)
+	readLine := func() {
+		memv.ReadLineInto(fetched[:], synthAddr)
+		memv.ReadLineInto(fetched[:], writtenAddr)
+		memv.WriteLine(writtenAddr, fetched[:])
+	}
+
 	simCfg := sim.DefaultConfig()
 	simCfg.Scheme = sim.MORC
 	simCfg.WarmupInstr = 20_000
@@ -346,6 +368,11 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 			},
 		},
 		{
+			name: "trace/read-line", perWhat: "line", div: 3,
+			note: "trace.Memory on a warm value model: ReadLineInto of a synthesized line in a built region, ReadLineInto of a written-back line, and a WriteLine overwrite, the LLC-miss path's memory reads and write-backs",
+			fn:   readLine,
+		},
+		{
 			name: "sim/run-single", perWhat: "kinstr", div: 70, // 70k instructions per run
 			note: "sim.RunSingle gcc/MORC at 20k warmup + 50k measured instructions; normalized per 1000 instructions, so the number is the steady-state stepAccess cost plus amortized setup",
 			fn:   func() { simRes = sim.RunSingle("gcc", simCfg) },
@@ -381,7 +408,8 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	// into its arena and returns victims through its own buffer, so its
 	// accesses allocate nothing. A MORC fill keeps one copy of the line
 	// and allocates nothing else: trial compression into every active
-	// log is allocation-free.
+	// log is allocation-free. The value model synthesizes into the
+	// caller's buffer and overwrites a written line in place.
 	for _, l := range legs {
 		if l.ran && l.name == "cache/clone-line" && l.allocs != 1 {
 			b.Fatalf("CloneLine allocates %.0f objects per clone, want exactly 1", l.allocs)
@@ -391,6 +419,9 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		}
 		if l.ran && l.name == "core/fill" && l.allocs > 1 {
 			b.Fatalf("a warm MORC fill allocates %.0f objects, want at most 1 (the retained line copy)", l.allocs)
+		}
+		if l.ran && l.name == "trace/read-line" && l.allocs != 0 {
+			b.Fatalf("a warm value model's two line reads and one overwrite allocate %.0f objects, want 0", l.allocs)
 		}
 	}
 

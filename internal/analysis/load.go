@@ -262,6 +262,14 @@ func (prog *Program) load(dir string, lint bool) (*Unit, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
+		// Only the files the go command builds on this host: a file
+		// and its other-architecture twin (internal/rng's lanes_amd64.go
+		// and lanes_other.go) declare the same names.
+		if ok, err := build.Default.MatchFile(abs, name); err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		} else if !ok {
+			continue
+		}
 		f, err := parser.ParseFile(prog.Fset, filepath.Join(abs, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)

@@ -59,6 +59,7 @@ func goldenCases() []goldenCase {
 		{name: "fig6", file: "fig6-full", budget: exp.Full(), heavy: true, full: true},
 		{name: "fig7", budget: tiny, heavy: true},
 		{name: "fig8", budget: fig8, heavy: true},
+		{name: "fig8", file: "fig8-full", budget: exp.Full(), heavy: true, full: true},
 		{name: "fig9", budget: tiny, heavy: true},
 		// Static tables need no simulation and stay in the -short lane.
 		{name: "tab1"},

@@ -118,15 +118,25 @@ func (r *RNG) Geometric(p float64) int {
 // maxTrials without drawing again. No sane probability comes near it.
 const maxTrials = 1 << 20
 
+// laneFrom is how many draws Trials makes in the Go loop before it
+// hands the run to scan16, a multiple of its four-wide step. Most runs
+// end sooner (the instruction gap averages about 3 draws), and a kernel
+// call costs more than a short run.
+const laneFrom = 8
+
 // Trials draws until a Chance(t) succeeds and returns the number of
 // draws, leaving the generator exactly where that many Chance calls
 // would. t >= always returns 1 without drawing; after maxTrials-1
 // failures it returns maxTrials.
 //
-// A splitmix64 state advances by a constant, so the next four states
-// are known up front: each step mixes all four at once (independent
-// multiply chains the CPU overlaps) and takes the first success, which
-// keeps both the count and the final state those of one draw at a time.
+// A splitmix64 state advances by a constant, so the states of a whole
+// run are known before any is mixed. Each step mixes the next four at
+// once (independent multiply chains the CPU overlaps) and takes the
+// first success, which keeps both the count and the final state those
+// of one draw at a time. A run still going after laneFrom draws goes,
+// where the CPU has vector lanes for it, to scan16, which tests sixteen
+// states per step the same way; it stops short of the cap, whose last
+// draws stay in the Go loop.
 func (r *RNG) Trials(t Threshold) int {
 	if t >= always {
 		return 1
@@ -134,6 +144,16 @@ func (r *RNG) Trials(t Threshold) int {
 	s := r.state
 	n := 0 // failed draws so far
 	for ; n+4 < maxTrials; n += 4 {
+		if n == laneFrom && lanes {
+			blocks := (maxTrials - 1 - n) / 16
+			if k := scan16(s, uint64(t)<<11, blocks); k > 0 {
+				r.state = s + uint64(k)*gamma
+				return n + k
+			}
+			s += uint64(16*blocks) * gamma
+			n += 16 * blocks
+			break
+		}
 		s1 := s + gamma
 		s2 := s1 + gamma
 		s3 := s2 + gamma

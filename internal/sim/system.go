@@ -26,6 +26,9 @@ type coreState struct {
 	// store is the line a store miss mutates before it enters the L1:
 	// the data the miss path hands back may be the LLC's own bytes.
 	store [cache.LineSize]byte
+	// fetch receives a line read from memory on an LLC miss; the LLC
+	// and L1 fills copy it.
+	fetch [cache.LineSize]byte
 
 	now    uint64 // local cycle count
 	instr  uint64
@@ -213,14 +216,16 @@ func (s *System) block(c *coreState, lat uint64) {
 // llcAccess services an L1 miss: LLC lookup, then memory on an LLC miss.
 // Non-inclusive LLCs do not allocate on store misses (§5.4.2); the line
 // arrives later as an L1 write-back. On an LLC hit data is the LLC's
-// read result, valid until the LLC's next Fill or WriteBack.
+// read result, valid until the LLC's next Fill or WriteBack; on a miss
+// it is the core's fetch buffer, valid until its next LLC miss.
 func (s *System) llcAccess(c *coreState, addr uint64, isStore bool) (data []byte, lat uint64) {
 	res := s.llc.Read(addr)
 	lat = uint64(s.cfg.LLCLatency) + uint64(res.ExtraCycles)
 	if res.Hit {
 		return res.Data, lat
 	}
-	data = c.memv.ReadLine(addr)
+	data = c.fetch[:]
+	c.memv.ReadLineInto(data, addr)
 	done := s.memctl.Read(c.now+lat, addr, s.transferBytes(data))
 	lat = done - c.now
 	if !isStore || s.cfg.Inclusive {

@@ -15,9 +15,12 @@ import (
 // data largely compressible (the paper observes write-back data
 // compresses comparably to fill data, §5.4.2).
 type Memory struct {
-	prof    Profile
-	draws   valueDraws
-	written map[uint64][]byte
+	prof  Profile
+	draws valueDraws
+	// written holds each written-back line's latest contents. A write
+	// overwrites its address's entry and a read copies it out, so no
+	// caller's slice aliases it.
+	written map[uint64][cache.LineSize]byte
 	// pools hold the duplication chunks of each address region, one
 	// pool per granularity level, each instantiated lazily: neighboring
 	// lines share a small vocabulary (which windowed inter-line
@@ -25,7 +28,7 @@ type Memory struct {
 	// regions is large (which bounds what a global frequency dictionary
 	// like SC2's can capture).
 	pools  map[uint64]*regionPools
-	fpPool [][]byte // 4-byte exponent-word pool for FP-like data (global)
+	fpPool [16]uint32 // exponent-word pool for FP-like data (global)
 	storeR rng.RNG
 
 	ReadLines  uint64 // lines synthesized or fetched
@@ -33,8 +36,9 @@ type Memory struct {
 }
 
 // regionPools are one region's chunk pools, indexed by level; a nil
-// pool is not built yet.
-type regionPools [4][][]byte
+// pool is not built yet. A level's pool is one array of its entries
+// back to back, poolGran[level] bytes each.
+type regionPools [4][]byte
 
 // valueDraws are a profile's value-model probabilities as thresholds,
 // built once per Memory.
@@ -74,31 +78,36 @@ func (m *Memory) regionPools(region uint64) *regionPools {
 // This keeps a region's 32-bit vocabulary small enough for windowed
 // dictionaries to cover. Each pool's generator is seeded by (level,
 // region) alone, so the order pools are built in changes no draw.
-func (m *Memory) pool(rp *regionPools, level int, region uint64) [][]byte {
+func (m *Memory) pool(rp *regionPools, level int, region uint64) []byte {
 	if p := rp[level]; p != nil {
 		return p
 	}
-	r := rng.New(m.prof.Seed ^ mix(0x504f4f4c^uint64(level)<<40^region*2654435761))
-	p := make([][]byte, m.prof.PoolSizes[level])
-	if level == 3 {
-		for i := range p {
-			p[i] = m.genChunk(r, poolGran[level])
-		}
-	} else {
-		child := m.pool(rp, level+1, region)
-		for i := range p {
-			if r.Chance(pPoolPair) {
-				b := make([]byte, 0, poolGran[level])
-				b = append(b, child[r.Intn(len(child))]...)
-				b = append(b, child[r.Intn(len(child))]...)
-				p[i] = b
-			} else {
-				p[i] = m.genChunk(r, poolGran[level])
-			}
+	var r rng.RNG
+	r.Seed(m.prof.Seed ^ mix(0x504f4f4c^uint64(level)<<40^region*2654435761))
+	g := poolGran[level]
+	p := make([]byte, m.prof.PoolSizes[level]*g)
+	var child []byte
+	if level < 3 {
+		child = m.pool(rp, level+1, region)
+	}
+	for off := 0; off < len(p); off += g {
+		e := p[off : off+g]
+		if level < 3 && r.Chance(pPoolPair) {
+			copy(e, pick(&r, child, g/2))
+			copy(e[g/2:], pick(&r, child, g/2))
+		} else {
+			m.genChunk(&r, e)
 		}
 	}
 	rp[level] = p
 	return p
+}
+
+// pick returns a uniformly drawn entry of pool p, whose entries are g
+// bytes each.
+func pick(r *rng.RNG, p []byte, g int) []byte {
+	i := r.Intn(len(p)/g) * g
+	return p[i : i+g]
 }
 
 // granBytes for pool level: 32, 16, 8, 4.
@@ -117,31 +126,27 @@ func NewMemory(p Profile) *Memory {
 			narrow:    rng.ThresholdOf(p.NarrowFrac),
 			storeComp: rng.ThresholdOf(p.StoreComp),
 		},
-		written: make(map[uint64][]byte),
+		written: make(map[uint64][cache.LineSize]byte),
 		pools:   make(map[uint64]*regionPools),
 	}
 	for i, w := range p.GranWeights {
 		m.draws.gran[i] = rng.ThresholdOf(w)
 	}
-	m.storeR.Seed(p.Seed ^ 0x53544f5245)  // "STORE"
-	poolR := rng.New(p.Seed ^ 0x504f4f4c) // "POOL"
-	m.fpPool = make([][]byte, 16)
+	m.storeR.Seed(p.Seed ^ 0x53544f5245) // "STORE"
+	var poolR rng.RNG
+	poolR.Seed(p.Seed ^ 0x504f4f4c) // "POOL"
 	for i := range m.fpPool {
-		b := make([]byte, 4)
 		// Double-precision high words: same sign/exponent neighborhood.
-		binary.LittleEndian.PutUint32(b, 0x3FE00000|uint32(poolR.Intn(1<<12)))
-		m.fpPool[i] = b
+		m.fpPool[i] = 0x3FE00000 | uint32(poolR.Intn(1<<12))
 	}
 	return m
 }
 
-// genChunk produces a pool chunk of g bytes following the word model.
-func (m *Memory) genChunk(r *rng.RNG, g int) []byte {
-	b := make([]byte, g)
-	for off := 0; off < g; off += 4 {
+// genChunk fills a pool chunk following the word model.
+func (m *Memory) genChunk(r *rng.RNG, b []byte) {
+	for off := 0; off < len(b); off += 4 {
 		m.genWord(r, b[off:off+4], off/4)
 	}
-	return b
 }
 
 // genWord fills a 4-byte word: zero, narrow integer, FP-structured, or
@@ -164,22 +169,33 @@ func (m *Memory) genWord(r *rng.RNG, dst []byte, wordIdx int) {
 		}
 	case m.prof.FPLike && wordIdx%2 == 1 && r.Chance(pFPHighWord):
 		// High word of a little-endian double: clustered exponents.
-		copy(dst, m.fpPool[r.Intn(len(m.fpPool))])
+		binary.LittleEndian.PutUint32(dst, m.fpPool[r.Intn(len(m.fpPool))])
 	default:
 		binary.LittleEndian.PutUint32(dst, r.Uint32())
 	}
 }
 
-// ReadLine returns the 64-byte line at addr (line-aligned internally).
+// ReadLine returns a new copy of the 64-byte line at addr
+// (line-aligned internally).
 func (m *Memory) ReadLine(addr uint64) []byte {
+	line := make([]byte, cache.LineSize)
+	m.ReadLineInto(line, addr)
+	return line
+}
+
+// ReadLineInto writes the 64-byte line at addr (line-aligned
+// internally) into dst, which must be 64 bytes long.
+func (m *Memory) ReadLineInto(dst []byte, addr uint64) {
+	if len(dst) != cache.LineSize {
+		panic(fmt.Sprintf("trace: ReadLineInto %d bytes", len(dst)))
+	}
 	la := cache.LineAddr(addr)
 	m.ReadLines++
 	if d, ok := m.written[la]; ok {
-		out := make([]byte, cache.LineSize)
-		copy(out, d)
-		return out
+		copy(dst, d[:])
+		return
 	}
-	return m.synthLine(la)
+	m.synthLine(dst, la)
 }
 
 // WriteLine records a line written back from the cache hierarchy.
@@ -187,20 +203,20 @@ func (m *Memory) WriteLine(addr uint64, data []byte) {
 	if len(data) != cache.LineSize {
 		panic(fmt.Sprintf("trace: WriteLine of %d bytes", len(data)))
 	}
-	la := cache.LineAddr(addr)
 	m.WriteLines++
-	m.written[la] = cache.CloneLine(data)
+	m.written[cache.LineAddr(addr)] = [cache.LineSize]byte(data)
 }
 
-// synthLine deterministically generates the pristine contents of a line.
-func (m *Memory) synthLine(la uint64) []byte {
-	r := rng.New(m.prof.Seed ^ mix(la))
-	line := make([]byte, cache.LineSize)
+// synthLine deterministically generates the pristine contents of the
+// line at la into line.
+func (m *Memory) synthLine(line []byte, la uint64) {
+	var r rng.RNG
+	r.Seed(m.prof.Seed ^ mix(la))
 	if r.Chance(m.draws.zeroLine) {
-		return line
+		clear(line)
+		return
 	}
-	m.fillRegion(r, line, 0, la/RegionBytes)
-	return line
+	m.fillRegion(&r, line, 0, la/RegionBytes)
 }
 
 // fillRegion fills line[off:] hierarchically: at each granule boundary it
@@ -220,8 +236,7 @@ func (m *Memory) fillRegion(r *rng.RNG, line []byte, off int, region uint64) {
 				if rp == nil {
 					rp = m.regionPools(region)
 				}
-				p := m.pool(rp, lvl, region)
-				copy(line[off:off+g], p[r.Intn(len(p))])
+				copy(line[off:off+g], pick(r, m.pool(rp, lvl, region), g))
 				off += g
 				placed = true
 				break
@@ -251,8 +266,7 @@ func (m *Memory) ApplyStore(line []byte, addr uint64) {
 	if m.storeR.Chance(m.draws.storeComp) {
 		if m.storeR.Chance(pStorePool) {
 			region := cache.LineAddr(addr) / RegionBytes
-			p := m.pool(m.regionPools(region), 2, region)
-			copy(line[off:off+8], p[m.storeR.Intn(len(p))])
+			copy(line[off:off+8], pick(&m.storeR, m.pool(m.regionPools(region), 2, region), 8))
 		} else {
 			binary.LittleEndian.PutUint32(line[off:], uint32(m.storeR.Trials(gStoreNarrow)))
 			binary.LittleEndian.PutUint32(line[off+4:], 0)
