@@ -5,37 +5,74 @@ import (
 
 	"morc/internal/cache"
 	"morc/internal/check"
+	"morc/internal/core"
 	"morc/internal/rng"
 	"morc/internal/sim"
 )
 
 // newSchemeLLC builds the exact LLC the simulator would run for sch,
-// shrunk to 32KB so evictions and log recycling happen constantly.
-func newSchemeLLC(sch sim.Scheme) cache.LLC {
+// with MORC configuration mc (nil for the paper's default), shrunk to
+// 32KB so evictions and log recycling happen constantly.
+func newSchemeLLC(sch sim.Scheme, mc *core.Config) cache.LLC {
 	cfg := sim.DefaultConfig()
 	cfg.Scheme = sch
 	cfg.LLCBytesPerCore = 32 * 1024
+	cfg.MORCConfig = mc
 	return cfg.NewLLC()
 }
 
-// TestDifferentialOracleAllSchemes drives every LLC organization
-// through the same random operation streams against the latest-data-
-// wins reference model: hits must return the last data stored,
-// evictions must carry it, no dirty line may vanish, and each scheme's
-// structural invariants must hold throughout.
+// oracleRow is one cache the differential oracle drives.
+type oracleRow struct {
+	name string
+	sch  sim.Scheme
+	mc   *core.Config
+}
+
+// oracleRows lists every scheme at its default configuration, then MORC
+// in the limit-study modes the experiments run: fig13's unlimited tags
+// and LMT, fig12's unlimited tags with raw logs, and raw logs alone.
+func oracleRows() []oracleRow {
+	var rows []oracleRow
+	for _, sch := range sim.AllSchemes() {
+		rows = append(rows, oracleRow{name: sch.String(), sch: sch})
+	}
+	for _, m := range []struct {
+		name           string
+		unlimited, raw bool
+	}{
+		{"MORC-UnlimitedTags", true, false},
+		{"MORC-UnlimitedTags-DisableCompression", true, true},
+		{"MORC-DisableCompression", false, true},
+	} {
+		mc := core.DefaultConfig(32 * 1024)
+		mc.UnlimitedTags, mc.DisableCompression = m.unlimited, m.raw
+		rows = append(rows, oracleRow{name: m.name, sch: sim.MORC, mc: &mc})
+	}
+	return rows
+}
+
+// TestDifferentialOracleAllSchemes drives every LLC organization, and
+// MORC in each limit-study mode, through the same random operation
+// streams against the latest-data-wins reference model: hits must
+// return the last data stored, evictions must carry it, no dirty line
+// may vanish, and each scheme's structural invariants must hold
+// throughout. Every MORC run must flush a log, the path that writes
+// back the dirty lines a log holds.
 func TestDifferentialOracleAllSchemes(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4}
 	ops := 6000
 	if testing.Short() {
+		// 1,500 ops flush no log in the MORC, MORCMerged and
+		// MORC-UnlimitedTags rows; 2,500 flush at least 29 in each.
 		seeds = seeds[:1]
-		ops = 1500
+		ops = 2500
 	}
-	for _, sch := range sim.AllSchemes() {
-		sch := sch
-		t.Run(sch.String(), func(t *testing.T) {
+	for _, row := range oracleRows() {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
-				c := newSchemeLLC(sch)
+				c := newSchemeLLC(row.sch, row.mc)
 				o := check.New(c)
 				r := rng.New(seed)
 				// Working set ~1.5x the 8x-capacity scheme's line count so
@@ -55,6 +92,9 @@ func TestDifferentialOracleAllSchemes(t *testing.T) {
 				if err := check.Invariants(c); err != nil {
 					t.Fatalf("seed %d: invariants after conservation reads: %v", seed, err)
 				}
+				if mc, ok := c.(*core.Cache); ok && mc.MorcStats().LogEvictions == 0 {
+					t.Errorf("seed %d: no log was flushed", seed)
+				}
 			}
 		})
 	}
@@ -64,7 +104,7 @@ func TestDifferentialOracleAllSchemes(t *testing.T) {
 // organization ships a structural self-check the harness can call.
 func TestEverySchemeHasInvariantChecker(t *testing.T) {
 	for _, sch := range sim.AllSchemes() {
-		c := newSchemeLLC(sch)
+		c := newSchemeLLC(sch, nil)
 		if _, ok := c.(check.InvariantChecker); !ok {
 			t.Errorf("%v: %T implements no CheckInvariants", sch, c)
 		}

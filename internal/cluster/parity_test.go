@@ -204,6 +204,7 @@ var parityCases = []parityCase{
 				`{"workload":"gcc","config":{"sampling":{"IntervalInstr":15000}}}`,
 				`{"workload":"gcc","config":{"Telemetry":{"Every":1,"MaxEpochs":1000000000}}}`,
 				`{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":{"LogReplacement":1}}}`,
+				`{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":{"verifyreads":true}}}`,
 				`{"workload":"gcc","config":{"BWPerCore":0}}`,
 				`{"workload":"gcc","config":{"BWPerCore":-1}}`,
 				`{"workload":"gcc","config":{"ClockHz":0}}`,
@@ -219,6 +220,7 @@ var parityCases = []parityCase{
 			`400 {"error":"bad config overrides: json: unknown field \"IntervalInstr\""}; ` +
 			`400 {"error":"bad config overrides: json: unknown field \"MaxEpochs\""}; ` +
 			`400 {"error":"bad config overrides: json: unknown field \"LogReplacement\""}; ` +
+			`400 {"error":"bad config overrides: json: unknown field \"verifyreads\""}; ` +
 			`400 {"error":"bad config: BWPerCore 0 must be positive"}; ` +
 			`400 {"error":"bad config: BWPerCore -1 must be positive"}; ` +
 			`400 {"error":"bad config: ClockHz 0 must be positive"}; ` +

@@ -6,10 +6,11 @@ import (
 )
 
 // FuzzRoundTrip interprets the fuzz data as a sequence of tags (8 bytes
-// each, masked to the 42-bit tag width), appends them — checking
-// TrialBits against the observed growth — then invalidates a subset and
-// asserts the stream still decodes to the exact tags with the right
-// validity flags and an unchanged bit length.
+// each, masked to the 42-bit tag width) and invalSel as a subset of them
+// to invalidate, then holds the Stream and Encode to checkStream's
+// properties: TrialBits equals Append's growth, which equals Encode's
+// length with or without the invalidations, and the tags decode exactly
+// with the validity they were encoded with.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint8(0), false)
 	f.Add(binary.BigEndian.AppendUint64(nil, 0x1000), uint8(0), true)
@@ -26,52 +27,18 @@ func FuzzRoundTrip(f *testing.F) {
 		cfg := DefaultConfig()
 		cfg.MultiBase = multiBase
 		mask := uint64(1)<<cfg.TagBits - 1
-
-		s := NewStream(cfg)
 		var tags []uint64
 		for off := 0; off+8 <= len(data); off += 8 {
-			tag := binary.BigEndian.Uint64(data[off:]) & mask
-			trial := s.TrialBits(tag)
-			before := s.Bits()
-			grew := s.Append(tag)
-			if s.Bits()-before != grew {
-				t.Fatalf("tag %d: Append reported %d bits, stream grew %d", len(tags), grew, s.Bits()-before)
-			}
-			if trial != grew {
-				t.Fatalf("tag %d: TrialBits=%d, Append grew %d", len(tags), trial, grew)
-			}
-			tags = append(tags, tag)
+			tags = append(tags, binary.BigEndian.Uint64(data[off:])&mask)
 		}
-		if s.Count() != len(tags) {
-			t.Fatalf("Count=%d, appended %d", s.Count(), len(tags))
-		}
-
-		wantValid := make([]bool, len(tags))
-		for i := range wantValid {
-			wantValid[i] = true
-		}
-		// Invalidate a deterministic subset; size must not change.
-		bitsBefore := s.Bits()
+		// Invalidate a deterministic subset.
+		valid := allValid(len(tags))
 		stride := int(invalSel%5) + 2
 		for i := 0; i < len(tags); i += stride {
-			s.Invalidate(i)
-			wantValid[i] = false
+			valid[i] = false
 		}
-		if s.Bits() != bitsBefore {
-			t.Fatalf("invalidation changed stream size: %d -> %d bits", bitsBefore, s.Bits())
-		}
-
-		gotTags, gotValid, err := Decode(cfg, s.Bytes(), s.Bits(), len(tags))
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		for i := range tags {
-			if gotTags[i] != tags[i] {
-				t.Fatalf("tag %d: decoded %#x, want %#x", i, gotTags[i], tags[i])
-			}
-			if gotValid[i] != wantValid[i] {
-				t.Fatalf("tag %d: decoded valid=%v, want %v", i, gotValid[i], wantValid[i])
-			}
+		if err := checkStream(cfg, tags, valid); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -17,6 +17,11 @@
 //
 // Because MORC appends cache lines to a log in temporal order, successive
 // tags are usually near each other and compress to a handful of bits.
+//
+// MORC's model reads only a stream's size, so a Stream sizes a log's
+// tags without writing them. Encode writes the bits and Decode reads
+// them back; they exist so tests and the cache's invariant check can
+// show the format round-trips and the sizes are exact.
 package tagdelta
 
 import (
@@ -83,33 +88,35 @@ func distFromCode(code int, extra uint64) uint64 {
 // sign + code + precision for a reachable delta, or the new-base escape.
 // It does not include the validity or base-select bits.
 func (c Config) deltaBits(tag, base uint64, haveBase bool) int {
-	if !haveBase {
-		return codeBits + c.TagBits
-	}
-	var dist uint64
-	if tag >= base {
-		dist = tag - base
-	} else {
-		dist = base - tag
-	}
-	if dist == 0 || dist > maxDistance {
+	dist, _ := delta(tag, base)
+	if !haveBase || dist == 0 || dist > maxDistance {
 		return codeBits + c.TagBits
 	}
 	_, prec, _ := distCode(dist)
 	return 1 + codeBits + prec
 }
 
-// Stream is an append-only compressed tag stream (one per MORC log). It
-// tracks exact bit sizes and supports trial sizing for the multi-log
-// insertion decision. The produced bitstream round-trips through Decode.
+// delta returns tag's distance from base and whether tag lies below it.
+func delta(tag, base uint64) (dist uint64, neg bool) {
+	if tag >= base {
+		return tag - base, false
+	}
+	return base - tag, true
+}
+
+// Stream sizes one log's compressed tag stream as tags are appended,
+// for the multi-log insertion decision: it keeps the bases, their
+// recency, the tag count and the bit count, and writes no bits. Encode
+// writes the stream it sizes. Invalidating a tag flips its validity bit
+// in place, which changes neither the size nor any later entry, so a
+// Stream has nothing to do for it.
 type Stream struct {
-	cfg    Config
-	w      *bitstream.Writer
-	bases  [2]uint64
-	have   [2]bool
-	used   [2]int // last-append sequence number, for LRU tie-breaking
-	count  int
-	starts []int // bit offset of each tag entry (validity bit position)
+	cfg   Config
+	bases [2]uint64
+	have  [2]bool
+	used  [2]int // last-append sequence number, for LRU tie-breaking
+	count int
+	bits  int
 }
 
 // NewStream returns an empty tag stream.
@@ -117,115 +124,95 @@ func NewStream(cfg Config) *Stream {
 	if cfg.TagBits < 1 || cfg.TagBits > 64 {
 		panic(fmt.Sprintf("tagdelta: TagBits %d out of range", cfg.TagBits))
 	}
-	return &Stream{cfg: cfg, w: bitstream.NewWriter()}
+	return &Stream{cfg: cfg}
 }
 
-// Reset empties the stream for reuse with the same configuration,
-// keeping its allocated storage.
-func (s *Stream) Reset() {
-	s.w.Reset()
-	*s = Stream{cfg: s.cfg, w: s.w, starts: s.starts[:0]}
-}
+// Reset empties the stream for reuse with the same configuration.
+func (s *Stream) Reset() { *s = Stream{cfg: s.cfg} }
 
 // Bits returns the stream size in bits.
-func (s *Stream) Bits() int { return s.w.Len() }
+func (s *Stream) Bits() int { return s.bits }
 
 // Count returns the number of tags appended.
 func (s *Stream) Count() int { return s.count }
 
-// Bytes returns the raw stream.
-func (s *Stream) Bytes() []byte { return s.w.Bytes() }
-
-// pickBase chooses the cheapest base for tag. Returns base index and cost
-// in bits excluding validity/base-select overhead.
-func (s *Stream) pickBase(tag uint64) (int, int) {
-	if !s.cfg.MultiBase {
-		return 0, s.cfg.deltaBits(tag, s.bases[0], s.have[0])
-	}
+// pick chooses the base tag is coded against and returns its index with
+// the entry's size in bits.
+func (s *Stream) pick(tag uint64) (idx, bits int) {
 	c0 := s.cfg.deltaBits(tag, s.bases[0], s.have[0])
+	if !s.cfg.MultiBase {
+		return 0, 1 + c0 // validity bit + delta
+	}
+	// Validity and base-select bits + the chosen base's delta.
 	c1 := s.cfg.deltaBits(tag, s.bases[1], s.have[1])
 	switch {
 	case c1 < c0:
-		return 1, c1
+		return 1, 2 + c1
 	case c0 < c1:
-		return 0, c0
+		return 0, 2 + c0
 	case s.used[1] < s.used[0]:
 		// Tie (typically two escapes): replace the least-recently used
 		// base so interleaved streams seed both bases.
-		return 1, c1
+		return 1, 2 + c1
 	default:
-		return 0, c0
+		return 0, 2 + c0
 	}
-}
-
-// overhead returns the per-tag fixed bits: validity + base select.
-func (s *Stream) overhead() int {
-	if s.cfg.MultiBase {
-		return 2
-	}
-	return 1
 }
 
 // TrialBits returns how many bits appending tag would add, without
 // modifying the stream.
 func (s *Stream) TrialBits(tag uint64) int {
-	_, cost := s.pickBase(tag)
-	return s.overhead() + cost
+	_, bits := s.pick(tag)
+	return bits
 }
 
-// Append encodes tag into the stream, returning the bits added.
+// Append sizes tag into the stream, returning the bits added.
 func (s *Stream) Append(tag uint64) int {
 	if tag >= 1<<uint(s.cfg.TagBits) {
 		panic(fmt.Sprintf("tagdelta: tag %#x exceeds %d bits", tag, s.cfg.TagBits))
 	}
-	baseIdx, _ := s.pickBase(tag)
-	start := s.w.Len()
-	s.starts = append(s.starts, start)
-	s.w.WriteBit(true) // validity
-	if s.cfg.MultiBase {
-		s.w.WriteBits(uint64(baseIdx), 1)
+	b, bits := s.pick(tag)
+	s.bases[b], s.have[b] = tag, true
+	s.count++
+	s.used[b] = s.count
+	s.bits += bits
+	return bits
+}
+
+// Encode writes the stream of tags, each with its validity bit, in the
+// format Decode reads. It picks each tag's base as a Stream does, so
+// nbits equals the Bits of a Stream the same tags were appended to. It
+// panics if tags and valid differ in length.
+func Encode(cfg Config, tags []uint64, valid []bool) (data []byte, nbits int) {
+	if len(tags) != len(valid) {
+		panic(fmt.Sprintf("tagdelta: Encode of %d tags with %d validity bits", len(tags), len(valid)))
 	}
-	base, haveBase := s.bases[baseIdx], s.have[baseIdx]
-	var dist uint64
-	neg := false
-	if haveBase {
-		if tag >= base {
-			dist = tag - base
-		} else {
-			dist = base - tag
-			neg = true
+	s := NewStream(cfg)
+	w := bitstream.NewWriter()
+	for i, tag := range tags {
+		b, _ := s.pick(tag)
+		base, haveBase := s.bases[b], s.have[b]
+		s.Append(tag)
+		w.WriteBit(valid[i])
+		if cfg.MultiBase {
+			w.WriteBits(uint64(b), 1)
 		}
-	}
-	if !haveBase || dist == 0 || dist > maxDistance {
-		s.w.WriteBits(newBaseCode, codeBits)
-		s.w.WriteBits(tag, s.cfg.TagBits)
-	} else {
+		dist, neg := delta(tag, base)
+		if !haveBase || dist == 0 || dist > maxDistance {
+			w.WriteBits(newBaseCode, codeBits)
+			w.WriteBits(tag, cfg.TagBits)
+			continue
+		}
 		// Code first, then sign: the 5-bit code unambiguously separates
 		// delta entries (codes 0-29) from new-base escapes (30-31).
 		code, prec, extra := distCode(dist)
-		s.w.WriteBits(uint64(code), codeBits)
-		s.w.WriteBit(neg)
+		w.WriteBits(uint64(code), codeBits)
+		w.WriteBit(neg)
 		if prec > 0 {
-			s.w.WriteBits(extra, prec)
+			w.WriteBits(extra, prec)
 		}
 	}
-	s.bases[baseIdx] = tag
-	s.have[baseIdx] = true
-	s.count++
-	s.used[baseIdx] = s.count
-	return s.w.Len() - start
-}
-
-// Invalidate flips tag i's validity bit in place. Because the bit has a
-// fixed position and the delta chain still decodes through invalid
-// entries, invalidation changes neither the stream size nor subsequent
-// entries — the hardware property MORC relies on.
-func (s *Stream) Invalidate(i int) {
-	if i < 0 || i >= s.count {
-		panic(fmt.Sprintf("tagdelta: Invalidate(%d) of %d tags", i, s.count))
-	}
-	pos := s.starts[i]
-	s.w.Bytes()[pos>>3] &^= 1 << uint(7-(pos&7))
+	return w.Bytes(), w.Len()
 }
 
 // Decode decodes the stream, returning each tag and its validity.

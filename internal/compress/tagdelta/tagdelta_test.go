@@ -1,30 +1,61 @@
 package tagdelta
 
 import (
-	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"morc/internal/rng"
 )
 
+// checkStream appends tags to a fresh Stream, checking each TrialBits
+// against what Append reports and the stream's growth, then encodes the
+// tags twice, all valid and with validity valid: each encoding must be
+// as long as the Stream sized it and decode to the tags with the
+// validity it was given, so invalidation moves neither the length nor
+// any tag.
+func checkStream(cfg Config, tags []uint64, valid []bool) error {
+	s := NewStream(cfg)
+	for i, tag := range tags {
+		trial, before := s.TrialBits(tag), s.Bits()
+		grew := s.Append(tag)
+		if trial != grew || s.Bits()-before != grew {
+			return fmt.Errorf("tag %d: TrialBits %d, Append reported %d, the stream grew %d", i, trial, grew, s.Bits()-before)
+		}
+	}
+	if s.Count() != len(tags) {
+		return fmt.Errorf("Count %d, appended %d", s.Count(), len(tags))
+	}
+	for _, v := range [][]bool{allValid(len(tags)), valid} {
+		data, nbits := Encode(cfg, tags, v)
+		if nbits != s.Bits() {
+			return fmt.Errorf("Encode wrote %d bits, the Stream sized %d", nbits, s.Bits())
+		}
+		got, gotValid, err := Decode(cfg, data, nbits, len(tags))
+		if err != nil {
+			return fmt.Errorf("decode: %w", err)
+		}
+		for i := range tags {
+			if got[i] != tags[i] || gotValid[i] != v[i] {
+				return fmt.Errorf("tag %d: decoded %#x valid %v, want %#x valid %v", i, got[i], gotValid[i], tags[i], v[i])
+			}
+		}
+	}
+	return nil
+}
+
+func allValid(n int) []bool {
+	v := make([]bool, n)
+	for i := range v {
+		v[i] = true
+	}
+	return v
+}
+
 func roundTrip(t *testing.T, cfg Config, tags []uint64) {
 	t.Helper()
-	s := NewStream(cfg)
-	for _, tg := range tags {
-		s.Append(tg)
-	}
-	got, valid, err := Decode(cfg, s.Bytes(), s.Bits(), len(tags))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	for i := range tags {
-		if got[i] != tags[i] {
-			t.Fatalf("tag %d: got %#x, want %#x", i, got[i], tags[i])
-		}
-		if !valid[i] {
-			t.Fatalf("tag %d decoded invalid", i)
-		}
+	if err := checkStream(cfg, tags, allValid(len(tags))); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -154,44 +185,19 @@ func TestTrialBitsMatchesAppend(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	cfg := DefaultConfig()
-	s := NewStream(cfg)
 	tags := []uint64{10, 11, 12, 13}
-	for _, tg := range tags {
-		s.Append(tg)
-	}
-	sizeBefore := s.Bits()
-	s.Invalidate(1)
-	s.Invalidate(3)
-	if s.Bits() != sizeBefore {
-		t.Fatal("invalidate changed stream size")
-	}
-	got, valid, err := Decode(cfg, s.Bytes(), s.Bits(), 4)
-	if err != nil {
-		t.Fatalf("decode after invalidate: %v", err)
-	}
-	for i := range tags {
-		if got[i] != tags[i] {
-			t.Fatalf("tag %d corrupted by invalidate: %#x", i, got[i])
-		}
-	}
-	wantValid := []bool{true, false, true, false}
-	for i, w := range wantValid {
-		if valid[i] != w {
-			t.Fatalf("validity[%d] = %v, want %v", i, valid[i], w)
-		}
+	if err := checkStream(DefaultConfig(), tags, []bool{true, false, true, false}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestInvalidateOutOfRangePanics(t *testing.T) {
-	s := NewStream(DefaultConfig())
-	s.Append(1)
+func TestEncodeLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("out-of-range invalidate did not panic")
+			t.Fatal("Encode of 2 tags with 1 validity bit did not panic")
 		}
 	}()
-	s.Invalidate(1)
+	Encode(DefaultConfig(), []uint64{1, 2}, []bool{true})
 }
 
 func TestOversizedTagPanics(t *testing.T) {
@@ -209,27 +215,25 @@ func TestResetMatchesFreshStream(t *testing.T) {
 	s := NewStream(cfg)
 	s.Append(500)
 	s.Append(9000)
-	s.Invalidate(0)
 	s.Reset()
 	if s.Bits() != 0 || s.Count() != 0 {
 		t.Fatalf("Reset left %d bits, %d tags", s.Bits(), s.Count())
 	}
 	// No base may survive the reset: the first tag must escape again,
-	// exactly as in a fresh stream.
+	// exactly as in a fresh stream, and Encode, which starts fresh,
+	// must agree with the reset stream's size.
 	fresh := NewStream(cfg)
-	for _, tag := range []uint64{501, 502, 9001} {
+	tags := []uint64{501, 502, 9001}
+	for _, tag := range tags {
+		if got, want := s.TrialBits(tag), fresh.TrialBits(tag); got != want {
+			t.Fatalf("tag %d: reset stream trial %d bits, fresh stream %d", tag, got, want)
+		}
 		if got, want := s.Append(tag), fresh.Append(tag); got != want {
 			t.Fatalf("tag %d: reset stream appended %d bits, fresh stream %d", tag, got, want)
 		}
 	}
-	s.Invalidate(1)
-	fresh.Invalidate(1)
-	if !bytes.Equal(s.Bytes(), fresh.Bytes()) {
-		t.Fatalf("reset stream %x, fresh stream %x", s.Bytes(), fresh.Bytes())
-	}
-	got, valid, err := Decode(cfg, s.Bytes(), s.Bits(), 3)
-	if err != nil || got[2] != 9001 || valid[1] {
-		t.Fatalf("reset stream decodes to %v %v (%v)", got, valid, err)
+	if _, nbits := Encode(cfg, tags, []bool{true, false, true}); nbits != s.Bits() {
+		t.Fatalf("reset stream sized %d bits, Encode wrote %d", s.Bits(), nbits)
 	}
 }
 
@@ -239,6 +243,7 @@ func TestRoundTripProperty(t *testing.T) {
 		cfg := Config{TagBits: 42, MultiBase: multiBase}
 		count := int(n%50) + 1
 		tags := make([]uint64, count)
+		valid := make([]bool, count)
 		cur := r.Uint64() & ((1 << 42) - 1)
 		for i := range tags {
 			switch r.Intn(4) {
@@ -254,19 +259,11 @@ func TestRoundTripProperty(t *testing.T) {
 				cur = r.Uint64() & ((1 << 42) - 1)
 			}
 			tags[i] = cur
+			valid[i] = r.Bool(0.7)
 		}
-		s := NewStream(cfg)
-		for _, tg := range tags {
-			s.Append(tg)
-		}
-		got, _, err := Decode(cfg, s.Bytes(), s.Bits(), count)
-		if err != nil {
+		if err := checkStream(cfg, tags, valid); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
-		}
-		for i := range tags {
-			if got[i] != tags[i] {
-				return false
-			}
 		}
 		return true
 	}

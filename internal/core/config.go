@@ -52,19 +52,14 @@ type Config struct {
 	// least-used active log (§3.2.3; default 0.05).
 	FudgeFactor float64
 	// UnlimitedTags removes the tag-region and LMT capacity limits; used
-	// by the paper's limit studies (Figure 13).
+	// by the paper's limit studies (Figure 13). Lines are found through
+	// an exact index instead of the LMT, and dirty lines are still
+	// written back when their log is flushed.
 	UnlimitedTags bool
 	// DisableCompression stores lines raw in the logs (Figure 12's
 	// invalidation study, which disables compression to accentuate
 	// write-back effects).
 	DisableCompression bool
-	// VerifyReads makes every read hit rebuild the log's stream through
-	// the requested line from the lines' copies, checking each line's
-	// recorded end bit, then decompress it and compare the line against
-	// its bookkeeping copy, panicking on a mismatch. Slow; for tests and
-	// debugging (the test suite also checks every log this way via
-	// CheckInvariants).
-	VerifyReads bool
 	// LBE configures the data codec; Tag configures the tag codec.
 	LBE lbe.Config
 	Tag tagdelta.Config

@@ -79,22 +79,3 @@ func TestActiveLogCountAffectsGrouping(t *testing.T) {
 		t.Fatalf("multi-log (%.2f) clearly worse than single (%.2f)", eight, one)
 	}
 }
-
-// TestVerifyReadsMode exercises the paranoid decode-on-every-hit path.
-func TestVerifyReadsMode(t *testing.T) {
-	cfg := smallConfig()
-	cfg.VerifyReads = true
-	c := New(cfg)
-	r := rng.New(77)
-	for i := 0; i < 600; i++ {
-		addr := uint64(r.Intn(128)) * cache.LineSize
-		switch r.Intn(3) {
-		case 0:
-			c.Read(addr) // decodes on hit; panics on any stream divergence
-		case 1:
-			c.Fill(addr, lineVal(r, r.Intn(3)))
-		default:
-			c.WriteBack(addr, lineVal(r, r.Intn(3)))
-		}
-	}
-}

@@ -12,15 +12,12 @@ import (
 // Stats extends the common LLC counters with MORC-specific events.
 type Stats struct {
 	cache.Stats
-	FastMisses      uint64 // LMT entry invalid: miss resolved without tag decode
-	AliasedMisses   uint64 // LMT entry valid but tag check failed
-	LMTConflicts    uint64 // fills that evicted a conflicting LMT entry
-	LogEvictions    uint64 // whole-log flushes
-	LogReuses       uint64 // all-invalid logs reclaimed without a flush
-	TagCycles       uint64 // cycles spent decompressing tags
-	TagAppends      uint64 // tags appended (diagnostics)
-	TagEscapes      uint64 // tag appends that needed a new-base escape
-	TagBitsAppended uint64
+	FastMisses    uint64 // LMT entry invalid: miss resolved without tag decode
+	AliasedMisses uint64 // LMT entry valid but tag check failed
+	LMTConflicts  uint64 // fills that evicted a conflicting LMT entry
+	LogEvictions  uint64 // whole-log flushes
+	LogReuses     uint64 // all-invalid logs reclaimed without a flush
+	TagCycles     uint64 // cycles spent decompressing tags
 	// LatencyBytes histograms read hits by decompressed position in the
 	// log (Figure 14's buckets, in output bytes; divide by 16 for cycles).
 	LatencyBytes *stats.Histogram
@@ -28,45 +25,48 @@ type Stats struct {
 
 // lineRec is the bookkeeping for one appended (compressed) line.
 type lineRec struct {
-	addr    uint64 // line-aligned address
-	valid   bool
-	endBits int    // data-stream length after this line's append
-	data    []byte // uncompressed copy, from which the stream is rebuilt
-	lmtIdx  int    // owning LMT entry (meaningful while valid)
+	addr     uint64 // line-aligned address
+	valid    bool
+	modified bool   // dirty: leaving the cache writes it back
+	endBits  int    // data-stream length after this line's append
+	data     []byte // uncompressed copy, from which the streams are rebuilt
+	lmtIdx   int    // owning LMT entry (meaningful while valid)
 }
 
 // logT is one fixed-size log. Its data stream is the LBE encoding of
-// its lines in order, from empty dictionaries, so the log records only
-// the stream's length and symbol counts, which the group's kept trials
-// supply (the group holds the active logs' dictionaries).
-// CheckInvariants and VerifyReads rebuild the stream from the lines.
+// its lines in order, from empty dictionaries, and its tag stream the
+// tagdelta encoding of their tags and validity, so the log records only
+// the streams' lengths and the data stream's symbol counts: the group's
+// kept trials supply the data side (the group holds the active logs'
+// dictionaries), and a tagdelta.Stream sizes the tags.
+// CheckInvariants rebuilds both streams from the lines.
 type logT struct {
 	id        int
 	bits      int             // data-stream length
 	syms      lbe.SymbolStats // the stream's symbols (Figure 7)
-	tags      *tagdelta.Stream
+	tags      tagdelta.Stream
 	lines     []lineRec
 	valid     int
 	active    bool
 	closedSeq uint64 // FIFO stamp set when the log is closed
-	rawBytes  int    // occupancy when DisableCompression is set
 	// prev and next link the log into the Cache's closed FIFO while it
 	// is closed and holds valid lines.
 	prev, next *logT
 }
 
-// lmtEntry is a Line-Map Table entry: state bits + log index. The owner
-// address and line index are simulator bookkeeping standing in for the
-// tag check the hardware performs against the log's compressed tag store
-// (each valid entry is owned by exactly one line, so the outcome is
-// identical; the timing model still charges the tag decode).
+// lmtEntry is a Line-Map Table entry: a valid bit + log index. The
+// hardware entry also holds the line's modified bit; the model keeps that
+// on the line record, where UnlimitedTags mode, which has no LMT, finds
+// it too. The owner address and line index are simulator bookkeeping
+// standing in for the tag check the hardware performs against the log's
+// compressed tag store. Each valid entry owns exactly one line, so the
+// outcomes are identical; the timing model still charges the tag decode.
 type lmtEntry struct {
-	valid    bool
-	modified bool
-	logIdx   int32
-	lineIdx  int32
-	owner    uint64
-	seq      uint64 // recency for way replacement
+	valid   bool
+	logIdx  int32
+	lineIdx int32
+	owner   uint64
+	seq     uint64 // recency for way replacement
 }
 
 // Cache is a MORC last-level cache.
@@ -123,7 +123,7 @@ func New(cfg Config) *Cache {
 	// rest closed in order so the FIFO victim sequence is deterministic.
 	c.logs = make([]*logT, numLogs)
 	for i := range c.logs {
-		lg := &logT{id: i, tags: tagdelta.NewStream(cfg.Tag)}
+		lg := &logT{id: i, tags: *tagdelta.NewStream(cfg.Tag)}
 		if i < cfg.ActiveLogs {
 			lg.active = true
 			c.actives = append(c.actives, i)
@@ -285,36 +285,9 @@ func (c *Cache) Read(addr uint64) cache.ReadResult {
 	c.st.TagCycles += uint64(tagDecodeCycles(lineIdx + 1))
 	c.st.Decompressed += uint64((lineIdx + 1) * cache.LineSize)
 	c.st.LatencyBytes.Add(float64((lineIdx + 1) * cache.LineSize))
-	if c.cfg.VerifyReads && !c.cfg.DisableCompression {
-		c.verifyRead(lg, lineIdx)
-	}
 	out := make([]byte, cache.LineSize)
 	copy(out, rec.data)
 	return cache.ReadResult{Hit: true, Data: out, ExtraCycles: extra}
-}
-
-// verifyRead rebuilds the log's stream through lineIdx, checking each
-// line's recorded end, then decompresses it and panics if the stream
-// disagrees with the bookkeeping copy (VerifyReads mode).
-func (c *Cache) verifyRead(lg *logT, lineIdx int) {
-	enc := lbe.NewEncoder(c.cfg.LBE)
-	if err := rebuild(enc, lg, lineIdx+1); err != nil {
-		panic(fmt.Sprintf("core: VerifyReads: log %d: %v", lg.id, err))
-	}
-	dec := lbe.NewDecoder(c.cfg.LBE, enc.Bytes(), enc.Bits())
-	for i := 0; i <= lineIdx; i++ {
-		got, err := dec.Next(cache.LineSize)
-		if err != nil {
-			panic(fmt.Sprintf("core: VerifyReads: log %d line %d: %v", lg.id, i, err))
-		}
-		if i == lineIdx {
-			for k := range got {
-				if got[k] != lg.lines[i].data[k] {
-					panic(fmt.Sprintf("core: VerifyReads: log %d line %d differs at byte %d", lg.id, i, k))
-				}
-			}
-		}
-	}
 }
 
 // locate resolves addr to (log, line). missExtra is the tag-decode
@@ -378,17 +351,16 @@ func (c *Cache) insert(addr uint64, data []byte, modified bool) []cache.Writebac
 
 	// Invalidate any existing copy (write-back of a line we hold, or a
 	// refill of a line that aliased). The old data is stale: no memory
-	// write-back is needed.
+	// write-back is needed, but the new copy inherits its modified bit.
 	wasModified := false
 	if c.cfg.UnlimitedTags {
 		if pos, found := c.unlIndex[la]; found {
-			c.invalidateLine(int(pos[0]), int(pos[1]))
+			wasModified = c.invalidateLine(int(pos[0]), int(pos[1]))
 			delete(c.unlIndex, la)
 		}
 	} else if i := c.lmtLookup(addr); i >= 0 {
 		e := &c.lmt[i]
-		wasModified = e.modified
-		c.invalidateLine(int(e.logIdx), int(e.lineIdx))
+		wasModified = c.invalidateLine(int(e.logIdx), int(e.lineIdx))
 		e.valid = false
 	}
 
@@ -400,7 +372,7 @@ func (c *Cache) insert(addr uint64, data []byte, modified bool) []cache.Writebac
 		wbs = append(wbs, conflictWBs...)
 	}
 
-	logIdx, lineIdx, evWBs := c.append(la, data)
+	logIdx, lineIdx, evWBs := c.append(la, data, modified || wasModified)
 	wbs = append(wbs, evWBs...)
 
 	if c.cfg.UnlimitedTags {
@@ -408,35 +380,30 @@ func (c *Cache) insert(addr uint64, data []byte, modified bool) []cache.Writebac
 	} else {
 		c.seq++
 		c.lmt[lmtIdx] = lmtEntry{
-			valid:    true,
-			modified: modified || wasModified,
-			logIdx:   int32(logIdx),
-			lineIdx:  int32(lineIdx),
-			owner:    la,
-			seq:      c.seq,
+			valid:   true,
+			logIdx:  int32(logIdx),
+			lineIdx: int32(lineIdx),
+			owner:   la,
+			seq:     c.seq,
 		}
 		c.logs[logIdx].lines[lineIdx].lmtIdx = lmtIdx
 	}
 	return wbs
 }
 
-// invalidateLine marks a log entry invalid (the compressed stream is
-// untouched; only the tag validity bit flips).
-func (c *Cache) invalidateLine(logIdx, lineIdx int) {
+// invalidateLine marks a valid log entry invalid and reports whether it
+// was modified. The streams are untouched: in hardware only the tag's
+// validity bit flips, which changes neither stream's size.
+func (c *Cache) invalidateLine(logIdx, lineIdx int) (modified bool) {
 	lg := c.logs[logIdx]
 	rec := &lg.lines[lineIdx]
-	if !rec.valid {
-		return
-	}
 	rec.valid = false
 	lg.valid--
-	if !c.cfg.DisableCompression {
-		lg.tags.Invalidate(lineIdx)
-	}
 	if !lg.active && lg.valid == 0 {
 		c.fifoRemove(lg)
 		c.pushReuse(lg)
 	}
+	return rec.modified
 }
 
 // allocLMT returns a free candidate entry for addr, evicting the LRU
@@ -460,9 +427,7 @@ func (c *Cache) allocLMT(addr uint64) (int, []cache.Writeback) {
 	c.st.LMTConflicts++
 	e := &c.lmt[victim]
 	var wbs []cache.Writeback
-	if e.modified {
-		lg := c.logs[e.logIdx]
-		rec := &lg.lines[e.lineIdx]
+	if rec := &c.logs[e.logIdx].lines[e.lineIdx]; rec.modified {
 		// The modified line must be decompressed and sent to memory.
 		c.st.Decompressed += uint64((int(e.lineIdx) + 1) * cache.LineSize)
 		c.st.MemWBs++
@@ -483,11 +448,11 @@ const rawBits = cache.LineSize * 8
 // one compression: the hardware compresses the line in every active log
 // (Table 7's energy model).
 func (c *Cache) fit(lg *logT, tag uint64, dataBits int) (tagBits int, fits bool) {
+	capBits := c.cfg.LogBytes * 8
 	if c.cfg.DisableCompression {
-		return 0, lg.rawBytes+cache.LineSize <= c.cfg.LogBytes
+		return 0, lg.bits+dataBits <= capBits
 	}
 	tagBits = lg.tags.TrialBits(tag)
-	capBits := c.cfg.LogBytes * 8
 	switch {
 	case c.cfg.UnlimitedTags:
 		fits = lg.bits+dataBits <= capBits
@@ -503,7 +468,7 @@ func (c *Cache) fit(lg *logT, tag uint64, dataBits int) (tagBits int, fits bool)
 
 // append compresses the line into the best active log (content-aware
 // multi-log selection, §3.2.3), opening a fresh log when nothing fits.
-func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache.Writeback) {
+func (c *Cache) append(la uint64, data []byte, modified bool) (logIdx, lineIdx int, wbs []cache.Writeback) {
 	tag := cache.LineTag(la)
 
 	// One group trial sizes the line's data in every active log.
@@ -554,7 +519,7 @@ func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache
 		if _, fits := c.fit(lg, tag, db); !fits {
 			panic(fmt.Sprintf("core: line does not fit in an empty %dB log", c.cfg.LogBytes))
 		}
-		return lg.id, c.commitAppend(fullest, tag, la, data), wbs
+		return lg.id, c.commitAppend(fullest, tag, la, data, modified), wbs
 	}
 
 	// Fudge-factor diversification: when best and worst are within the
@@ -574,14 +539,11 @@ func (c *Cache) append(la uint64, data []byte) (logIdx, lineIdx int, wbs []cache
 		choice = least
 	}
 
-	return c.actives[choice], c.commitAppend(choice, tag, la, data), wbs
+	return c.actives[choice], c.commitAppend(choice, tag, la, data, modified), wbs
 }
 
 // occBits returns a log's current occupancy in bits.
 func (c *Cache) occBits(lg *logT) int {
-	if c.cfg.DisableCompression {
-		return lg.rawBytes * 8
-	}
 	if c.cfg.Merged {
 		return lg.bits + lg.tags.Bits()
 	}
@@ -591,26 +553,22 @@ func (c *Cache) occBits(lg *logT) int {
 // commitAppend appends the line to the active log in slot (index into
 // c.actives), the one log that keeps it, and records the line: the
 // slot keeps the group's last trial, which sized the line in it.
-func (c *Cache) commitAppend(slot int, tag, la uint64, data []byte) int {
+func (c *Cache) commitAppend(slot int, tag, la uint64, data []byte, modified bool) int {
 	lg := c.logs[c.actives[slot]]
 	if c.cfg.DisableCompression {
-		lg.rawBytes += cache.LineSize
+		lg.bits += rawBits
 	} else {
 		bits, syms := c.group.Keep(slot)
 		lg.bits += bits
 		lg.syms.Add(syms)
-		tb := lg.tags.Append(tag)
-		c.st.TagBitsAppended += uint64(tb)
-		if tb >= 40 {
-			c.st.TagEscapes++
-		}
-		c.st.TagAppends++
+		lg.tags.Append(tag)
 	}
 	lg.lines = append(lg.lines, lineRec{
-		addr:    la,
-		valid:   true,
-		endBits: lg.bits,
-		data:    cache.CloneLine(data),
+		addr:     la,
+		valid:    true,
+		modified: modified,
+		endBits:  lg.bits,
+		data:     cache.CloneLine(data),
 	})
 	lg.valid++
 	return len(lg.lines) - 1
@@ -638,8 +596,8 @@ func (c *Cache) recycle(slot int) []cache.Writeback {
 		c.st.LogEvictions++
 	} else {
 		c.st.LogReuses++
-		c.retireInvalid(victim)
 	}
+	c.resetLog(victim)
 	c.group.Reset(slot)
 	victim.active = true
 	victim.closedSeq = 0
@@ -732,7 +690,8 @@ func (c *Cache) popReuse() *logT {
 }
 
 // flush performs a whole-log eviction: sequentially decompress, write
-// back modified lines, invalidate LMT entries, and reset the log.
+// back modified lines and drop the valid lines' LMT (or index) entries.
+// The caller resets the log.
 func (c *Cache) flush(lg *logT) []cache.Writeback {
 	var wbs []cache.Writeback
 	// Sequential decompression of the whole log (energy accounting; the
@@ -745,37 +704,17 @@ func (c *Cache) flush(lg *logT) []cache.Writeback {
 		if !rec.valid {
 			continue
 		}
+		if rec.modified {
+			c.st.MemWBs++
+			wbs = append(wbs, cache.Writeback{Addr: rec.addr, Data: cache.CloneLine(rec.data)})
+		}
 		if c.cfg.UnlimitedTags {
 			delete(c.unlIndex, rec.addr)
-			// Unlimited mode has no modified tracking in the LMT; treat
-			// lines as clean (the limit studies only measure ratios).
 		} else {
-			e := &c.lmt[rec.lmtIdx]
-			if e.valid && e.owner == rec.addr {
-				if e.modified {
-					c.st.MemWBs++
-					wbs = append(wbs, cache.Writeback{Addr: rec.addr, Data: cache.CloneLine(rec.data)})
-				}
-				e.valid = false
-			}
+			c.lmt[rec.lmtIdx].valid = false
 		}
-		rec.valid = false
 	}
-	lg.valid = 0
-	c.resetLog(lg)
 	return wbs
-}
-
-// retireInvalid recycles an all-invalid log without a flush.
-func (c *Cache) retireInvalid(lg *logT) {
-	if c.cfg.UnlimitedTags {
-		for i := range lg.lines {
-			if lg.lines[i].valid {
-				delete(c.unlIndex, lg.lines[i].addr)
-			}
-		}
-	}
-	c.resetLog(lg)
 }
 
 // resetLog aggregates the retiring log's symbol counts and empties the
@@ -786,7 +725,6 @@ func (c *Cache) resetLog(lg *logT) {
 	lg.tags.Reset()
 	lg.lines = lg.lines[:0]
 	lg.valid = 0
-	lg.rawBytes = 0
 }
 
 var _ cache.LLC = (*Cache)(nil)

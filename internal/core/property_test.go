@@ -23,9 +23,9 @@ func quickCount(full int) int {
 // TestReadAlwaysReturnsLatestData is the core correctness property from
 // DESIGN.md: under random interleavings of fills, write-backs, and reads
 // (with the evictions they trigger), a MORC read hit always returns the
-// most recent data for the address. The reference model lives in
-// internal/check (latest-data-wins oracle) so every organization is
-// held to the same contract.
+// most recent data for the address, and no dirty line is lost. The
+// reference model lives in internal/check (latest-data-wins oracle) so
+// every organization is held to the same contract.
 func TestReadAlwaysReturnsLatestData(t *testing.T) {
 	f := func(seed uint64, merged bool, opsLen uint16) bool {
 		cfg := DefaultConfig(8 * 1024)
@@ -40,6 +40,10 @@ func TestReadAlwaysReturnsLatestData(t *testing.T) {
 			return false
 		}
 		if err := c.CheckInvariants(); err != nil {
+			t.Logf("seed %d merged=%v: %v", seed, merged, err)
+			return false
+		}
+		if err := o.CheckConservation(); err != nil {
 			t.Logf("seed %d merged=%v: %v", seed, merged, err)
 			return false
 		}

@@ -15,11 +15,11 @@ import (
 // back to exactly the line data recorded; each active log's group slot
 // holds the rebuilt stream's dictionaries, entry for entry, and the
 // group's index of which slots hold each value agrees with them; the
-// compressed tag stream decodes to the line tags with matching
-// validity, occupancy never exceeds capacity, the LMT and logs agree
-// about which lines are live, and every closed log is in the one victim
-// structure its state calls for. It is O(cache contents) and meant for
-// tests.
+// tag stream, rebuilt from the lines' tags and validity, is as long as
+// the log's sizer counted and decodes back to them; occupancy never
+// exceeds capacity, the LMT and logs agree about which lines are live,
+// and every closed log is in the one victim structure its state calls
+// for. It is O(cache contents) and meant for tests.
 func (c *Cache) CheckInvariants() error {
 	if err := c.checkVictims(); err != nil {
 		return err
@@ -163,15 +163,6 @@ func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 	if validCount != lg.valid {
 		return fmt.Errorf("valid count %d, recorded %d", validCount, lg.valid)
 	}
-	if c.cfg.DisableCompression {
-		if lg.rawBytes != len(lg.lines)*cache.LineSize {
-			return fmt.Errorf("raw occupancy %d for %d lines", lg.rawBytes, len(lg.lines))
-		}
-		if lg.rawBytes > c.cfg.LogBytes {
-			return fmt.Errorf("raw occupancy %d exceeds log size %d", lg.rawBytes, c.cfg.LogBytes)
-		}
-		return nil
-	}
 	// Capacity invariants.
 	capBits := c.cfg.LogBytes * 8
 	switch {
@@ -191,11 +182,23 @@ func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 			return fmt.Errorf("tags %d bits exceed region %d", lg.tags.Bits(), c.cfg.TagBytesPerLog*8)
 		}
 	}
-	// The stream rebuilt from the lines must match what the log
-	// recorded of it and decode to exactly the recorded lines, and an
-	// active log's slot must hold its dictionaries.
-	if err := rebuild(enc, lg, len(lg.lines)); err != nil {
-		return err
+	if c.cfg.DisableCompression {
+		// A raw log holds rawBits per line and no tags.
+		if lg.bits != len(lg.lines)*rawBits || lg.tags.Count() != 0 {
+			return fmt.Errorf("raw log of %d lines holds %d bits and %d tags", len(lg.lines), lg.bits, lg.tags.Count())
+		}
+		return nil
+	}
+	// The stream rebuilt from the lines, from empty dictionaries as the
+	// log began, must end each line where the log recorded it, have the
+	// log's bit and symbol counts and decode to exactly the recorded
+	// lines, and an active log's slot must hold its dictionaries.
+	enc.Reset()
+	for i := range lg.lines {
+		enc.AppendCommit(lg.lines[i].data)
+		if enc.Bits() != lg.lines[i].endBits {
+			return fmt.Errorf("line %d: the rebuilt stream ends at bit %d, recorded %d", i, enc.Bits(), lg.lines[i].endBits)
+		}
 	}
 	if enc.Bits() != lg.bits {
 		return fmt.Errorf("the rebuilt stream is %d bits, recorded %d", enc.Bits(), lg.bits)
@@ -218,31 +221,24 @@ func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 			return err
 		}
 	}
-	// The tag stream must decode to the line tags with matching validity.
-	tags, valid, err := tagdelta.Decode(c.cfg.Tag, lg.tags.Bytes(), lg.tags.Bits(), len(lg.lines))
+	// The tag stream rebuilt from the lines must be as long as the log's
+	// sizer counted and decode to exactly the lines' tags and validity.
+	tags := make([]uint64, len(lg.lines))
+	valid := make([]bool, len(lg.lines))
+	for i := range lg.lines {
+		tags[i], valid[i] = cache.LineTag(lg.lines[i].addr), lg.lines[i].valid
+	}
+	data, nbits := tagdelta.Encode(c.cfg.Tag, tags, valid)
+	if nbits != lg.tags.Bits() || len(tags) != lg.tags.Count() {
+		return fmt.Errorf("the rebuilt tag stream is %d bits for %d tags, recorded %d bits for %d", nbits, len(tags), lg.tags.Bits(), lg.tags.Count())
+	}
+	gotTags, gotValid, err := tagdelta.Decode(c.cfg.Tag, data, nbits, len(tags))
 	if err != nil {
 		return fmt.Errorf("tags: %w", err)
 	}
-	for i := range lg.lines {
-		if tags[i] != cache.LineTag(lg.lines[i].addr) {
-			return fmt.Errorf("tag %d: decoded %#x, want %#x", i, tags[i], cache.LineTag(lg.lines[i].addr))
-		}
-		if valid[i] != lg.lines[i].valid {
-			return fmt.Errorf("tag %d: validity %v, want %v", i, valid[i], lg.lines[i].valid)
-		}
-	}
-	return nil
-}
-
-// rebuild resets enc and encodes lg's first n lines into it, from empty
-// dictionaries as the log began, checking that each line ends where the
-// log recorded it.
-func rebuild(enc *lbe.Encoder, lg *logT, n int) error {
-	enc.Reset()
-	for i := range lg.lines[:n] {
-		enc.AppendCommit(lg.lines[i].data)
-		if enc.Bits() != lg.lines[i].endBits {
-			return fmt.Errorf("line %d: the rebuilt stream ends at bit %d, recorded %d", i, enc.Bits(), lg.lines[i].endBits)
+	for i := range tags {
+		if gotTags[i] != tags[i] || gotValid[i] != valid[i] {
+			return fmt.Errorf("tag %d: decoded %#x valid %v, want %#x valid %v", i, gotTags[i], gotValid[i], tags[i], valid[i])
 		}
 	}
 	return nil

@@ -342,6 +342,10 @@ func TestSpecValidation(t *testing.T) {
 		{"removed MaxEpochs override", `{"workload":"gcc","config":{"Telemetry":{"Every":1,"MaxEpochs":1000000000}}}`},
 		{"removed LogReplacement override", `{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":` +
 			strings.Replace(morcConfigJSON(t, 8), "{", `{"LogReplacement":1,`, 1) + `}}`},
+		// Field names decode case-insensitively: this names core.Config's
+		// removed read-verification knob.
+		{"removed read-verification override", `{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":` +
+			strings.Replace(morcConfigJSON(t, 8), "{", `{"verifyreads":true,`, 1) + `}}`},
 		{"zero bandwidth", `{"workload":"gcc","config":{"BWPerCore":0}}`},
 		{"negative bandwidth", `{"workload":"gcc","config":{"BWPerCore":-1}}`},
 		{"zero clock", `{"workload":"gcc","config":{"ClockHz":0}}`},

@@ -20,7 +20,7 @@ var missLatBounds = []float64{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192,
 // coreState is one in-order core with its private L1 and workload.
 type coreState struct {
 	id   int
-	gen  trace.Generator
+	gen  *trace.SynthGen
 	memv *trace.Memory
 	l1   *cache.SetAssoc
 	// store is the line a store miss mutates before it enters the L1:

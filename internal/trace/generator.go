@@ -76,7 +76,8 @@ func NewSynthGen(p Profile) *SynthGen {
 	return g
 }
 
-// Next implements Generator.
+// Next returns the next access of the unbounded stream; the simulator
+// stops after a configured instruction count.
 func (g *SynthGen) Next() Access {
 	p := &g.prof
 	var addr uint64
@@ -188,5 +189,3 @@ func storeProb(p *Profile, comp component) (pStore float64, ok bool) {
 	}
 	return p.StoreFrac * share / pComp, true
 }
-
-var _ Generator = (*SynthGen)(nil)

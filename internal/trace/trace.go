@@ -42,9 +42,3 @@ type Access struct {
 // Instructions returns how many instructions this access accounts for
 // (itself plus the preceding non-memory instructions).
 func (a Access) Instructions() uint64 { return uint64(a.NonMem) + 1 }
-
-// Generator produces an unbounded access stream; the simulator stops
-// after a configured instruction count.
-type Generator interface {
-	Next() Access
-}
