@@ -343,7 +343,7 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	legs := []*leg{
 		{
 			name: "cache/clone-line", perWhat: "clone", div: 1,
-			note: "cache.CloneLine, the copy of a line that MORC's logs, the compressed baselines and the value model retain",
+			note: "cache.CloneLine, the copy of a line that MORC's logs and the compressed baselines retain",
 			fn:   func() { cloned = cache.CloneLine(line) },
 		},
 		{
@@ -408,8 +408,9 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	// into its arena and returns victims through its own buffer, so its
 	// accesses allocate nothing. A MORC fill keeps one copy of the line
 	// and allocates nothing else: trial compression into every active
-	// log is allocation-free. The value model synthesizes into the
-	// caller's buffer and overwrites a written line in place.
+	// log is allocation-free, and a MORC read hit returns the log's own
+	// copy. The value model synthesizes into the caller's buffer and
+	// overwrites a written line in place.
 	for _, l := range legs {
 		if l.ran && l.name == "cache/clone-line" && l.allocs != 1 {
 			b.Fatalf("CloneLine allocates %.0f objects per clone, want exactly 1", l.allocs)
@@ -419,6 +420,9 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		}
 		if l.ran && l.name == "core/fill" && l.allocs > 1 {
 			b.Fatalf("a warm MORC fill allocates %.0f objects, want at most 1 (the retained line copy)", l.allocs)
+		}
+		if l.ran && l.name == "core/read-hit" && l.allocs != 0 {
+			b.Fatalf("a warm MORC read hit allocates %.0f objects, want 0", l.allocs)
 		}
 		if l.ran && l.name == "trace/read-line" && l.allocs != 0 {
 			b.Fatalf("a warm value model's two line reads and one overwrite allocate %.0f objects, want 0", l.allocs)

@@ -22,7 +22,6 @@ import (
 
 	"morc/internal/cache"
 	"morc/internal/compress/cpack"
-	"morc/internal/compress/fpc"
 	"morc/internal/compress/huffman"
 )
 
@@ -53,29 +52,18 @@ func (k Kind) String() string {
 // schemes add (§4).
 const DecompressionCycles = 4
 
-// PayloadCodec selects the intra-line codec for the C-Pack-based
-// organizations. The paper evaluates Adaptive with C-Pack "for fairness"
-// even though the original design used FPC, noting the two perform
-// similarly (§6) — the FPC option lets that claim be checked.
-type PayloadCodec int
+// ways is the base associativity (Table 5).
+const ways = 8
 
-// Available payload codecs.
-const (
-	CodecCPack PayloadCodec = iota
-	CodecFPC
-)
-
-// Config parameterizes a baseline compressed cache.
+// Config parameterizes a baseline compressed cache. Adaptive and
+// Decoupled compress with C-Pack, as the paper evaluates them (§4);
+// SC2 with its Huffman coder over a dictionary of
+// huffman.DefaultMaxValues values.
 type Config struct {
 	CacheBytes int
-	Ways       int // base associativity (8 in Table 5)
 	Kind       Kind
-	// Codec selects the intra-line payload codec for Adaptive/Decoupled
-	// (ignored by SC2, which always uses its Huffman coder).
-	Codec PayloadCodec
-	// SC2 only: value-dictionary size and the number of sampled words
-	// after which the Huffman code is (re)built.
-	SC2MaxValues   int
+	// SC2SampleWords is the number of sampled words after which SC2
+	// builds its Huffman code.
 	SC2SampleWords uint64
 }
 
@@ -83,9 +71,7 @@ type Config struct {
 func DefaultConfig(kind Kind, cacheBytes int) Config {
 	return Config{
 		CacheBytes:     cacheBytes,
-		Ways:           8,
 		Kind:           kind,
-		SC2MaxValues:   huffman.DefaultMaxValues,
 		SC2SampleWords: 1 << 16,
 	}
 }
@@ -144,7 +130,7 @@ type Cache struct {
 // Validate checks the geometry New builds: cache.CheckGeometry of the
 // data store's capacity and ways.
 func (c Config) Validate() error {
-	if err := cache.CheckGeometry(c.CacheBytes, c.Ways); err != nil {
+	if err := cache.CheckGeometry(c.CacheBytes, ways); err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
 	return nil
@@ -155,11 +141,11 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nSets := cfg.CacheBytes / (cfg.Ways * cache.LineSize)
-	c := &Cache{cfg: cfg, segsPerSet: cfg.Ways * cache.LineSize / cfg.segBytes()}
+	nSets := cfg.CacheBytes / (ways * cache.LineSize)
+	c := &Cache{cfg: cfg, segsPerSet: ways * cache.LineSize / cfg.segBytes()}
 	c.sets = make([]set, nSets)
 	for i := range c.sets {
-		c.sets[i].lines = make([]compLine, cfg.Ways*cfg.tagFactor())
+		c.sets[i].lines = make([]compLine, ways*cfg.tagFactor())
 	}
 	if cfg.Kind == SC2 {
 		c.sampler = huffman.NewSampler()
@@ -222,16 +208,12 @@ func (s *set) find(addr uint64) int {
 func (c *Cache) compressedSegments(data []byte) int {
 	var bits int
 	switch {
-	case c.cfg.Kind == SC2:
-		if c.code == nil {
-			bits = cache.LineSize * 8
-		} else {
-			bits = c.code.CompressedBits(data)
-		}
-	case c.cfg.Codec == CodecFPC:
-		bits = fpc.CompressedBits(data)
-	default:
+	case c.cfg.Kind != SC2:
 		bits = cpack.CompressedBits(data)
+	case c.code == nil:
+		bits = cache.LineSize * 8
+	default:
+		bits = c.code.CompressedBits(data)
 	}
 	c.st.Compressions++
 	bytes := (bits + 7) / 8
@@ -257,9 +239,7 @@ func (c *Cache) Read(addr uint64) cache.ReadResult {
 		c.st.Hits++
 		c.st.ExtraCycles += DecompressionCycles
 		c.st.Decompressed += cache.LineSize
-		out := make([]byte, cache.LineSize)
-		copy(out, s.lines[i].data)
-		return cache.ReadResult{Hit: true, Data: out, ExtraCycles: DecompressionCycles}
+		return cache.ReadResult{Hit: true, Data: s.lines[i].data, ExtraCycles: DecompressionCycles}
 	}
 	c.st.Misses++
 	return cache.ReadResult{}
@@ -288,7 +268,7 @@ func (c *Cache) sample(data []byte) {
 	c.sampler.SampleLine(data)
 	c.sampled += uint64(len(data) / 4)
 	if c.code == nil && c.sampled >= c.cfg.SC2SampleWords {
-		c.code = huffman.Build(c.sampler, c.cfg.SC2MaxValues)
+		c.code = huffman.Build(c.sampler, huffman.DefaultMaxValues)
 		c.st.SC2Rebuilds++
 	}
 }
@@ -374,7 +354,7 @@ func (c *Cache) evictLRU(s *set, keep int) []cache.Writeback {
 	var wbs []cache.Writeback
 	if l.dirty {
 		c.st.MemWBs++
-		wbs = append(wbs, cache.Writeback{Addr: l.addr, Data: cache.CloneLine(l.data)})
+		wbs = append(wbs, cache.Writeback{Addr: l.addr, Data: l.data})
 	}
 	s.used -= l.segments
 	l.valid = false
@@ -432,8 +412,8 @@ func (c *Cache) CheckInvariants() error {
 		if used > c.segsPerSet {
 			return fmt.Errorf("set %d: %d segments exceed %d", si, used, c.segsPerSet)
 		}
-		if valid > c.cfg.Ways*c.cfg.tagFactor() {
-			return fmt.Errorf("set %d: %d lines exceed tag limit %d", si, valid, c.cfg.Ways*c.cfg.tagFactor())
+		if valid > ways*c.cfg.tagFactor() {
+			return fmt.Errorf("set %d: %d lines exceed tag limit %d", si, valid, ways*c.cfg.tagFactor())
 		}
 	}
 	return nil

@@ -242,41 +242,5 @@ func TestBadGeometryPanics(t *testing.T) {
 			t.Fatal("bad geometry did not panic")
 		}
 	}()
-	New(Config{CacheBytes: 1000, Ways: 8, Kind: Adaptive})
-}
-
-func TestFPCPayloadCodecOption(t *testing.T) {
-	// §6's claim: FPC performs similarly to C-Pack as Adaptive's codec.
-	r := rng.New(20)
-	ratios := map[PayloadCodec]float64{}
-	for _, codec := range []PayloadCodec{CodecCPack, CodecFPC} {
-		cfg := DefaultConfig(Adaptive, 8*1024)
-		cfg.Codec = codec
-		c := New(cfg)
-		for i := 0; i < 2000; i++ {
-			c.Fill(uint64(i)*cache.LineSize, narrowLine(r))
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatalf("codec %v: %v", codec, err)
-		}
-		ratios[codec] = c.Ratio()
-	}
-	a, b := ratios[CodecCPack], ratios[CodecFPC]
-	if b < a*0.6 || b > a*1.6 {
-		t.Fatalf("FPC ratio %.2f not similar to C-Pack %.2f", b, a)
-	}
-}
-
-func TestSC2IgnoresPayloadCodec(t *testing.T) {
-	cfg := DefaultConfig(SC2, 4*1024)
-	cfg.Codec = CodecFPC // must be ignored
-	cfg.SC2SampleWords = 128
-	c := New(cfg)
-	r := rng.New(21)
-	for i := 0; i < 500; i++ {
-		c.Fill(uint64(i)*cache.LineSize, narrowLine(r))
-	}
-	if c.BaselineStats().SC2Rebuilds == 0 {
-		t.Fatal("SC2 flow bypassed")
-	}
+	New(Config{CacheBytes: 1000, Kind: Adaptive})
 }

@@ -36,13 +36,10 @@ type skewGroup struct {
 	hash  uint64 // index skew
 }
 
-// skewedWays is the skewed cache's physical associativity.
-const skewedWays = 8
-
 // ValidateSkewed checks the geometry NewSkewed builds for cacheBytes:
-// cache.CheckGeometry of the capacity over skewedWays ways.
+// cache.CheckGeometry of the capacity over the base associativity.
 func ValidateSkewed(cacheBytes int) error {
-	if err := cache.CheckGeometry(cacheBytes, skewedWays); err != nil {
+	if err := cache.CheckGeometry(cacheBytes, ways); err != nil {
 		return fmt.Errorf("baseline: skewed: %w", err)
 	}
 	return nil
@@ -52,7 +49,6 @@ func ValidateSkewed(cacheBytes int) error {
 // the paper-standard 8 ways: two ways each for 8/16/32/64-byte size
 // classes. cacheBytes must pass ValidateSkewed.
 func NewSkewed(cacheBytes int) *Skewed {
-	const ways = skewedWays
 	if err := ValidateSkewed(cacheBytes); err != nil {
 		panic(err)
 	}
@@ -121,9 +117,7 @@ func (s *Skewed) Read(addr uint64) cache.ReadResult {
 		s.st.Hits++
 		s.st.ExtraCycles += DecompressionCycles
 		s.st.Decompressed += cache.LineSize
-		out := make([]byte, cache.LineSize)
-		copy(out, l.data)
-		return cache.ReadResult{Hit: true, Data: out, ExtraCycles: DecompressionCycles}
+		return cache.ReadResult{Hit: true, Data: l.data, ExtraCycles: DecompressionCycles}
 	}
 	s.st.Misses++
 	return cache.ReadResult{}
@@ -157,6 +151,9 @@ func (s *Skewed) insert(addr uint64, data []byte, dirty bool) []cache.Writeback 
 	}
 	bits := cpack.CompressedBits(data)
 	s.st.Compressions++
+	if (bits+7)/8 >= cache.LineSize {
+		s.st.Expansions++ // stored in the 64-byte class, uncompressed
+	}
 	gi := s.classOf(bits)
 	sl := s.slots(gi, addr)
 	// Free slot, else LRU within the skewed set.
@@ -176,8 +173,7 @@ func (s *Skewed) insert(addr uint64, data []byte, dirty bool) []cache.Writeback 
 		}
 		if sl[victim].dirty {
 			s.st.MemWBs++
-			wbs = append(wbs, cache.Writeback{Addr: sl[victim].addr,
-				Data: cache.CloneLine(sl[victim].data)})
+			wbs = append(wbs, cache.Writeback{Addr: sl[victim].addr, Data: sl[victim].data})
 		}
 	}
 	s.clock++

@@ -51,6 +51,28 @@ func TestSkewedIncompressibleNearOne(t *testing.T) {
 	}
 }
 
+// TestSkewedCountsExpansions: a line C-Pack cannot shrink below 64
+// bytes is stored uncompressed, and Skewed counts it as Decoupled, its
+// C-Pack sibling, does.
+func TestSkewedCountsExpansions(t *testing.T) {
+	const n = 4000
+	s := NewSkewed(64 * 1024)
+	d := New(DefaultConfig(Decoupled, 64*1024))
+	r := rng.New(5)
+	for i := 0; i < n; i++ {
+		line := randomLine(r)
+		s.Fill(uint64(i)*cache.LineSize, line)
+		d.Fill(uint64(i)*cache.LineSize, line)
+	}
+	got, want := s.BaselineStats().Expansions, d.BaselineStats().Expansions
+	if got != want || want != n {
+		t.Fatalf("Skewed counted %d expansions, Decoupled %d, over %d incompressible lines", got, want, n)
+	}
+	if p := s.Probes()["expansions"]; p != n {
+		t.Fatalf("Skewed's expansions probe reads %v, want %d", p, n)
+	}
+}
+
 func TestSkewedSizeClassMigration(t *testing.T) {
 	s := NewSkewed(8 * 1024)
 	r := rng.New(3)

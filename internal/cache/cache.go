@@ -33,9 +33,9 @@ type Writeback struct {
 
 // CloneLine returns a private copy of a line payload, for structures
 // that retain a line past the call that delivered it while the caller
-// keeps reusing its buffer: the lines MORC's logs and the compressed
-// baselines store and the write-backs they return, the value model's
-// written lines, and the check harness's oracle. SetAssoc never calls
+// keeps reusing its buffer: the line MORC's logs and the compressed
+// baselines store on each insert, which their reads and write-backs
+// then hand out, and the check harness's oracle. SetAssoc never calls
 // it: it copies into its own arena.
 func CloneLine(data []byte) []byte {
 	//morclint:ignore hotalloc a retained copy of one line is the point: callers keep it past their buffer's reuse
@@ -56,13 +56,12 @@ type ReadResult struct {
 	ExtraCycles int
 }
 
-// LLC is a last-level cache organization. Implementations copy the data
-// passed to Fill and WriteBack. What they return may alias their own
-// storage, so callers consume it before the next mutating call: a read
-// hit's Data until the next Fill, WriteBack or Update on that cache, a
-// returned Writeback's Data until the next Fill or WriteBack on it.
-// SetAssoc returns its arena and its victim buffer; MORC and the
-// compressed baselines return fresh copies, which outlive both.
+// LLC is a last-level cache organization. One rule covers the lines that
+// cross it: an implementation copies the data passed to Fill and
+// WriteBack and returns its own storage, which callers consume before
+// the next mutating call: a read hit's Data until the next Fill,
+// WriteBack or Update on that cache, a returned Writeback's Data until
+// the next Fill or WriteBack on it.
 type LLC interface {
 	// Read performs a demand lookup.
 	Read(addr uint64) ReadResult

@@ -205,6 +205,7 @@ var parityCases = []parityCase{
 				`{"workload":"gcc","config":{"Telemetry":{"Every":1,"MaxEpochs":1000000000}}}`,
 				`{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":{"LogReplacement":1}}}`,
 				`{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":{"verifyreads":true}}}`,
+				`{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":{"Tag":{"tagbits":20}}}}`,
 				`{"workload":"gcc","config":{"BWPerCore":0}}`,
 				`{"workload":"gcc","config":{"BWPerCore":-1}}`,
 				`{"workload":"gcc","config":{"ClockHz":0}}`,
@@ -221,6 +222,7 @@ var parityCases = []parityCase{
 			`400 {"error":"bad config overrides: json: unknown field \"MaxEpochs\""}; ` +
 			`400 {"error":"bad config overrides: json: unknown field \"LogReplacement\""}; ` +
 			`400 {"error":"bad config overrides: json: unknown field \"verifyreads\""}; ` +
+			`400 {"error":"bad config overrides: json: unknown field \"tagbits\""}; ` +
 			`400 {"error":"bad config: BWPerCore 0 must be positive"}; ` +
 			`400 {"error":"bad config: BWPerCore -1 must be positive"}; ` +
 			`400 {"error":"bad config: ClockHz 0 must be positive"}; ` +

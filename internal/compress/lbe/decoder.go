@@ -16,7 +16,6 @@ type Decoder struct {
 	ptr   [4]int // match-pointer width per level
 	r     *bitstream.Reader
 	dicts dicts
-	out   int // total bytes decoded
 }
 
 // NewDecoder returns a decoder over the first nbits of data (nbits < 0
@@ -27,10 +26,6 @@ func NewDecoder(cfg Config, data []byte, nbits int) *Decoder {
 	}
 	return &Decoder{ptr: cfg.ptrWidths(), r: bitstream.NewReader(data, nbits), dicts: newDicts(cfg)}
 }
-
-// OutputBytes returns the number of uncompressed bytes produced so far.
-// Consumers convert this to decompression latency at 16 bytes per cycle.
-func (d *Decoder) OutputBytes() int { return d.out }
 
 // BitPos returns the current position in the compressed stream.
 func (d *Decoder) BitPos() int { return d.r.Pos() }
@@ -52,7 +47,6 @@ func (d *Decoder) Next(n int) ([]byte, error) {
 		d.dicts.allocFailed(&c, &cs)
 		c.store(out[off:])
 	}
-	d.out += n
 	return out, nil
 }
 

@@ -26,7 +26,7 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		cfg := DefaultConfig()
 		cfg.MultiBase = multiBase
-		mask := uint64(1)<<cfg.TagBits - 1
+		mask := uint64(1)<<fullTagBits - 1
 		var tags []uint64
 		for off := 0; off+8 <= len(data); off += 8 {
 			tags = append(tags, binary.BigEndian.Uint64(data[off:])&mask)

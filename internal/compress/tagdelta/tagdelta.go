@@ -32,19 +32,19 @@ import (
 
 // Config parameterizes the tag codec.
 type Config struct {
-	// TagBits is the width of a full (uncompressed) tag. The paper assumes
-	// a 48-bit physical address space and 64-byte lines, so a full line
-	// tag is 42 bits.
-	TagBits int
 	// MultiBase enables the two-base variant (adds one base-select bit per
 	// tag). The paper's default MORC configuration uses 2 bases.
 	MultiBase bool
 }
 
 // DefaultConfig is the paper's evaluated configuration.
-func DefaultConfig() Config { return Config{TagBits: 42, MultiBase: true} }
+func DefaultConfig() Config { return Config{MultiBase: true} }
 
 const (
+	// fullTagBits is the width of a full (uncompressed) tag. The paper
+	// assumes a 48-bit physical address space and 64-byte lines, so a
+	// full line tag is 42 bits.
+	fullTagBits = 42
 	codeBits    = 5
 	maxDistance = 32768 // 2MB in 64B lines
 	newBaseCode = 30
@@ -87,10 +87,10 @@ func distFromCode(code int, extra uint64) uint64 {
 // deltaBits returns the encoded size in bits of encoding tag against base:
 // sign + code + precision for a reachable delta, or the new-base escape.
 // It does not include the validity or base-select bits.
-func (c Config) deltaBits(tag, base uint64, haveBase bool) int {
+func deltaBits(tag, base uint64, haveBase bool) int {
 	dist, _ := delta(tag, base)
 	if !haveBase || dist == 0 || dist > maxDistance {
-		return codeBits + c.TagBits
+		return codeBits + fullTagBits
 	}
 	_, prec, _ := distCode(dist)
 	return 1 + codeBits + prec
@@ -120,12 +120,7 @@ type Stream struct {
 }
 
 // NewStream returns an empty tag stream.
-func NewStream(cfg Config) *Stream {
-	if cfg.TagBits < 1 || cfg.TagBits > 64 {
-		panic(fmt.Sprintf("tagdelta: TagBits %d out of range", cfg.TagBits))
-	}
-	return &Stream{cfg: cfg}
-}
+func NewStream(cfg Config) *Stream { return &Stream{cfg: cfg} }
 
 // Reset empties the stream for reuse with the same configuration.
 func (s *Stream) Reset() { *s = Stream{cfg: s.cfg} }
@@ -139,12 +134,12 @@ func (s *Stream) Count() int { return s.count }
 // pick chooses the base tag is coded against and returns its index with
 // the entry's size in bits.
 func (s *Stream) pick(tag uint64) (idx, bits int) {
-	c0 := s.cfg.deltaBits(tag, s.bases[0], s.have[0])
+	c0 := deltaBits(tag, s.bases[0], s.have[0])
 	if !s.cfg.MultiBase {
 		return 0, 1 + c0 // validity bit + delta
 	}
 	// Validity and base-select bits + the chosen base's delta.
-	c1 := s.cfg.deltaBits(tag, s.bases[1], s.have[1])
+	c1 := deltaBits(tag, s.bases[1], s.have[1])
 	switch {
 	case c1 < c0:
 		return 1, 2 + c1
@@ -168,8 +163,8 @@ func (s *Stream) TrialBits(tag uint64) int {
 
 // Append sizes tag into the stream, returning the bits added.
 func (s *Stream) Append(tag uint64) int {
-	if tag >= 1<<uint(s.cfg.TagBits) {
-		panic(fmt.Sprintf("tagdelta: tag %#x exceeds %d bits", tag, s.cfg.TagBits))
+	if tag >= 1<<fullTagBits {
+		panic(fmt.Sprintf("tagdelta: tag %#x exceeds %d bits", tag, fullTagBits))
 	}
 	b, bits := s.pick(tag)
 	s.bases[b], s.have[b] = tag, true
@@ -200,7 +195,7 @@ func Encode(cfg Config, tags []uint64, valid []bool) (data []byte, nbits int) {
 		dist, neg := delta(tag, base)
 		if !haveBase || dist == 0 || dist > maxDistance {
 			w.WriteBits(newBaseCode, codeBits)
-			w.WriteBits(tag, cfg.TagBits)
+			w.WriteBits(tag, fullTagBits)
 			continue
 		}
 		// Code first, then sign: the 5-bit code unambiguously separates
@@ -240,7 +235,7 @@ func Decode(cfg Config, data []byte, nbits, n int) (tags []uint64, valid []bool,
 			return nil, nil, err
 		}
 		if codeU >= newBaseCode {
-			full, err := r.ReadBits(cfg.TagBits)
+			full, err := r.ReadBits(fullTagBits)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -101,7 +101,7 @@ func TestDistCodeInverseExhaustive(t *testing.T) {
 }
 
 func TestSequentialTagsCompressWell(t *testing.T) {
-	cfg := Config{TagBits: 42, MultiBase: false}
+	cfg := Config{MultiBase: false}
 	s := NewStream(cfg)
 	first := s.Append(1000)
 	if first != 1+5+42 {
@@ -115,11 +115,11 @@ func TestSequentialTagsCompressWell(t *testing.T) {
 }
 
 func TestNegativeDelta(t *testing.T) {
-	roundTrip(t, Config{TagBits: 42}, []uint64{5000, 4990, 4980})
+	roundTrip(t, Config{}, []uint64{5000, 4990, 4980})
 }
 
 func TestZeroDeltaUsesNewBase(t *testing.T) {
-	cfg := Config{TagBits: 42}
+	cfg := Config{}
 	s := NewStream(cfg)
 	s.Append(77)
 	bits := s.Append(77) // identical tag: distance 0 must escape
@@ -130,7 +130,7 @@ func TestZeroDeltaUsesNewBase(t *testing.T) {
 }
 
 func TestFarJumpUsesNewBase(t *testing.T) {
-	cfg := Config{TagBits: 42}
+	cfg := Config{}
 	s := NewStream(cfg)
 	s.Append(0)
 	bits := s.Append(maxDistance + 1) // > 2MB away
@@ -141,7 +141,7 @@ func TestFarJumpUsesNewBase(t *testing.T) {
 }
 
 func TestMaxDistanceDelta(t *testing.T) {
-	roundTrip(t, Config{TagBits: 42}, []uint64{100000, 100000 + maxDistance})
+	roundTrip(t, Config{}, []uint64{100000, 100000 + maxDistance})
 }
 
 func TestMultiBaseInterleavedStreams(t *testing.T) {
@@ -149,8 +149,8 @@ func TestMultiBaseInterleavedStreams(t *testing.T) {
 	// post-warmup tags as small deltas; single base would escape on every
 	// other tag.
 	tags := []uint64{1000, 900000, 1001, 900001, 1002, 900002, 1003, 900003}
-	single := NewStream(Config{TagBits: 42, MultiBase: false})
-	multi := NewStream(Config{TagBits: 42, MultiBase: true})
+	single := NewStream(Config{MultiBase: false})
+	multi := NewStream(Config{MultiBase: true})
 	for _, tg := range tags {
 		single.Append(tg)
 		multi.Append(tg)
@@ -158,7 +158,7 @@ func TestMultiBaseInterleavedStreams(t *testing.T) {
 	if multi.Bits() >= single.Bits() {
 		t.Fatalf("multi-base %d bits not better than single %d bits", multi.Bits(), single.Bits())
 	}
-	roundTrip(t, Config{TagBits: 42, MultiBase: true}, tags)
+	roundTrip(t, Config{MultiBase: true}, tags)
 }
 
 func TestTrialBitsMatchesAppend(t *testing.T) {
@@ -201,13 +201,14 @@ func TestEncodeLengthMismatchPanics(t *testing.T) {
 }
 
 func TestOversizedTagPanics(t *testing.T) {
-	s := NewStream(Config{TagBits: 10})
+	s := NewStream(DefaultConfig())
+	s.Append(1<<42 - 1) // the widest 42-bit tag fits
 	defer func() {
 		if recover() == nil {
-			t.Fatal("oversized tag did not panic")
+			t.Fatal("a 43-bit tag did not panic")
 		}
 	}()
-	s.Append(1 << 11)
+	s.Append(1 << 42)
 }
 
 func TestResetMatchesFreshStream(t *testing.T) {
@@ -240,7 +241,7 @@ func TestResetMatchesFreshStream(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, multiBase bool, n uint8) bool {
 		r := rng.New(seed)
-		cfg := Config{TagBits: 42, MultiBase: multiBase}
+		cfg := Config{MultiBase: multiBase}
 		count := int(n%50) + 1
 		tags := make([]uint64, count)
 		valid := make([]bool, count)

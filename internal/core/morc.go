@@ -27,10 +27,13 @@ type Stats struct {
 type lineRec struct {
 	addr     uint64 // line-aligned address
 	valid    bool
-	modified bool   // dirty: leaving the cache writes it back
-	endBits  int    // data-stream length after this line's append
-	data     []byte // uncompressed copy, from which the streams are rebuilt
-	lmtIdx   int    // owning LMT entry (meaningful while valid)
+	modified bool // dirty: leaving the cache writes it back
+	endBits  int  // data-stream length after this line's append
+	// data is the line's uncompressed copy, from which the streams are
+	// rebuilt. Nothing writes it after the append, so Read and the
+	// write-backs hand it out.
+	data   []byte
+	lmtIdx int // owning LMT entry (meaningful while valid)
 }
 
 // logT is one fixed-size log. Its data stream is the LBE encoding of
@@ -277,17 +280,13 @@ func (c *Cache) Read(addr uint64) cache.ReadResult {
 		c.st.ExtraCycles += uint64(missExtra)
 		return cache.ReadResult{ExtraCycles: missExtra}
 	}
-	lg := c.logs[logIdx]
-	rec := &lg.lines[lineIdx]
 	extra := tagDecodeCycles(lineIdx+1) + dataDecodeCycles(lineIdx)
 	c.st.Hits++
 	c.st.ExtraCycles += uint64(extra)
 	c.st.TagCycles += uint64(tagDecodeCycles(lineIdx + 1))
 	c.st.Decompressed += uint64((lineIdx + 1) * cache.LineSize)
 	c.st.LatencyBytes.Add(float64((lineIdx + 1) * cache.LineSize))
-	out := make([]byte, cache.LineSize)
-	copy(out, rec.data)
-	return cache.ReadResult{Hit: true, Data: out, ExtraCycles: extra}
+	return cache.ReadResult{Hit: true, Data: c.logs[logIdx].lines[lineIdx].data, ExtraCycles: extra}
 }
 
 // locate resolves addr to (log, line). missExtra is the tag-decode
@@ -431,7 +430,7 @@ func (c *Cache) allocLMT(addr uint64) (int, []cache.Writeback) {
 		// The modified line must be decompressed and sent to memory.
 		c.st.Decompressed += uint64((int(e.lineIdx) + 1) * cache.LineSize)
 		c.st.MemWBs++
-		wbs = append(wbs, cache.Writeback{Addr: rec.addr, Data: cache.CloneLine(rec.data)})
+		wbs = append(wbs, cache.Writeback{Addr: rec.addr, Data: rec.data})
 	}
 	c.invalidateLine(int(e.logIdx), int(e.lineIdx))
 	e.valid = false
@@ -706,7 +705,7 @@ func (c *Cache) flush(lg *logT) []cache.Writeback {
 		}
 		if rec.modified {
 			c.st.MemWBs++
-			wbs = append(wbs, cache.Writeback{Addr: rec.addr, Data: cache.CloneLine(rec.data)})
+			wbs = append(wbs, cache.Writeback{Addr: rec.addr, Data: rec.data})
 		}
 		if c.cfg.UnlimitedTags {
 			delete(c.unlIndex, rec.addr)

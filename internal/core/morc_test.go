@@ -131,21 +131,43 @@ func TestRepeatedWriteBacksSameLine(t *testing.T) {
 	}
 }
 
+// TestLogEvictionWritesBackModified: a log flush sends every modified
+// line it evicts to memory, carrying the data last written to its
+// address. The LMT is large enough that no conflict eviction supplies
+// a write-back instead, so every write-back here comes from a flush.
 func TestLogEvictionWritesBackModified(t *testing.T) {
 	cfg := smallConfig()
+	cfg.LMTFactor = 64
 	c := New(cfg)
 	r := rng.New(5)
-	var wbs []cache.Writeback
-	// Write back many distinct dirty lines until logs recycle.
+	latest := map[uint64][]byte{} // the data last written to each address
+	memory := map[uint64][]byte{} // the data each write-back carried
 	for i := 0; i < 2000; i++ {
-		addr := uint64(i) * cache.LineSize
-		wbs = append(wbs, c.WriteBack(addr, lineVal(r, 2))...)
-		if len(wbs) > 0 {
-			break
+		addr := uint64(i%400) * cache.LineSize
+		d := lineVal(r, 2)
+		for _, wb := range c.WriteBack(addr, d) {
+			if !bytes.Equal(wb.Data, latest[wb.Addr]) {
+				t.Fatalf("write %d: the write-back of %#x carries stale data", i, wb.Addr)
+			}
+			memory[wb.Addr] = latest[wb.Addr]
 		}
+		latest[addr] = d
 	}
-	if len(wbs) == 0 {
-		t.Fatal("no memory write-backs despite overflowing the cache with dirty lines")
+	st := c.MorcStats()
+	if st.LMTConflicts != 0 || st.LogEvictions == 0 || len(memory) == 0 {
+		t.Fatalf("%d LMT conflicts, %d log evictions, %d addresses written back: want only flushes to write back",
+			st.LMTConflicts, st.LogEvictions, len(memory))
+	}
+	// No modified line is lost: each address's last write is cached or
+	// reached memory.
+	for addr, d := range latest {
+		if res := c.Read(addr); res.Hit {
+			if !bytes.Equal(res.Data, d) {
+				t.Fatalf("%#x: read hit returns stale data", addr)
+			}
+		} else if !bytes.Equal(memory[addr], d) {
+			t.Fatalf("%#x: its last write was neither cached nor written back", addr)
+		}
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -243,34 +243,3 @@ func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 	}
 	return nil
 }
-
-// DebugLogSummary reports average per-log occupancy statistics; used by
-// calibration tooling (cmd/morctrace) and tests.
-func (c *Cache) DebugLogSummary() string {
-	var lines, valid, dataBits, tagBits, n int
-	for _, lg := range c.logs {
-		if len(lg.lines) == 0 {
-			continue
-		}
-		n++
-		lines += len(lg.lines)
-		valid += lg.valid
-		dataBits += lg.bits
-		tagBits += lg.tags.Bits()
-	}
-	if n == 0 {
-		return "no populated logs"
-	}
-	return fmt.Sprintf("logs=%d avgLines=%.1f avgValid=%.1f avgDataBits=%.0f/%d avgTagBits=%.0f/%d bitsPerTag=%.1f",
-		n, float64(lines)/float64(n), float64(valid)/float64(n),
-		float64(dataBits)/float64(n), c.cfg.LogBytes*8,
-		float64(tagBits)/float64(n), c.cfg.TagBytesPerLog*8,
-		float64(tagBits)/float64(max(lines, 1)))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

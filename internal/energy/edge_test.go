@@ -9,7 +9,7 @@ import (
 // kind must charge only static energy, and a zero-cycle run must cost
 // exactly nothing.
 func TestZeroAccessRunIsAllStatic(t *testing.T) {
-	p := ForScheme("MORC")
+	p := withEngine(LBE)
 	b := Compute(p, Events{Cycles: 1_000_000, Cores: 4})
 	if b.DRAMJ != 0 || b.SRAMJ != 0 || b.CompressJ != 0 || b.DecompressJ != 0 {
 		t.Fatalf("zero-access run charged dynamic energy: %+v", b)
@@ -26,7 +26,7 @@ func TestZeroAccessRunIsAllStatic(t *testing.T) {
 // uint64 range must still produce finite (if astronomically large)
 // energies — no NaN or Inf from the float conversions.
 func TestOverflowSizedCountersStayFinite(t *testing.T) {
-	p := ForScheme("SC2")
+	p := withEngine(SC2)
 	ev := Events{
 		Cycles:            math.MaxUint64,
 		Cores:             1 << 20,
@@ -41,31 +41,5 @@ func TestOverflowSizedCountersStayFinite(t *testing.T) {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			t.Fatalf("overflow-sized counters produced a non-finite component: %+v", b)
 		}
-	}
-}
-
-// TestUnknownSchemeHasNoEngines: a name outside Table 7 gets the shared
-// constants but no compression/decompression engine energy, so its
-// engine components are exactly zero even with nonzero counts.
-func TestUnknownSchemeHasNoEngines(t *testing.T) {
-	p := ForScheme("NotAScheme")
-	if p.CompressJ != 0 || p.DecompressJ != 0 {
-		t.Fatalf("unknown scheme has engine energies: %+v", p)
-	}
-	b := Compute(p, Events{Compressions: 1 << 30, DecompressedBytes: 1 << 40})
-	if b.CompressJ != 0 || b.DecompressJ != 0 {
-		t.Fatalf("unknown scheme charged engine energy: %+v", b)
-	}
-}
-
-// TestScaleLLCStaticZeroFactor: scaling to zero removes the LLC's
-// static contribution without touching the other components.
-func TestScaleLLCStaticZeroFactor(t *testing.T) {
-	p := ScaleLLCStatic(TableDefaults(), 0)
-	if p.LLCStaticW != 0 {
-		t.Fatalf("LLCStaticW=%v after zero scale", p.LLCStaticW)
-	}
-	if p.L1StaticW != TableDefaults().L1StaticW || p.DRAMStaticW != TableDefaults().DRAMStaticW {
-		t.Fatal("zero scale touched unrelated static power")
 	}
 }

@@ -10,28 +10,40 @@
 // decompresses from the beginning of the stream.
 package energy
 
-// Params holds Table 7's constants. All energies are joules, powers are
-// watts.
-type Params struct {
-	L1StaticW   float64 // 7.0 mW per core
-	LLCStaticW  float64 // 20.0 mW per core slice
-	DRAMStaticW float64 // 10.9 mW per core
-	L1AccessJ   float64 // 61.0 pJ per line access
-	LLCDataJ    float64 // 32.0 pJ per line access
-	CompressJ   float64 // per compression-engine invocation (one line)
-	DecompressJ float64 // per 64B of decompressed output
-	DRAMAccessJ float64 // 74.8 nJ per 64B off-chip access
-	ClockHz     float64 // to convert cycles to seconds
-}
-
 const (
 	pJ = 1e-12
 	nJ = 1e-9
 	mW = 1e-3
 )
 
-// TableDefaults returns the Table 7 constants shared by all schemes; the
-// compression energies are zero and must be set per scheme.
+// Engine is one compression engine's Table 7 energies, in joules.
+type Engine struct {
+	CompressJ   float64 // per compression-engine invocation (one line)
+	DecompressJ float64 // per 64B of decompressed output
+}
+
+// The Table 7 engines. An uncompressed LLC has the zero Engine.
+var (
+	CPack = Engine{CompressJ: 50.0 * pJ, DecompressJ: 37.5 * pJ}
+	SC2   = Engine{CompressJ: 144.0 * pJ, DecompressJ: 148.0 * pJ}
+	LBE   = Engine{CompressJ: 200.0 * pJ, DecompressJ: 150.0 * pJ}
+)
+
+// Params holds Table 7's constants. All energies are joules, powers are
+// watts.
+type Params struct {
+	Engine              // the LLC's compression engine
+	L1StaticW   float64 // 7.0 mW per core
+	LLCStaticW  float64 // 20.0 mW per core slice
+	DRAMStaticW float64 // 10.9 mW per core
+	L1AccessJ   float64 // 61.0 pJ per line access
+	LLCDataJ    float64 // 32.0 pJ per line access
+	DRAMAccessJ float64 // 74.8 nJ per 64B off-chip access
+	ClockHz     float64 // to convert cycles to seconds
+}
+
+// TableDefaults returns the Table 7 constants shared by all schemes,
+// with no engine: the caller sets the LLC's.
 func TableDefaults() Params {
 	return Params{
 		L1StaticW:   7.0 * mW,
@@ -42,25 +54,6 @@ func TableDefaults() Params {
 		DRAMAccessJ: 74.8 * nJ,
 		ClockHz:     2e9,
 	}
-}
-
-// ForScheme fills in the per-scheme engine energies from Table 7.
-// Recognized names: "Uncompressed", "Adaptive", "Decoupled" (C-Pack),
-// "SC2", "MORC"/"MORCMerged" (LBE).
-func ForScheme(scheme string) Params {
-	p := TableDefaults()
-	switch scheme {
-	case "Adaptive", "Decoupled":
-		p.CompressJ = 50.0 * pJ
-		p.DecompressJ = 37.5 * pJ
-	case "SC2":
-		p.CompressJ = 144.0 * pJ
-		p.DecompressJ = 148.0 * pJ
-	case "MORC", "MORCMerged":
-		p.CompressJ = 200.0 * pJ
-		p.DecompressJ = 150.0 * pJ
-	}
-	return p
 }
 
 // Events are the counts a simulation produces for one core (or summed
@@ -105,12 +98,4 @@ func Compute(p Params, ev Events) Breakdown {
 		CompressJ:   float64(ev.Compressions) * p.CompressJ,
 		DecompressJ: float64(ev.DecompressedBytes) / 64 * p.DecompressJ,
 	}
-}
-
-// ScaleLLCStatic adjusts LLC static power for a different capacity
-// (used by the Uncompressed8x comparison point in Figure 9a: an 8× larger
-// SRAM burns proportionally more static power).
-func ScaleLLCStatic(p Params, factor float64) Params {
-	p.LLCStaticW *= factor
-	return p
 }

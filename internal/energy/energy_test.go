@@ -19,23 +19,34 @@ func TestTableDefaults(t *testing.T) {
 	}
 }
 
-func TestForScheme(t *testing.T) {
-	if p := ForScheme("MORC"); !almost(p.CompressJ, 200e-12) || !almost(p.DecompressJ, 150e-12) {
-		t.Fatalf("MORC engine energies: %+v", p)
+// withEngine returns the shared Table 7 constants with engine e.
+func withEngine(e Engine) Params {
+	p := TableDefaults()
+	p.Engine = e
+	return p
+}
+
+func TestEngines(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		e                    Engine
+		compress, decompress float64
+	}{
+		{"C-Pack", CPack, 50e-12, 37.5e-12},
+		{"SC2", SC2, 144e-12, 148e-12},
+		{"LBE", LBE, 200e-12, 150e-12},
+	} {
+		if !almost(tc.e.CompressJ, tc.compress) || !almost(tc.e.DecompressJ, tc.decompress) {
+			t.Errorf("%s engine energies %+v, want %g J per compression and %g J per 64B", tc.name, tc.e, tc.compress, tc.decompress)
+		}
 	}
-	if p := ForScheme("Adaptive"); !almost(p.CompressJ, 50e-12) {
-		t.Fatalf("Adaptive compression energy: %+v", p)
-	}
-	if p := ForScheme("SC2"); !almost(p.DecompressJ, 148e-12) {
-		t.Fatalf("SC2: %+v", p)
-	}
-	if p := ForScheme("Uncompressed"); p.CompressJ != 0 || p.DecompressJ != 0 {
-		t.Fatalf("Uncompressed charged engine energy: %+v", p)
+	if e := TableDefaults().Engine; e != (Engine{}) {
+		t.Fatalf("the shared constants carry an engine: %+v", e)
 	}
 }
 
 func TestBreakdownSumsToTotal(t *testing.T) {
-	p := ForScheme("MORC")
+	p := withEngine(LBE)
 	ev := Events{
 		Cycles: 2e9, Cores: 1, L1Accesses: 1e6, LLCAccesses: 1e5,
 		DRAMAccesses: 1e4, Compressions: 1e5, DecompressedBytes: 64e5,
@@ -51,7 +62,7 @@ func TestBreakdownSumsToTotal(t *testing.T) {
 }
 
 func TestStaticScalesWithTime(t *testing.T) {
-	p := ForScheme("MORC")
+	p := withEngine(LBE)
 	b1 := Compute(p, Events{Cycles: 1e9, Cores: 1})
 	b2 := Compute(p, Events{Cycles: 2e9, Cores: 1})
 	if !almost(b2.StaticJ, 2*b1.StaticJ) {
@@ -67,7 +78,7 @@ func TestStaticScalesWithTime(t *testing.T) {
 func TestDRAMDominatesForMissHeavyRuns(t *testing.T) {
 	// Sanity: a memory access costs ~1000x an on-chip access (Table 1's
 	// motivation), so DRAM dynamic energy dominates SRAM for equal counts.
-	p := ForScheme("Uncompressed")
+	p := TableDefaults()
 	b := Compute(p, Events{Cycles: 1, Cores: 1, L1Accesses: 1000, LLCAccesses: 1000, DRAMAccesses: 1000})
 	if b.DRAMJ < 100*b.SRAMJ {
 		t.Fatalf("DRAM %g not ≫ SRAM %g", b.DRAMJ, b.SRAMJ)
@@ -75,7 +86,7 @@ func TestDRAMDominatesForMissHeavyRuns(t *testing.T) {
 }
 
 func TestDecompressionPerOutputByte(t *testing.T) {
-	p := ForScheme("MORC")
+	p := withEngine(LBE)
 	b1 := Compute(p, Events{Cycles: 1, Cores: 1, DecompressedBytes: 64})
 	b8 := Compute(p, Events{Cycles: 1, Cores: 1, DecompressedBytes: 8 * 64})
 	if !almost(b8.DecompressJ, 8*b1.DecompressJ) {
@@ -83,13 +94,6 @@ func TestDecompressionPerOutputByte(t *testing.T) {
 	}
 	if !almost(b1.DecompressJ, 150e-12) {
 		t.Fatalf("one line = %g J", b1.DecompressJ)
-	}
-}
-
-func TestScaleLLCStatic(t *testing.T) {
-	p := ScaleLLCStatic(TableDefaults(), 8)
-	if !almost(p.LLCStaticW, 160e-3) {
-		t.Fatalf("scaled LLC static = %g", p.LLCStaticW)
 	}
 }
 

@@ -346,6 +346,10 @@ func TestSpecValidation(t *testing.T) {
 		// removed read-verification knob.
 		{"removed read-verification override", `{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":` +
 			strings.Replace(morcConfigJSON(t, 8), "{", `{"verifyreads":true,`, 1) + `}}`},
+		// Every tag is 42 bits wide, so tagdelta.Config has no width to
+		// set; a narrower one used to pass validation and panic the run.
+		{"removed tag-width override", `{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":` +
+			strings.Replace(morcConfigJSON(t, 8), `"Tag":{`, `"Tag":{"tagbits":20,`, 1) + `}}`},
 		{"zero bandwidth", `{"workload":"gcc","config":{"BWPerCore":0}}`},
 		{"negative bandwidth", `{"workload":"gcc","config":{"BWPerCore":-1}}`},
 		{"zero clock", `{"workload":"gcc","config":{"ClockHz":0}}`},

@@ -38,29 +38,6 @@ const (
 	Skewed
 )
 
-// String returns the paper's name for the scheme.
-func (s Scheme) String() string {
-	switch s {
-	case Uncompressed:
-		return "Uncompressed"
-	case Uncompressed8x:
-		return "Uncompressed8x"
-	case Adaptive:
-		return "Adaptive"
-	case Decoupled:
-		return "Decoupled"
-	case SC2:
-		return "SC2"
-	case MORC:
-		return "MORC"
-	case MORCMerged:
-		return "MORCMerged"
-	case Skewed:
-		return "Skewed"
-	}
-	return fmt.Sprintf("Scheme(%d)", int(s))
-}
-
 // ComparedSchemes returns the five schemes of Figure 6.
 func ComparedSchemes() []Scheme {
 	return []Scheme{Uncompressed, Adaptive, Decoupled, SC2, MORC}
@@ -187,18 +164,14 @@ func (cfg Config) CheckGeometry() error {
 	return err
 }
 
-// llc resolves cfg.Scheme to its LLC constructor and checks cfg against
-// that constructor's own rule, so NewLLC and CheckGeometry cannot
-// disagree.
+// llc resolves cfg.Scheme to its LLC constructor, sized to the scheme's
+// slices of LLCBytesPerCore per core, and checks cfg against that
+// constructor's own rule, so NewLLC and CheckGeometry cannot disagree.
 func (cfg Config) llc() (func() cache.LLC, error) {
-	capacity := cfg.LLCBytesPerCore * cfg.Cores
+	capacity := cfg.LLCBytesPerCore * cfg.Cores * cfg.Scheme.row().slices
 	switch cfg.Scheme {
 	case Uncompressed, Uncompressed8x:
-		size := capacity
-		if cfg.Scheme == Uncompressed8x {
-			size *= 8
-		}
-		return func() cache.LLC { return cache.NewSetAssoc(size, 8, cache.LRU) }, cache.CheckGeometry(size, 8)
+		return func() cache.LLC { return cache.NewSetAssoc(capacity, 8, cache.LRU) }, cache.CheckGeometry(capacity, 8)
 	case Adaptive, Decoupled, SC2:
 		kind := map[Scheme]baseline.Kind{Adaptive: baseline.Adaptive, Decoupled: baseline.Decoupled, SC2: baseline.SC2}[cfg.Scheme]
 		bc := baseline.DefaultConfig(kind, capacity)

@@ -147,11 +147,11 @@ func (s *System) collect() Result {
 // computeEnergy applies the Table 7 model to the window's events.
 func (s *System) computeEnergy(res Result) energy.Breakdown {
 	ms := s.memctl.Stats()
-	p := energy.ForScheme(s.cfg.Scheme.String())
+	row := s.cfg.Scheme.row()
+	p := energy.TableDefaults()
+	p.Engine = row.engine
+	p.LLCStaticW *= float64(row.slices)
 	p.ClockHz = s.cfg.ClockHz
-	if s.cfg.Scheme == Uncompressed8x {
-		p = energy.ScaleLLCStatic(p, 8)
-	}
 	var refs uint64
 	for _, c := range res.Cores {
 		refs += c.Refs

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
+	"morc/internal/energy"
 	"morc/internal/trace"
 )
 
@@ -192,6 +194,35 @@ func TestEnergyDRAMTracksTraffic(t *testing.T) {
 	}
 	if morc.Energy.DecompressJ <= unc.Energy.DecompressJ {
 		t.Fatal("MORC charged no decompression energy")
+	}
+}
+
+// TestSchemeEnergyRows holds every scheme to Table 7's charges: an LLC
+// that counts compressions is charged its engine's energy for them and
+// for what it decompresses, an LLC that counts none is charged no
+// engine, and Uncompressed8x's eight slices of data store burn eight
+// times Uncompressed's LLC static power.
+func TestSchemeEnergyRows(t *testing.T) {
+	llcStaticW := map[Scheme]float64{}
+	for _, s := range AllSchemes() {
+		cfg := DefaultConfig()
+		cfg.Scheme = s
+		cfg.WarmupInstr, cfg.MeasureInstr = 20_000, 40_000
+		res := RunSingle("gcc", cfg)
+		st, e := res.LLCStats, res.Energy
+		if st.Compressions > 0 {
+			if e.CompressJ <= 0 || st.Decompressed > 0 && e.DecompressJ <= 0 {
+				t.Errorf("%v: %d compressions and %d bytes decompressed cost %g J and %g J, want an engine's energy",
+					s, st.Compressions, st.Decompressed, e.CompressJ, e.DecompressJ)
+			}
+		} else if e.CompressJ != 0 || e.DecompressJ != 0 {
+			t.Errorf("%v: no compressions, but charged %g J and %g J of engine energy", s, e.CompressJ, e.DecompressJ)
+		}
+		seconds := float64(res.CompletionCycles) / cfg.ClockHz
+		llcStaticW[s] = e.StaticJ/seconds/float64(cfg.Cores) - energy.TableDefaults().L1StaticW
+	}
+	if got, want := llcStaticW[Uncompressed8x], 8*llcStaticW[Uncompressed]; math.Abs(got-want) > 1e-9*want {
+		t.Errorf("Uncompressed8x's LLC burns %g W, want eight times Uncompressed's: %g W", got, want)
 	}
 }
 
