@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"morc/internal/cluster/clustertest"
+	"morc/internal/obs"
 	"morc/internal/server"
 	"morc/internal/server/client"
 	"morc/internal/sim"
@@ -215,12 +217,15 @@ func TestMidRunPeerKillFailsOver(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	// ~3s of simulation: long enough to still be running when the peer
-	// dies, short enough to rerun to completion.
+	// About 0.9 s of simulation on a 2-CPU host: long enough to still
+	// be running when the prober ejects the peer (two 50 ms rounds),
+	// short enough to rerun to completion. The orphaned run keeps going
+	// on the blackholed peer, and the runner's long-poll parked there
+	// answers when it ends, after the ejection.
 	spec := server.JobSpec{
 		Workload: "gcc",
 		Scheme:   sim.MORC,
-		Config:   json.RawMessage(`{"WarmupInstr": 10000, "MeasureInstr": 3000000}`),
+		Config:   json.RawMessage(`{"WarmupInstr": 10000, "MeasureInstr": 10000000}`),
 	}
 	v, err := cl.Submit(ctx, spec)
 	if err != nil {
@@ -259,7 +264,8 @@ func TestMidRunPeerKillFailsOver(t *testing.T) {
 	j, _ := c.Job(v.ID)
 	_, _, _, requeues, _ := j.placement()
 	if requeues != 1 {
-		t.Fatalf("requeues = %d, want exactly 1 for a single peer death", requeues)
+		t.Fatalf("requeues = %d, want exactly 1 for a single peer death; requeued because: %s",
+			requeues, strings.Join(requeueReasons(c, j), "; "))
 	}
 	// The takeover is credited as a steal.
 	for _, p := range c.Peers() {
@@ -267,6 +273,21 @@ func TestMidRunPeerKillFailsOver(t *testing.T) {
 			t.Fatalf("takeover peer stolen = %d, want 1", p.Stolen)
 		}
 	}
+}
+
+// requeueReasons lists, oldest first, the reason each of the job's
+// dispatch spans was ended with a requeue.
+func requeueReasons(c *Coordinator, j *cjob) []string {
+	te, _ := c.spans.Export(j.traceID)
+	spans := append([]obs.Span(nil), te.Spans...)
+	sort.Slice(spans, func(a, b int) bool { return spans[a].Start < spans[b].Start })
+	var reasons []string
+	for _, sp := range spans {
+		if r, ok := sp.Attrs["requeued"]; ok {
+			reasons = append(reasons, r)
+		}
+	}
+	return reasons
 }
 
 func TestQueueFullRejectsWith429(t *testing.T) {

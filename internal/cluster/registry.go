@@ -199,11 +199,15 @@ func (r *registry) recordDispatchError(url string, now time.Time) (wentDown bool
 }
 
 // recordDispatchOK clears the failure streak after a successful
-// round-trip on the dispatch path.
+// round-trip on the dispatch path. It never re-admits an ejected peer:
+// a dispatch or poll that succeeds on a down peer may have started
+// before the ejection (a long-poll parked on a partitioned peer answers
+// when the orphaned job ends), so it is no evidence the peer is back.
+// Only a probe re-admits, after the backoff.
 func (r *registry) recordDispatchOK(url string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if p := r.peers[url]; p != nil {
+	if p := r.peers[url]; p != nil && p.up {
 		r.noteSuccess(p)
 	}
 }

@@ -71,6 +71,25 @@ func TestRegistrySuccessResetsStreak(t *testing.T) {
 	}
 }
 
+// TestRegistryDispatchSuccessDoesNotReadmit: a dispatch call that
+// answers after its peer was ejected began before the ejection, so it
+// neither re-admits the peer nor cuts its backoff; only a probe does.
+func TestRegistryDispatchSuccessDoesNotReadmit(t *testing.T) {
+	r := testRegistry(1)
+	r.add("http://a")
+	now := time.Now()
+	if !r.recordProbe("http://a", 0, errProbe, now) {
+		t.Fatal("not ejected at threshold 1")
+	}
+	r.recordDispatchOK("http://a")
+	if r.isUp("http://a") {
+		t.Fatal("a dispatch success re-admitted an ejected peer")
+	}
+	if got := r.probeTargets(now.Add(500 * time.Millisecond)); len(got) != 0 {
+		t.Fatalf("a dispatch success cut the ejected peer's backoff: %d targets", len(got))
+	}
+}
+
 func TestRegistryBackoffDoublesAndCaps(t *testing.T) {
 	r := testRegistry(1)
 	r.add("http://a")

@@ -536,25 +536,28 @@ func sameEntries[K comparable](got, want []K) error {
 }
 
 // index maps a value to the mask of the slots whose dictionary holds
-// it. It is a linear-probing table of at least twice the values it can
-// hold (every slot's dictionary full of distinct values), so a probe
-// always ends at an empty slot; a mask of 0 marks an empty slot. Each
-// slot records its value's home slot, so a value whose mask falls to 0
-// leaves by backward-shift deletion, without tombstones.
+// it. It is a linear-probing table of at least eight times the values
+// it can hold (every slot's dictionary full of distinct values), so a
+// probe always ends at an empty slot and almost always at its first; a
+// mask of 0 marks an empty slot. Each slot records its value's home
+// slot, so a value whose mask falls to 0 leaves by backward-shift
+// deletion, without tombstones.
 type index[K comparable] struct {
 	table []indexSlot[K]
 	shift uint // a value's home slot is the top bits of its hash
 }
 
+// indexSlot puts its mask first, so a 32-bit value's slot packs into
+// 16 bytes.
 type indexSlot[K comparable] struct {
-	key  K
 	mask uint64
+	key  K
 	home int32
 }
 
 func newIndex[K comparable](capacity int) index[K] {
 	size := 2
-	for size < 2*capacity {
+	for size < 8*capacity {
 		size *= 2
 	}
 	return index[K]{table: make([]indexSlot[K], size), shift: uint(64 - bits.TrailingZeros(uint(size)))}

@@ -26,6 +26,7 @@ package tagdelta
 
 import (
 	"fmt"
+	"math/bits"
 
 	"morc/internal/compress/bitstream"
 )
@@ -52,7 +53,7 @@ const (
 
 // distCode returns the Table 2 code and precision-bit count for a
 // distance in [1, maxDistance].
-func distCode(dist uint64) (code, precBits int, extra uint64) {
+func distCode(dist uint64) (code, prec int, extra uint64) {
 	if dist < 1 || dist > maxDistance {
 		panic(fmt.Sprintf("tagdelta: distance %d out of range", dist))
 	}
@@ -61,16 +62,20 @@ func distCode(dist uint64) (code, precBits int, extra uint64) {
 	}
 	// Group k (k>=0): codes 2k+4 and 2k+5 cover (2^(k+2), 2^(k+3)],
 	// each code spanning 2^(k+1) distances with k+1 precision bits.
-	k := 0
-	for dist > uint64(1)<<uint(k+3) {
-		k++
-	}
+	k := precBits(dist) - 1
 	span := uint64(1) << uint(k+1)
 	base := uint64(1)<<uint(k+2) + 1
 	off := dist - base
 	code = 2*k + 4 + int(off/span)
 	extra = off % span
 	return code, k + 1, extra
+}
+
+// precBits returns the number of precision bits Table 2 gives a
+// distance in [1, maxDistance]: none for 1-4, and k+1 for the group
+// (2^(k+2), 2^(k+3)].
+func precBits(dist uint64) int {
+	return max(0, bits.Len64(dist-1)-2)
 }
 
 // distFromCode inverts distCode.
@@ -92,8 +97,7 @@ func deltaBits(tag, base uint64, haveBase bool) int {
 	if !haveBase || dist == 0 || dist > maxDistance {
 		return codeBits + fullTagBits
 	}
-	_, prec, _ := distCode(dist)
-	return 1 + codeBits + prec
+	return 1 + codeBits + precBits(dist)
 }
 
 // delta returns tag's distance from base and whether tag lies below it.

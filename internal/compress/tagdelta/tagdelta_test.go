@@ -100,6 +100,39 @@ func TestDistCodeInverseExhaustive(t *testing.T) {
 	}
 }
 
+// TestDeltaBitsExhaustive: for every distance from 0 to maxDistance+1,
+// above and below a base, deltaBits gives sign, code and the precision
+// bits of the Table 2 code whose range (as distFromCode spans it) holds
+// the distance, or the new-base escape where no code does; with no
+// base, always the escape.
+func TestDeltaBitsExhaustive(t *testing.T) {
+	const base = 1 << 30
+	escape := codeBits + fullTagBits
+	want := make([]int, maxDistance+2) // per distance
+	for d := range want {
+		want[d] = escape
+	}
+	for code := 0; code < newBaseCode; code++ {
+		prec := 0
+		if code >= 4 {
+			prec = (code-4)/2 + 1
+		}
+		for extra := uint64(0); extra < 1<<prec; extra++ {
+			want[distFromCode(code, extra)] = 1 + codeBits + prec
+		}
+	}
+	for d, w := range want {
+		for _, tag := range []uint64{base + uint64(d), base - uint64(d)} {
+			if got := deltaBits(tag, base, true); got != w {
+				t.Fatalf("tag %#x against base %#x (distance %d): %d bits, Table 2 gives %d", tag, base, d, got, w)
+			}
+			if got := deltaBits(tag, base, false); got != escape {
+				t.Fatalf("tag %#x with no base: %d bits, want the escape's %d", tag, got, escape)
+			}
+		}
+	}
+}
+
 func TestSequentialTagsCompressWell(t *testing.T) {
 	cfg := Config{MultiBase: false}
 	s := NewStream(cfg)

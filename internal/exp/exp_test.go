@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"morc/internal/energy"
 	"morc/internal/sim"
 )
 
@@ -82,6 +83,43 @@ func TestStaticTables(t *testing.T) {
 		tables := e.Run(Budget{})
 		if len(tables) == 0 || len(tables[0].Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
+		}
+	}
+}
+
+// TestTab7PrintsTheModel: Table 7 prints, row for row, the constants
+// the simulator charges (energy.TableDefaults and the C-Pack, SC2 and
+// LBE engines), so an engine or a static power that changes shows in
+// the table and moves its golden.
+func TestTab7PrintsTheModel(t *testing.T) {
+	const pJ, nJ, mW = 1e-12, 1e-9, 1e-3
+	p := energy.TableDefaults()
+	want := []struct {
+		label    string
+		si, unit float64
+	}{
+		{"L1 static power (mW)", p.L1StaticW, mW},
+		{"LLC static power (mW)", p.LLCStaticW, mW},
+		{"DRAM static power per core (mW)", p.DRAMStaticW, mW},
+		{"L1 access energy (pJ)", p.L1AccessJ, pJ},
+		{"LLC data energy (pJ)", p.LLCDataJ, pJ},
+		{"C-Pack compression energy (pJ)", energy.CPack.CompressJ, pJ},
+		{"C-Pack decompression energy (pJ)", energy.CPack.DecompressJ, pJ},
+		{"SC2 compression energy (pJ)", energy.SC2.CompressJ, pJ},
+		{"SC2 decompression energy (pJ)", energy.SC2.DecompressJ, pJ},
+		{"LBE compression energy (pJ)", energy.LBE.CompressJ, pJ},
+		{"LBE decompression energy (pJ per 64B)", energy.LBE.DecompressJ, pJ},
+		{"64B off-chip access energy (nJ)", p.DRAMAccessJ, nJ},
+	}
+	e, _ := Get("tab7")
+	rows := e.Run(Budget{})[0].Rows
+	if len(rows) != len(want) {
+		t.Fatalf("tab7 has %d rows, the model %d constants", len(rows), len(want))
+	}
+	for i, w := range want {
+		got := rows[i]
+		if got.Label != w.label || math.Abs(got.Values[0]*w.unit-w.si) > 1e-12*w.si {
+			t.Errorf("row %d: tab7 prints %q = %g, the model has %q = %g", i, got.Label, got.Values[0], w.label, w.si/w.unit)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"morc/internal/cache"
 	"morc/internal/core"
+	"morc/internal/energy"
 )
 
 func init() {
@@ -97,21 +98,24 @@ func runTab5(Budget) []*Table {
 	return []*Table{t}
 }
 
-// runTab7 prints the energy model constants.
+// runTab7 prints the energy model constants the simulator charges:
+// energy.TableDefaults and the three engines.
 func runTab7(Budget) []*Table {
+	const pJ, nJ, mW = 1e-12, 1e-9, 1e-3
+	p := energy.TableDefaults()
 	t := &Table{ID: "tab7", Title: "Energy model (Table 7)",
 		Columns: []string{"parameter", "value"}}
-	t.AddRow("L1 static power (mW)", 7.0)
-	t.AddRow("LLC static power (mW)", 20.0)
-	t.AddRow("DRAM static power per core (mW)", 10.9)
-	t.AddRow("L1 access energy (pJ)", 61.0)
-	t.AddRow("LLC data energy (pJ)", 32.0)
-	t.AddRow("C-Pack compression energy (pJ)", 50.0)
-	t.AddRow("C-Pack decompression energy (pJ)", 37.5)
-	t.AddRow("SC2 compression energy (pJ)", 144)
-	t.AddRow("SC2 decompression energy (pJ)", 148)
-	t.AddRow("LBE compression energy (pJ)", 200)
-	t.AddRow("LBE decompression energy (pJ per 64B)", 150)
-	t.AddRow("64B off-chip access energy (nJ)", 74.8)
+	t.AddRow("L1 static power (mW)", p.L1StaticW/mW)
+	t.AddRow("LLC static power (mW)", p.LLCStaticW/mW)
+	t.AddRow("DRAM static power per core (mW)", p.DRAMStaticW/mW)
+	t.AddRow("L1 access energy (pJ)", p.L1AccessJ/pJ)
+	t.AddRow("LLC data energy (pJ)", p.LLCDataJ/pJ)
+	t.AddRow("C-Pack compression energy (pJ)", energy.CPack.CompressJ/pJ)
+	t.AddRow("C-Pack decompression energy (pJ)", energy.CPack.DecompressJ/pJ)
+	t.AddRow("SC2 compression energy (pJ)", energy.SC2.CompressJ/pJ)
+	t.AddRow("SC2 decompression energy (pJ)", energy.SC2.DecompressJ/pJ)
+	t.AddRow("LBE compression energy (pJ)", energy.LBE.CompressJ/pJ)
+	t.AddRow("LBE decompression energy (pJ per 64B)", energy.LBE.DecompressJ/pJ)
+	t.AddRow("64B off-chip access energy (nJ)", p.DRAMAccessJ/nJ)
 	return []*Table{t}
 }

@@ -29,7 +29,7 @@ func quickCfg(s Scheme) Config {
 
 func TestRunSingleAllSchemes(t *testing.T) {
 	skipIfShort(t)
-	for _, s := range []Scheme{Uncompressed, Uncompressed8x, Adaptive, Decoupled, SC2, MORC, MORCMerged} {
+	for _, s := range AllSchemes() {
 		res := RunSingle("gcc", quickCfg(s))
 		if res.IPC <= 0 || res.IPC > 1 {
 			t.Fatalf("%v: IPC %g out of (0,1]", s, res.IPC)
