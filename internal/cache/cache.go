@@ -23,9 +23,9 @@ func LineAddr(addr uint64) uint64 { return addr &^ (LineSize - 1) }
 // the "tag" MORC compresses, since indirect caches cannot drop index bits.
 func LineTag(addr uint64) uint64 { return addr / LineSize }
 
-// Writeback is a dirty line leaving the LLC toward memory. Data may be
-// a buffer the cache reuses: it stays valid until the next Fill or
-// WriteBack on the cache that returned it.
+// Writeback is a dirty line leaving the LLC toward memory. Data is a
+// buffer the cache that returned it owns and reuses: it stays valid
+// until the next Fill or WriteBack on that cache.
 type Writeback struct {
 	Addr uint64
 	Data []byte
@@ -33,10 +33,11 @@ type Writeback struct {
 
 // CloneLine returns a private copy of a line payload, for structures
 // that retain a line past the call that delivered it while the caller
-// keeps reusing its buffer: the line MORC's logs and the compressed
-// baselines store on each insert, which their reads and write-backs
-// then hand out, and the check harness's oracle. SetAssoc never calls
-// it: it copies into its own arena.
+// keeps reusing its buffer. Its callers are the compressed baselines
+// (baseline.Cache and baseline.Skewed), which store a copy on each
+// insert and hand it out on reads and write-backs, the check harness's
+// oracle, and morcperf's replay. SetAssoc and MORC never call it: they
+// copy into storage they own.
 func CloneLine(data []byte) []byte {
 	//morclint:ignore hotalloc a retained copy of one line is the point: callers keep it past their buffer's reuse
 	return append([]byte(nil), data...)
@@ -60,8 +61,9 @@ type ReadResult struct {
 // cross it: an implementation copies the data passed to Fill and
 // WriteBack and returns its own storage, which callers consume before
 // the next mutating call: a read hit's Data until the next Fill,
-// WriteBack or Update on that cache, a returned Writeback's Data until
-// the next Fill or WriteBack on it.
+// WriteBack or Update on that cache; the []Writeback that Fill or
+// WriteBack returns, and each Writeback's Data, until the next Fill or
+// WriteBack on it. SetAssoc and MORC reuse both buffers on every call.
 type LLC interface {
 	// Read performs a demand lookup.
 	Read(addr uint64) ReadResult

@@ -75,7 +75,9 @@ func TestRunnerLongPollsItsPeer(t *testing.T) {
 	defer cancel()
 
 	spec := fastSpec()
-	spec.Config = []byte(`{"WarmupInstr": 10000, "MeasureInstr": 1500000}`)
+	// Long enough to outlast 4 polls of 25ms with room to spare on a
+	// fast host: about a quarter second on a 2-CPU host.
+	spec.Config = []byte(`{"WarmupInstr": 10000, "MeasureInstr": 3000000}`)
 	v, err := cl.Submit(ctx, spec)
 	if err != nil {
 		t.Fatalf("submit: %v", err)

@@ -218,7 +218,7 @@ func (g *groupRun) kept(addr uint64, data []byte, recycled bool) {
 		sh.enc.Reset()
 		sh.lines = sh.lines[:0]
 	}
-	if len(sh.lines) != idx || !bytes.Equal(lg.lines[idx].data, data) {
+	if len(sh.lines) != idx || !bytes.Equal(lg.lines[idx].data[:], data) {
 		t.Fatalf("insert %d: log %d took the line as line %d, its shadow holds %d lines",
 			g.inserts, li, idx, len(sh.lines))
 	}

@@ -23,17 +23,19 @@ type Stats struct {
 	LatencyBytes *stats.Histogram
 }
 
-// lineRec is the bookkeeping for one appended (compressed) line.
+// lineRec is the bookkeeping for one appended (compressed) line. It
+// holds no pointer, so a log's records are one flat array that the
+// garbage collector never scans.
 type lineRec struct {
 	addr     uint64 // line-aligned address
 	valid    bool
 	modified bool // dirty: leaving the cache writes it back
 	endBits  int  // data-stream length after this line's append
+	lmtIdx   int  // owning LMT entry (meaningful while valid)
 	// data is the line's uncompressed copy, from which the streams are
-	// rebuilt. Nothing writes it after the append, so Read and the
-	// write-backs hand it out.
-	data   []byte
-	lmtIdx int // owning LMT entry (meaningful while valid)
+	// rebuilt. Read hands it out; a write-back copies it, because a
+	// reclaimed log's records are overwritten by its next lines.
+	data [cache.LineSize]byte
 }
 
 // logT is one fixed-size log. Its data stream is the LBE encoding of
@@ -57,19 +59,20 @@ type logT struct {
 	prev, next *logT
 }
 
-// lmtEntry is a Line-Map Table entry: a valid bit + log index. The
-// hardware entry also holds the line's modified bit; the model keeps that
-// on the line record, where UnlimitedTags mode, which has no LMT, finds
-// it too. The owner address and line index are simulator bookkeeping
-// standing in for the tag check the hardware performs against the log's
-// compressed tag store. Each valid entry owns exactly one line, so the
-// outcomes are identical; the timing model still charges the tag decode.
+// lmtEntry is a Line-Map Table entry: in hardware a valid bit + log
+// index. The hardware entry also holds the line's modified bit; the
+// model keeps that on the line record, where UnlimitedTags mode, which
+// has no LMT, finds it too. The owner address and line index are
+// simulator bookkeeping standing in for the tag check the hardware
+// performs against the log's compressed tag store. Each valid entry
+// owns exactly one line, so the outcomes are identical; the timing
+// model still charges the tag decode. The recency stamp doubles as the
+// valid bit: every stamp is at least 1, and a free entry's is 0.
 type lmtEntry struct {
-	valid   bool
 	logIdx  int32
 	lineIdx int32
 	owner   uint64
-	seq     uint64 // recency for way replacement
+	seq     uint64 // recency for way replacement; 0 marks a free entry
 }
 
 // Cache is a MORC last-level cache.
@@ -101,6 +104,12 @@ type Cache struct {
 	// c.actives[i], and sizes a line in all of them in one walk.
 	group  *lbe.Group
 	trials []trial // per-insert scratch, one per active log
+	// wbs are the write-backs the last Fill or WriteBack returned and
+	// wbLines the lines they carry. Each is a copy: the log that a flush
+	// or an LMT-conflict eviction empties can take the inserted line in
+	// the same call. The next Fill or WriteBack reuses both.
+	wbs     []cache.Writeback
+	wbLines [][cache.LineSize]byte
 }
 
 // trial is one active log's sizing of the line being inserted.
@@ -240,7 +249,7 @@ func (c *Cache) lmtLookup(addr uint64) int {
 	la := cache.LineAddr(addr)
 	var cand [8]int
 	for _, i := range c.lmtCandidates(addr, cand[:0]) {
-		if c.lmt[i].valid && c.lmt[i].owner == la {
+		if c.lmt[i].seq != 0 && c.lmt[i].owner == la {
 			return i
 		}
 	}
@@ -254,7 +263,7 @@ func (c *Cache) lmtValidWays(addr uint64, buf []int) []int {
 	cands := c.lmtCandidates(addr, buf)
 	ways := cands[:0]
 	for _, i := range cands {
-		if c.lmt[i].valid {
+		if c.lmt[i].seq != 0 {
 			ways = append(ways, i)
 		}
 	}
@@ -286,7 +295,7 @@ func (c *Cache) Read(addr uint64) cache.ReadResult {
 	c.st.TagCycles += uint64(tagDecodeCycles(lineIdx + 1))
 	c.st.Decompressed += uint64((lineIdx + 1) * cache.LineSize)
 	c.st.LatencyBytes.Add(float64((lineIdx + 1) * cache.LineSize))
-	return cache.ReadResult{Hit: true, Data: c.logs[logIdx].lines[lineIdx].data, ExtraCycles: extra}
+	return cache.ReadResult{Hit: true, Data: c.logs[logIdx].lines[lineIdx].data[:], ExtraCycles: extra}
 }
 
 // locate resolves addr to (log, line). missExtra is the tag-decode
@@ -346,7 +355,7 @@ func (c *Cache) insert(addr uint64, data []byte, modified bool) []cache.Writebac
 		panic(fmt.Sprintf("core: insert of %d bytes", len(data)))
 	}
 	la := cache.LineAddr(addr)
-	var wbs []cache.Writeback
+	c.wbs, c.wbLines = c.wbs[:0], c.wbLines[:0]
 
 	// Invalidate any existing copy (write-back of a line we hold, or a
 	// refill of a line that aliased). The old data is stale: no memory
@@ -360,26 +369,22 @@ func (c *Cache) insert(addr uint64, data []byte, modified bool) []cache.Writebac
 	} else if i := c.lmtLookup(addr); i >= 0 {
 		e := &c.lmt[i]
 		wasModified = c.invalidateLine(int(e.logIdx), int(e.lineIdx))
-		e.valid = false
+		e.seq = 0
 	}
 
 	// Allocate the LMT entry (may evict a conflicting line).
 	lmtIdx := -1
 	if !c.cfg.UnlimitedTags {
-		var conflictWBs []cache.Writeback
-		lmtIdx, conflictWBs = c.allocLMT(addr)
-		wbs = append(wbs, conflictWBs...)
+		lmtIdx = c.allocLMT(addr)
 	}
 
-	logIdx, lineIdx, evWBs := c.append(la, data, modified || wasModified)
-	wbs = append(wbs, evWBs...)
+	logIdx, lineIdx := c.append(la, data, modified || wasModified)
 
 	if c.cfg.UnlimitedTags {
 		c.unlIndex[la] = [2]int32{int32(logIdx), int32(lineIdx)}
 	} else {
 		c.seq++
 		c.lmt[lmtIdx] = lmtEntry{
-			valid:   true,
 			logIdx:  int32(logIdx),
 			lineIdx: int32(lineIdx),
 			owner:   la,
@@ -387,7 +392,19 @@ func (c *Cache) insert(addr uint64, data []byte, modified bool) []cache.Writebac
 		}
 		c.logs[logIdx].lines[lineIdx].lmtIdx = lmtIdx
 	}
-	return wbs
+	for i := range c.wbs {
+		c.wbs[i].Data = c.wbLines[i][:]
+	}
+	return c.wbs
+}
+
+// toMemory queues a copy of a modified line leaving the cache for
+// memory. insert points the write-back at its copy once no copy can
+// move.
+func (c *Cache) toMemory(rec *lineRec) {
+	c.st.MemWBs++
+	c.wbs = append(c.wbs, cache.Writeback{Addr: rec.addr})
+	c.wbLines = append(c.wbLines, rec.data)
 }
 
 // invalidateLine marks a valid log entry invalid and reports whether it
@@ -407,12 +424,12 @@ func (c *Cache) invalidateLine(logIdx, lineIdx int) (modified bool) {
 
 // allocLMT returns a free candidate entry for addr, evicting the LRU
 // conflicting entry if all candidates are taken.
-func (c *Cache) allocLMT(addr uint64) (int, []cache.Writeback) {
+func (c *Cache) allocLMT(addr uint64) int {
 	var cand [8]int
 	cands := c.lmtCandidates(addr, cand[:0])
 	for _, i := range cands {
-		if !c.lmt[i].valid {
-			return i, nil
+		if c.lmt[i].seq == 0 {
+			return i
 		}
 	}
 	// LMT conflict: evict the least-recently-used candidate (§3.1's
@@ -425,16 +442,14 @@ func (c *Cache) allocLMT(addr uint64) (int, []cache.Writeback) {
 	}
 	c.st.LMTConflicts++
 	e := &c.lmt[victim]
-	var wbs []cache.Writeback
 	if rec := &c.logs[e.logIdx].lines[e.lineIdx]; rec.modified {
 		// The modified line must be decompressed and sent to memory.
 		c.st.Decompressed += uint64((int(e.lineIdx) + 1) * cache.LineSize)
-		c.st.MemWBs++
-		wbs = append(wbs, cache.Writeback{Addr: rec.addr, Data: rec.data})
+		c.toMemory(rec)
 	}
 	c.invalidateLine(int(e.logIdx), int(e.lineIdx))
-	e.valid = false
-	return victim, wbs
+	e.seq = 0
+	return victim
 }
 
 // --- log management ----------------------------------------------------
@@ -467,7 +482,7 @@ func (c *Cache) fit(lg *logT, tag uint64, dataBits int) (tagBits int, fits bool)
 
 // append compresses the line into the best active log (content-aware
 // multi-log selection, §3.2.3), opening a fresh log when nothing fits.
-func (c *Cache) append(la uint64, data []byte, modified bool) (logIdx, lineIdx int, wbs []cache.Writeback) {
+func (c *Cache) append(la uint64, data []byte, modified bool) (logIdx, lineIdx int) {
 	tag := cache.LineTag(la)
 
 	// One group trial sizes the line's data in every active log.
@@ -507,7 +522,7 @@ func (c *Cache) append(la uint64, data []byte, modified bool) (logIdx, lineIdx i
 				fullest = i
 			}
 		}
-		wbs = c.recycle(fullest)
+		c.recycle(fullest)
 		lg := c.logs[c.actives[fullest]]
 		db := rawBits
 		if !c.cfg.DisableCompression {
@@ -518,7 +533,7 @@ func (c *Cache) append(la uint64, data []byte, modified bool) (logIdx, lineIdx i
 		if _, fits := c.fit(lg, tag, db); !fits {
 			panic(fmt.Sprintf("core: line does not fit in an empty %dB log", c.cfg.LogBytes))
 		}
-		return lg.id, c.commitAppend(fullest, tag, la, data, modified), wbs
+		return lg.id, c.commitAppend(fullest, tag, la, data, modified)
 	}
 
 	// Fudge-factor diversification: when best and worst are within the
@@ -538,7 +553,7 @@ func (c *Cache) append(la uint64, data []byte, modified bool) (logIdx, lineIdx i
 		choice = least
 	}
 
-	return c.actives[choice], c.commitAppend(choice, tag, la, data, modified), wbs
+	return c.actives[choice], c.commitAppend(choice, tag, la, data, modified)
 }
 
 // occBits returns a log's current occupancy in bits.
@@ -567,7 +582,7 @@ func (c *Cache) commitAppend(slot int, tag, la uint64, data []byte, modified boo
 		valid:    true,
 		modified: modified,
 		endBits:  lg.bits,
-		data:     cache.CloneLine(data),
+		data:     [cache.LineSize]byte(data),
 	})
 	lg.valid++
 	return len(lg.lines) - 1
@@ -577,7 +592,7 @@ func (c *Cache) commitAppend(slot int, tag, la uint64, data []byte, modified boo
 // victim log — preferring all-invalid closed logs, else FIFO — flushes it
 // if needed, and installs the fresh log in the slot with the slot's
 // dictionaries, emptied. The closing log can be its own victim.
-func (c *Cache) recycle(slot int) []cache.Writeback {
+func (c *Cache) recycle(slot int) {
 	closing := c.logs[c.actives[slot]]
 	closing.active = false
 	c.seq++
@@ -589,9 +604,8 @@ func (c *Cache) recycle(slot int) []cache.Writeback {
 	}
 
 	victim := c.pickVictim()
-	var wbs []cache.Writeback
 	if victim.valid > 0 {
-		wbs = c.flush(victim)
+		c.flush(victim)
 		c.st.LogEvictions++
 	} else {
 		c.st.LogReuses++
@@ -601,7 +615,6 @@ func (c *Cache) recycle(slot int) []cache.Writeback {
 	victim.active = true
 	victim.closedSeq = 0
 	c.actives[slot] = victim.id
-	return wbs
 }
 
 // pickVictim selects the log to reclaim and takes it out of the victim
@@ -691,8 +704,7 @@ func (c *Cache) popReuse() *logT {
 // flush performs a whole-log eviction: sequentially decompress, write
 // back modified lines and drop the valid lines' LMT (or index) entries.
 // The caller resets the log.
-func (c *Cache) flush(lg *logT) []cache.Writeback {
-	var wbs []cache.Writeback
+func (c *Cache) flush(lg *logT) {
 	// Sequential decompression of the whole log (energy accounting; the
 	// flush is off the critical path so no latency is charged, §3.1).
 	if !c.cfg.DisableCompression {
@@ -704,16 +716,14 @@ func (c *Cache) flush(lg *logT) []cache.Writeback {
 			continue
 		}
 		if rec.modified {
-			c.st.MemWBs++
-			wbs = append(wbs, cache.Writeback{Addr: rec.addr, Data: rec.data})
+			c.toMemory(rec)
 		}
 		if c.cfg.UnlimitedTags {
 			delete(c.unlIndex, rec.addr)
 		} else {
-			c.lmt[rec.lmtIdx].valid = false
+			c.lmt[rec.lmtIdx].seq = 0
 		}
 	}
-	return wbs
 }
 
 // resetLog aggregates the retiring log's symbol counts and empties the

@@ -238,6 +238,56 @@ func TestLMTConflictEviction(t *testing.T) {
 	}
 }
 
+// TestLMTConflictWriteBackOutlivesInsert: the line an LMT-conflict
+// eviction writes back still carries its bytes when the insert that
+// evicted it returns. With one active log and a one-way LMT at 1×, 64
+// hot lines conflict constantly, and the log holding the evicted line
+// is often emptied and reclaimed for the inserted line in the same
+// call, overwriting the evicted line's record.
+func TestLMTConflictWriteBackOutlivesInsert(t *testing.T) {
+	cfg := DefaultConfig(2 * 1024)
+	cfg.ActiveLogs = 1
+	cfg.LMTFactor = 1
+	cfg.LMTAssoc = 1
+	c := New(cfg)
+	r := rng.New(4)
+	st := c.MorcStats()
+	latest := map[uint64][]byte{} // the data last written to each address
+	conflictWBs := 0              // write-backs of calls that flushed no log
+	for i := 0; i < 4000; i++ {
+		addr := uint64(r.Intn(64)) * cache.LineSize
+		flushes := st.LogEvictions
+		var wbs []cache.Writeback
+		var written []byte
+		if r.Bool(0.5) {
+			written = lineVal(r, r.Intn(3))
+			wbs = c.WriteBack(addr, written)
+		} else if !c.Read(addr).Hit {
+			if latest[addr] == nil {
+				latest[addr] = lineVal(r, r.Intn(3))
+			}
+			wbs = c.Fill(addr, latest[addr])
+		}
+		for _, wb := range wbs {
+			if !bytes.Equal(wb.Data, latest[wb.Addr]) {
+				t.Fatalf("op %d: the write-back of %#x carries %x, last written %x", i, wb.Addr, wb.Data[:8], latest[wb.Addr][:8])
+			}
+		}
+		if st.LogEvictions == flushes {
+			conflictWBs += len(wbs)
+		}
+		if written != nil {
+			latest[addr] = written
+		}
+	}
+	if conflictWBs == 0 {
+		t.Fatalf("%d LMT conflicts wrote back no line", st.LMTConflicts)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAliasedMissChargesTagDecode(t *testing.T) {
 	cfg := smallConfig()
 	cfg.LMTFactor = 1

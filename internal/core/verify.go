@@ -58,7 +58,7 @@ func (c *Cache) CheckInvariants() error {
 	validEntries := 0
 	for i := range c.lmt {
 		e := &c.lmt[i]
-		if !e.valid {
+		if e.seq == 0 {
 			continue
 		}
 		validEntries++
@@ -195,7 +195,7 @@ func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 	// lines, and an active log's slot must hold its dictionaries.
 	enc.Reset()
 	for i := range lg.lines {
-		enc.AppendCommit(lg.lines[i].data)
+		enc.AppendCommit(lg.lines[i].data[:])
 		if enc.Bits() != lg.lines[i].endBits {
 			return fmt.Errorf("line %d: the rebuilt stream ends at bit %d, recorded %d", i, enc.Bits(), lg.lines[i].endBits)
 		}
@@ -212,7 +212,7 @@ func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 		if err != nil {
 			return fmt.Errorf("line %d: decode: %w", i, err)
 		}
-		if !bytes.Equal(got, lg.lines[i].data) {
+		if !bytes.Equal(got, lg.lines[i].data[:]) {
 			return fmt.Errorf("line %d: stream decodes to %x, recorded %x", i, got[:8], lg.lines[i].data[:8])
 		}
 	}

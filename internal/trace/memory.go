@@ -18,9 +18,9 @@ type Memory struct {
 	prof  Profile
 	draws valueDraws
 	// written holds each written-back line's latest contents. A write
-	// overwrites its address's entry and a read copies it out, so no
+	// overwrites its address's record and a read copies it out, so no
 	// caller's slice aliases it.
-	written map[uint64][cache.LineSize]byte
+	written lineStore
 	// pools hold the duplication chunks of each address region, one
 	// pool per granularity level, each instantiated lazily: neighboring
 	// lines share a small vocabulary (which windowed inter-line
@@ -126,8 +126,7 @@ func NewMemory(p Profile) *Memory {
 			narrow:    rng.ThresholdOf(p.NarrowFrac),
 			storeComp: rng.ThresholdOf(p.StoreComp),
 		},
-		written: make(map[uint64][cache.LineSize]byte),
-		pools:   make(map[uint64]*regionPools),
+		pools: make(map[uint64]*regionPools),
 	}
 	for i, w := range p.GranWeights {
 		m.draws.gran[i] = rng.ThresholdOf(w)
@@ -191,8 +190,8 @@ func (m *Memory) ReadLineInto(dst []byte, addr uint64) {
 	}
 	la := cache.LineAddr(addr)
 	m.ReadLines++
-	if d, ok := m.written[la]; ok {
-		copy(dst, d[:])
+	if r := m.written.find(la); r != nil {
+		copy(dst, r.data[:])
 		return
 	}
 	m.synthLine(dst, la)
@@ -204,7 +203,7 @@ func (m *Memory) WriteLine(addr uint64, data []byte) {
 		panic(fmt.Sprintf("trace: WriteLine of %d bytes", len(data)))
 	}
 	m.WriteLines++
-	m.written[cache.LineAddr(addr)] = [cache.LineSize]byte(data)
+	m.written.put(cache.LineAddr(addr), data)
 }
 
 // synthLine deterministically generates the pristine contents of the
@@ -277,7 +276,7 @@ func (m *Memory) ApplyStore(line []byte, addr uint64) {
 }
 
 // WrittenLines returns how many distinct lines hold written-back data.
-func (m *Memory) WrittenLines() int { return len(m.written) }
+func (m *Memory) WrittenLines() int { return m.written.n }
 
 // mix is a 64-bit finalizer (splitmix64's) used to derive per-line seeds.
 func mix(x uint64) uint64 {
