@@ -343,7 +343,7 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	legs := []*leg{
 		{
 			name: "cache/clone-line", perWhat: "clone", div: 1,
-			note: "cache.CloneLine, the copy of a line that the compressed baselines and the check oracle retain",
+			note: "cache.CloneLine, the copy of a line that the check oracle and morcperf's replay retain",
 			fn:   func() { cloned = cache.CloneLine(line) },
 		},
 		{

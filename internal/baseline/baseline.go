@@ -91,13 +91,15 @@ func (c Config) segBytes() int {
 	return 8 // Adaptive/SC2 8-byte segments
 }
 
+// compLine is one tag's line. It holds the line's bytes, which Read
+// hands out, so a line is stored without a pointer.
 type compLine struct {
 	valid    bool
 	dirty    bool
 	addr     uint64
 	segments int
-	data     []byte
 	seq      uint64
+	data     [cache.LineSize]byte
 }
 
 type set struct {
@@ -120,6 +122,10 @@ type Cache struct {
 	segsPerSet int
 	clock      uint64
 	st         Stats
+	// wb holds the write-backs the last Fill or WriteBack returned, as
+	// copies: a victim's slot can take the inserted line in the same
+	// call.
+	wb cache.WritebackBuffer
 
 	// SC2 state.
 	sampler *huffman.Sampler
@@ -239,7 +245,7 @@ func (c *Cache) Read(addr uint64) cache.ReadResult {
 		c.st.Hits++
 		c.st.ExtraCycles += DecompressionCycles
 		c.st.Decompressed += cache.LineSize
-		return cache.ReadResult{Hit: true, Data: s.lines[i].data, ExtraCycles: DecompressionCycles}
+		return cache.ReadResult{Hit: true, Data: s.lines[i].data[:], ExtraCycles: DecompressionCycles}
 	}
 	c.st.Misses++
 	return cache.ReadResult{}
@@ -280,7 +286,7 @@ func (c *Cache) insert(addr uint64, data []byte, dirty bool) []cache.Writeback {
 	la := cache.LineAddr(addr)
 	s := c.setOf(addr)
 	need := c.compressedSegments(data)
-	var wbs []cache.Writeback
+	c.wb.Reset()
 
 	if i := s.find(addr); i >= 0 {
 		// In-place update: size may change.
@@ -291,15 +297,15 @@ func (c *Cache) insert(addr uint64, data []byte, dirty bool) []cache.Writeback {
 			c.st.Defrags++
 		}
 		for s.used-l.segments+need > c.segsPerSet {
-			wbs = append(wbs, c.evictLRU(s, i)...)
+			c.evictLRU(s, i)
 		}
 		s.used += need - l.segments
 		l.segments = need
-		l.data = append(l.data[:0], data...)
+		l.data = [cache.LineSize]byte(data)
 		l.dirty = l.dirty || dirty
 		c.clock++
 		l.seq = c.clock
-		return wbs
+		return c.wb.Writebacks()
 	}
 
 	// Need a free tag and enough segments.
@@ -311,7 +317,7 @@ func (c *Cache) insert(addr uint64, data []byte, dirty bool) []cache.Writeback {
 		}
 	}
 	for slot < 0 || s.used+need > c.segsPerSet {
-		wbs = append(wbs, c.evictLRU(s, -1)...)
+		c.evictLRU(s, -1)
 		if slot < 0 {
 			for i := range s.lines {
 				if !s.lines[i].valid {
@@ -328,16 +334,16 @@ func (c *Cache) insert(addr uint64, data []byte, dirty bool) []cache.Writeback {
 		dirty:    dirty,
 		addr:     la,
 		segments: need,
-		data:     cache.CloneLine(data),
 		seq:      c.clock,
+		data:     [cache.LineSize]byte(data),
 	}
 	s.used += need
-	return wbs
+	return c.wb.Writebacks()
 }
 
 // evictLRU removes the least-recently-used valid line (skipping index
-// keep), returning a write-back if it was dirty.
-func (c *Cache) evictLRU(s *set, keep int) []cache.Writeback {
+// keep), queueing a write-back if it was dirty.
+func (c *Cache) evictLRU(s *set, keep int) {
 	victim := -1
 	for i := range s.lines {
 		if i == keep || !s.lines[i].valid {
@@ -351,14 +357,12 @@ func (c *Cache) evictLRU(s *set, keep int) []cache.Writeback {
 		panic("baseline: no victim available")
 	}
 	l := &s.lines[victim]
-	var wbs []cache.Writeback
 	if l.dirty {
 		c.st.MemWBs++
-		wbs = append(wbs, cache.Writeback{Addr: l.addr, Data: l.data})
+		c.wb.Add(l.addr, &l.data)
 	}
 	s.used -= l.segments
 	l.valid = false
-	return wbs
 }
 
 // Ratio implements cache.LLC: valid uncompressed bytes over capacity.
@@ -396,9 +400,6 @@ func (c *Cache) CheckInvariants() error {
 				return fmt.Errorf("set %d: duplicate copies of %#x", si, l.addr)
 			}
 			seen[l.addr] = true
-			if len(l.data) != cache.LineSize {
-				return fmt.Errorf("set %d: %#x stores %d bytes, want %d", si, l.addr, len(l.data), cache.LineSize)
-			}
 			if l.segments < 1 || l.segments > c.segsPerSet {
 				return fmt.Errorf("set %d: %#x occupies %d segments (valid range 1..%d)",
 					si, l.addr, l.segments, c.segsPerSet)

@@ -25,6 +25,9 @@ type Skewed struct {
 	groups []skewGroup
 	clock  uint64
 	st     Stats
+	// wb holds the write-backs the last Fill or WriteBack returned, as
+	// copies: the victim's slot takes the inserted line in the same call.
+	wb cache.WritebackBuffer
 }
 
 // skewGroup is a set of ways dedicated to one compressed-size class.
@@ -117,7 +120,7 @@ func (s *Skewed) Read(addr uint64) cache.ReadResult {
 		s.st.Hits++
 		s.st.ExtraCycles += DecompressionCycles
 		s.st.Decompressed += cache.LineSize
-		return cache.ReadResult{Hit: true, Data: l.data, ExtraCycles: DecompressionCycles}
+		return cache.ReadResult{Hit: true, Data: l.data[:], ExtraCycles: DecompressionCycles}
 	}
 	s.st.Misses++
 	return cache.ReadResult{}
@@ -140,7 +143,7 @@ func (s *Skewed) insert(addr uint64, data []byte, dirty bool) []cache.Writeback 
 		panic(fmt.Sprintf("baseline: skewed insert of %d bytes", len(data)))
 	}
 	la := cache.LineAddr(addr)
-	var wbs []cache.Writeback
+	s.wb.Reset()
 	// Drop any existing copy (its size class may change).
 	if _, l := s.find(addr); l != nil {
 		if l.dirty && !dirty {
@@ -173,15 +176,15 @@ func (s *Skewed) insert(addr uint64, data []byte, dirty bool) []cache.Writeback 
 		}
 		if sl[victim].dirty {
 			s.st.MemWBs++
-			wbs = append(wbs, cache.Writeback{Addr: sl[victim].addr, Data: sl[victim].data})
+			s.wb.Add(sl[victim].addr, &sl[victim].data)
 		}
 	}
 	s.clock++
 	sl[victim] = compLine{
 		valid: true, dirty: dirty, addr: la,
-		segments: 1, data: cache.CloneLine(data), seq: s.clock,
+		segments: 1, seq: s.clock, data: [cache.LineSize]byte(data),
 	}
-	return wbs
+	return s.wb.Writebacks()
 }
 
 // Ratio implements cache.LLC.
@@ -225,9 +228,8 @@ func (s *Skewed) Probes() map[string]float64 {
 }
 
 // CheckInvariants validates the packing (tests): no address is present
-// twice across any group, every valid line is line-aligned, holds a
-// full uncompressed copy, and sits in the set its group's skew hash
-// indexes it to.
+// twice across any group, and every valid line is line-aligned and sits
+// in the set its group's skew hash indexes it to.
 func (s *Skewed) CheckInvariants() error {
 	seen := map[uint64]int{}
 	for gi := range s.groups {
@@ -248,9 +250,6 @@ func (s *Skewed) CheckInvariants() error {
 			}
 			if got, want := i/width, s.setOf(g, l.addr); got != want {
 				return fmt.Errorf("group %d: %#x stored in set %d, hashes to set %d", gi, l.addr, got, want)
-			}
-			if len(l.data) != cache.LineSize {
-				return fmt.Errorf("group %d: %#x stores %d bytes, want %d", gi, l.addr, len(l.data), cache.LineSize)
 			}
 		}
 	}

@@ -31,13 +31,39 @@ type Writeback struct {
 	Data []byte
 }
 
+// WritebackBuffer holds the write-backs one Fill or WriteBack returns,
+// each a copy of its line in storage the buffer reuses. A compressed
+// cache needs the copy: the log or slot a victim leaves can take the
+// inserted line in the same call, so a write-back cannot point into it.
+// Reset it when the call begins and return Writebacks when it ends.
+type WritebackBuffer struct {
+	wbs   []Writeback
+	lines [][LineSize]byte
+}
+
+// Reset empties the buffer, keeping its storage.
+func (b *WritebackBuffer) Reset() { b.wbs, b.lines = b.wbs[:0], b.lines[:0] }
+
+// Add queues a copy of line, to be written back to addr.
+func (b *WritebackBuffer) Add(addr uint64, line *[LineSize]byte) {
+	b.wbs = append(b.wbs, Writeback{Addr: addr})
+	b.lines = append(b.lines, *line)
+}
+
+// Writebacks returns the queued write-backs, valid until the next Reset.
+// Each one's Data is set here, once no Add can move the copies.
+func (b *WritebackBuffer) Writebacks() []Writeback {
+	for i := range b.wbs {
+		b.wbs[i].Data = b.lines[i][:]
+	}
+	return b.wbs
+}
+
 // CloneLine returns a private copy of a line payload, for structures
 // that retain a line past the call that delivered it while the caller
-// keeps reusing its buffer. Its callers are the compressed baselines
-// (baseline.Cache and baseline.Skewed), which store a copy on each
-// insert and hand it out on reads and write-backs, the check harness's
-// oracle, and morcperf's replay. SetAssoc and MORC never call it: they
-// copy into storage they own.
+// keeps reusing its buffer. Its callers are the check harness's oracle
+// and morcperf's replay. No LLC calls it: SetAssoc, MORC and the
+// compressed baselines copy into storage they own.
 func CloneLine(data []byte) []byte {
 	//morclint:ignore hotalloc a retained copy of one line is the point: callers keep it past their buffer's reuse
 	return append([]byte(nil), data...)
@@ -63,7 +89,8 @@ type ReadResult struct {
 // the next mutating call: a read hit's Data until the next Fill,
 // WriteBack or Update on that cache; the []Writeback that Fill or
 // WriteBack returns, and each Writeback's Data, until the next Fill or
-// WriteBack on it. SetAssoc and MORC reuse both buffers on every call.
+// WriteBack on it. Every organization here reuses both buffers on every
+// call.
 type LLC interface {
 	// Read performs a demand lookup.
 	Read(addr uint64) ReadResult

@@ -34,47 +34,81 @@ const ptrBits = 4 // log2(DictEntries)
 
 // CompressedBits returns the exact size in bits of line compressed with
 // C-Pack. It is the cheap path used by cache organizations that only need
-// the size.
+// the size: it writes no stream and allocates nothing.
 func CompressedBits(line []byte) int {
-	w := bitstream.NewWriter()
-	compressInto(w, line)
-	return w.Len()
+	checkLen(line)
+	var d dict
+	bits := 0
+	for off := 0; off < len(line); off += 4 {
+		bits += d.code([4]byte(line[off : off+4])).bits()
+	}
+	return bits
 }
 
 // Compress returns the compressed bitstream and its length in bits.
 func Compress(line []byte) ([]byte, int) {
+	checkLen(line)
 	w := bitstream.NewWriter()
-	compressInto(w, line)
+	var d dict
+	for off := 0; off < len(line); off += 4 {
+		d.code([4]byte(line[off : off+4])).write(w)
+	}
 	return w.Bytes(), w.Len()
 }
 
-func compressInto(w *bitstream.Writer, line []byte) {
+func checkLen(line []byte) {
 	if len(line)%4 != 0 {
 		panic(fmt.Sprintf("cpack: line length %d not a multiple of 4", len(line)))
 	}
-	var dict [][4]byte
-	for off := 0; off < len(line); off += 4 {
-		var word [4]byte
-		copy(word[:], line[off:off+4])
-		encodeWord(w, word, &dict)
+}
+
+// dict is the dictionary one line builds as it is coded or decoded.
+type dict struct {
+	n       int
+	entries [DictEntries][4]byte
+}
+
+// push adds word until the dictionary is full; it then freezes.
+func (d *dict) push(word [4]byte) {
+	if d.n < DictEntries {
+		d.entries[d.n] = word
+		d.n++
 	}
 }
 
-func encodeWord(w *bitstream.Writer, word [4]byte, dict *[][4]byte) {
+// pattern is one word's code: a prefix and up to two fields, each a
+// value and its width in bits (0 for an absent field).
+type pattern struct {
+	prefix, a, b    uint64
+	prefixN, aN, bN int
+}
+
+func (p pattern) bits() int { return p.prefixN + p.aN + p.bN }
+
+func (p pattern) write(w *bitstream.Writer) {
+	w.WriteBits(p.prefix, p.prefixN)
+	if p.aN > 0 {
+		w.WriteBits(p.a, p.aN)
+	}
+	if p.bN > 0 {
+		w.WriteBits(p.b, p.bN)
+	}
+}
+
+// code returns word's pattern against d, pushing the word when the
+// pattern enters it in the dictionary.
+func (d *dict) code(word [4]byte) pattern {
 	u := binary.BigEndian.Uint32(word[:])
 	if u == 0 {
-		w.WriteBits(0b00, 2) // zzzz
-		return
+		return pattern{prefix: 0b00, prefixN: 2} // zzzz
 	}
 	// zzzx: three high-order zero bytes, one literal low byte.
 	if word[0] == 0 && word[1] == 0 && word[2] == 0 {
-		w.WriteBits(0b1101, 4)
-		w.WriteBits(uint64(word[3]), 8)
-		return
+		return pattern{prefix: 0b1101, prefixN: 4, a: uint64(word[3]), aN: 8}
 	}
 	// Dictionary scans prefer full matches, then 3-byte, then 2-byte.
 	full, m3, m2 := -1, -1, -1
-	for i, e := range *dict {
+	for i, e := range d.entries[:d.n] {
 		if e == word {
 			full = i
 			break
@@ -86,36 +120,29 @@ func encodeWord(w *bitstream.Writer, word [4]byte, dict *[][4]byte) {
 			m2 = i
 		}
 	}
+	var p pattern
 	switch {
 	case full >= 0:
-		w.WriteBits(0b10, 2) // mmmm
-		w.WriteBits(uint64(full), ptrBits)
-		return
+		return pattern{prefix: 0b10, prefixN: 2, a: uint64(full), aN: ptrBits} // mmmm
 	case m3 >= 0:
-		w.WriteBits(0b1110, 4) // mmmx
-		w.WriteBits(uint64(m3), ptrBits)
-		w.WriteBits(uint64(word[3]), 8)
+		p = pattern{prefix: 0b1110, prefixN: 4, a: uint64(m3), aN: ptrBits, b: uint64(word[3]), bN: 8} // mmmx
 	case m2 >= 0:
-		w.WriteBits(0b1100, 4) // mmxx
-		w.WriteBits(uint64(m2), ptrBits)
-		w.WriteBits(uint64(binary.BigEndian.Uint16(word[2:])), 16)
+		p = pattern{prefix: 0b1100, prefixN: 4, a: uint64(m2), aN: ptrBits, b: uint64(binary.BigEndian.Uint16(word[2:])), bN: 16} // mmxx
 	default:
-		w.WriteBits(0b01, 2) // xxxx
-		w.WriteBits(uint64(u), 32)
+		p = pattern{prefix: 0b01, prefixN: 2, a: uint64(u), aN: 32} // xxxx
 	}
 	// Unmatched and partially matched words enter the dictionary.
-	if len(*dict) < DictEntries {
-		*dict = append(*dict, word)
-	}
+	d.push(word)
+	return p
 }
 
 // Decompress decodes nWords 32-bit words from the first nbits of data.
 func Decompress(data []byte, nbits, nWords int) ([]byte, error) {
 	r := bitstream.NewReader(data, nbits)
 	out := make([]byte, 0, nWords*4)
-	var dict [][4]byte
+	var d dict
 	for i := 0; i < nWords; i++ {
-		word, err := decodeWord(r, &dict)
+		word, err := decodeWord(r, &d)
 		if err != nil {
 			return nil, fmt.Errorf("cpack: word %d: %w", i, err)
 		}
@@ -124,7 +151,7 @@ func Decompress(data []byte, nbits, nWords int) ([]byte, error) {
 	return out, nil
 }
 
-func decodeWord(r *bitstream.Reader, dict *[][4]byte) ([4]byte, error) {
+func decodeWord(r *bitstream.Reader, d *dict) ([4]byte, error) {
 	var word [4]byte
 	b1, err := r.ReadBits(1)
 	if err != nil {
@@ -143,7 +170,7 @@ func decodeWord(r *bitstream.Reader, dict *[][4]byte) ([4]byte, error) {
 			return word, err
 		}
 		binary.BigEndian.PutUint32(word[:], uint32(v))
-		push(dict, word)
+		d.push(word)
 		return word, nil
 	}
 	b2, err := r.ReadBits(1)
@@ -155,10 +182,10 @@ func decodeWord(r *bitstream.Reader, dict *[][4]byte) ([4]byte, error) {
 		if err != nil {
 			return word, err
 		}
-		if int(idx) >= len(*dict) {
-			return word, fmt.Errorf("dictionary pointer %d out of range %d", idx, len(*dict))
+		if int(idx) >= d.n {
+			return word, fmt.Errorf("dictionary pointer %d out of range %d", idx, d.n)
 		}
-		return (*dict)[idx], nil
+		return d.entries[idx], nil
 	}
 	b3, err := r.ReadBits(1)
 	if err != nil {
@@ -174,16 +201,16 @@ func decodeWord(r *bitstream.Reader, dict *[][4]byte) ([4]byte, error) {
 		if err != nil {
 			return word, err
 		}
-		if int(idx) >= len(*dict) {
-			return word, fmt.Errorf("dictionary pointer %d out of range %d", idx, len(*dict))
+		if int(idx) >= d.n {
+			return word, fmt.Errorf("dictionary pointer %d out of range %d", idx, d.n)
 		}
 		lo, err := r.ReadBits(16)
 		if err != nil {
 			return word, err
 		}
-		word = (*dict)[idx]
+		word = d.entries[idx]
 		binary.BigEndian.PutUint16(word[2:], uint16(lo))
-		push(dict, word)
+		d.push(word)
 		return word, nil
 	case b3 == 0 && b4 == 1: // zzzx
 		v, err := r.ReadBits(8)
@@ -197,24 +224,18 @@ func decodeWord(r *bitstream.Reader, dict *[][4]byte) ([4]byte, error) {
 		if err != nil {
 			return word, err
 		}
-		if int(idx) >= len(*dict) {
-			return word, fmt.Errorf("dictionary pointer %d out of range %d", idx, len(*dict))
+		if int(idx) >= d.n {
+			return word, fmt.Errorf("dictionary pointer %d out of range %d", idx, d.n)
 		}
 		lo, err := r.ReadBits(8)
 		if err != nil {
 			return word, err
 		}
-		word = (*dict)[idx]
+		word = d.entries[idx]
 		word[3] = byte(lo)
-		push(dict, word)
+		d.push(word)
 		return word, nil
 	default:
 		return word, fmt.Errorf("invalid prefix 1111")
-	}
-}
-
-func push(dict *[][4]byte, word [4]byte) {
-	if len(*dict) < DictEntries {
-		*dict = append(*dict, word)
 	}
 }

@@ -69,15 +69,18 @@ func TestSteadyStateInsertAllocs(t *testing.T) {
 
 // TestNewAllocatesDictionariesPerActiveLog bounds building the 2 MB
 // LLC of a 16-core system: its 8 active logs get LBE dictionaries, not
-// all 4096 logs. A set per log would make this 50 MB; the LMT alone is
-// 6 MB, 262,144 entries of 24 bytes.
+// all 4096 logs. A set per log would make this 50 MB; the LMT is 1 MB,
+// 262,144 entries of 4 bytes (6 MB at 24 bytes an entry), and the line
+// records come from the pool as lines arrive.
 func TestNewAllocatesDictionariesPerActiveLog(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	c := New(DefaultConfig(2 << 20))
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(c)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
-		t.Errorf("New(DefaultConfig(2 MB)) allocated %.1f MB, want < 8 MB", float64(got)/(1<<20))
+	got := after.TotalAlloc - before.TotalAlloc
+	if got >= 3<<20 {
+		t.Errorf("New(DefaultConfig(2 MB)) allocated %.1f MB, want < 3 MB", float64(got)/(1<<20))
 	}
+	t.Logf("New(DefaultConfig(2 MB)) allocated %.2f MB", float64(got)/(1<<20))
 }

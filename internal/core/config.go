@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 
+	"morc/internal/cache"
 	"morc/internal/compress/lbe"
 	"morc/internal/compress/tagdelta"
 )
@@ -80,6 +81,14 @@ func DefaultConfig(cacheBytes int) Config {
 	}
 }
 
+// MaxLMTFactor and MaxLMTAssoc bound the LMT's over-provisioning and
+// associativity (the paper's is 8× and 2 ways), so a configuration
+// cannot ask for an LMT without bound or a lookup that probes one.
+const (
+	MaxLMTFactor = 64
+	MaxLMTAssoc  = 8
+)
+
 // Validate checks the configuration for consistency.
 func (c Config) Validate() error {
 	if c.CacheBytes <= 0 || c.LogBytes <= 0 || c.CacheBytes%c.LogBytes != 0 {
@@ -92,11 +101,15 @@ func (c Config) Validate() error {
 	if c.ActiveLogs > lbe.MaxGroupSlots {
 		return fmt.Errorf("core: ActiveLogs %d exceeds %d, the most logs one insert sizes at once", c.ActiveLogs, lbe.MaxGroupSlots)
 	}
-	if c.LMTFactor < 1 {
-		return fmt.Errorf("core: LMTFactor %d must be >= 1", c.LMTFactor)
+	if c.LMTFactor < 1 || c.LMTFactor > MaxLMTFactor {
+		return fmt.Errorf("core: LMTFactor %d must be in [1, %d]", c.LMTFactor, MaxLMTFactor)
 	}
-	if c.LMTAssoc < 1 {
-		return fmt.Errorf("core: LMTAssoc %d must be >= 1", c.LMTAssoc)
+	if c.LMTAssoc < 1 || c.LMTAssoc > MaxLMTAssoc {
+		return fmt.Errorf("core: LMTAssoc %d must be in [1, %d]", c.LMTAssoc, MaxLMTAssoc)
+	}
+	// A line record names its LMT entry in 32 bits.
+	if entries := c.CacheBytes / cache.LineSize * c.LMTFactor; entries >= 1<<31 {
+		return fmt.Errorf("core: an LMT of %d entries exceeds 2^31", entries)
 	}
 	if !c.Merged && !c.UnlimitedTags && c.TagBytesPerLog < 8 {
 		return fmt.Errorf("core: TagBytesPerLog %d too small", c.TagBytesPerLog)

@@ -211,22 +211,26 @@ func (g *groupRun) insert(addr uint64, data []byte, writeBack bool) {
 func (g *groupRun) kept(addr uint64, data []byte, recycled bool) {
 	t, c := g.t, g.c
 	t.Helper()
-	li, idx := g.where(addr)
+	rec := c.peek(addr)
+	if rec == nil {
+		t.Fatalf("insert %d: %#x is not in the cache", g.inserts, addr)
+	}
+	li, idx := int(rec.log), int(rec.pos)
 	lg, sh := c.logs[li], g.shadow(li)
 	if recycled {
 		g.decode(li)
 		sh.enc.Reset()
 		sh.lines = sh.lines[:0]
 	}
-	if len(sh.lines) != idx || !bytes.Equal(lg.lines[idx].data[:], data) {
+	if len(sh.lines) != idx || !bytes.Equal(rec.data[:], data) {
 		t.Fatalf("insert %d: log %d took the line as line %d, its shadow holds %d lines",
 			g.inserts, li, idx, len(sh.lines))
 	}
 	sh.enc.AppendCommit(data)
 	sh.lines = append(sh.lines, data)
-	if lg.lines[idx].endBits != sh.enc.Bits() || lg.bits != sh.enc.Bits() {
+	if rec.endBits != sh.enc.Bits() || lg.bits != sh.enc.Bits() {
 		t.Fatalf("insert %d: log %d ends line %d at bit %d of %d, its shadow at %d",
-			g.inserts, li, idx, lg.lines[idx].endBits, lg.bits, sh.enc.Bits())
+			g.inserts, li, idx, rec.endBits, lg.bits, sh.enc.Bits())
 	}
 	if lg.syms != sh.enc.Stats() {
 		t.Fatalf("insert %d: log %d's symbols %v, its shadow's %v", g.inserts, li, lg.syms, sh.enc.Stats())
@@ -240,22 +244,19 @@ func (g *groupRun) kept(addr uint64, data []byte, recycled bool) {
 	}
 }
 
-// where returns the log and line that hold addr, without touching the
-// LMT's recency as a read would.
-func (g *groupRun) where(addr uint64) (logIdx, lineIdx int) {
-	c := g.c
+// peek returns the record of the line at addr, or nil, without
+// touching the LMT's recency as a read would.
+func (c *Cache) peek(addr uint64) *lineRec {
+	la := cache.LineAddr(addr)
 	if c.cfg.UnlimitedTags {
-		pos, ok := c.unlIndex[cache.LineAddr(addr)]
-		if !ok {
-			g.t.Fatalf("insert %d: %#x is not in the cache", g.inserts, addr)
+		if id, ok := c.unlIndex[la]; ok {
+			return c.recs.at(id)
 		}
-		return int(pos[0]), int(pos[1])
+		return nil
 	}
-	i := c.lmtLookup(addr)
-	if i < 0 {
-		g.t.Fatalf("insert %d: %#x is not in the cache", g.inserts, addr)
-	}
-	return int(c.lmt[i].logIdx), int(c.lmt[i].lineIdx)
+	var cand [MaxLMTAssoc]int
+	_, rec := c.lmtFind(la, c.lmtCandidates(la, cand[:0]))
+	return rec
 }
 
 // selfVictimStream parks one valid line, then writes back a single

@@ -23,20 +23,66 @@ type Stats struct {
 	LatencyBytes *stats.Histogram
 }
 
-// lineRec is the bookkeeping for one appended (compressed) line. It
-// holds no pointer, so a log's records are one flat array that the
-// garbage collector never scans.
+// lineRec is the bookkeeping for one appended (compressed) line. Every
+// record lives in the cache's pool (recPool), which hands a log a record
+// per line and takes them all back when the log is reset. A record holds
+// no pointer, so the pool's pages are flat arrays that the garbage
+// collector never scans.
 type lineRec struct {
-	addr     uint64 // line-aligned address
-	valid    bool
-	modified bool // dirty: leaving the cache writes it back
-	endBits  int  // data-stream length after this line's append
-	lmtIdx   int  // owning LMT entry (meaningful while valid)
+	addr    uint64 // line-aligned address
+	seq     uint64 // LMT recency stamp for way replacement (§3.2.2)
+	endBits int    // data-stream length after this line's append
+	log     int32  // the log that holds the line
+	pos     int32  // the line's position in that log
+	lmtIdx  int32  // the LMT entry that maps the line (meaningful while valid)
+	valid   bool
+	// modified marks a dirty line: leaving the cache writes it back.
+	modified bool
 	// data is the line's uncompressed copy, from which the streams are
 	// rebuilt. Read hands it out; a write-back copies it, because a
-	// reclaimed log's records are overwritten by its next lines.
+	// reset log's records go back to the pool and new lines overwrite
+	// them.
 	data [cache.LineSize]byte
 }
+
+// recPageLen is the number of records in one page of a recPool.
+const recPageLen = 1024
+
+// recPool holds every line record of a cache in pages of recPageLen that
+// never move, so a record's address is stable and growing the pool
+// copies nothing. A record is named by its id, its index in the pool.
+type recPool struct {
+	pages []*[recPageLen]lineRec
+	n     uint32   // ids below n have been handed out
+	free  []uint32 // ids of reset logs' records, reused first
+}
+
+// at returns record id.
+func (p *recPool) at(id uint32) *lineRec { return &p.pages[id/recPageLen][id%recPageLen] }
+
+// alloc returns the id of a record no log holds: a freed one if any,
+// else the next in the pool, adding a page when the last is full.
+func (p *recPool) alloc() uint32 {
+	if k := len(p.free); k > 0 {
+		id := p.free[k-1]
+		p.free = p.free[:k-1]
+		return id
+	}
+	if p.n%recPageLen == 0 {
+		// An LMT entry holds id+1 in 32 bits, so the last page is never
+		// added.
+		if p.n == 1<<32-recPageLen {
+			panic("core: the record pool is full")
+		}
+		//morclint:ignore hotalloc the pool grows a page at a time until it holds the most lines the logs ever keep
+		p.pages = append(p.pages, new([recPageLen]lineRec))
+	}
+	p.n++
+	return p.n - 1
+}
+
+// release returns a reset log's records to the pool.
+func (p *recPool) release(ids []uint32) { p.free = append(p.free, ids...) }
 
 // logT is one fixed-size log. Its data stream is the LBE encoding of
 // its lines in order, from empty dictionaries, and its tag stream the
@@ -50,29 +96,13 @@ type logT struct {
 	bits      int             // data-stream length
 	syms      lbe.SymbolStats // the stream's symbols (Figure 7)
 	tags      tagdelta.Stream
-	lines     []lineRec
+	recs      []uint32 // the lines' record ids, in append order
 	valid     int
 	active    bool
 	closedSeq uint64 // FIFO stamp set when the log is closed
 	// prev and next link the log into the Cache's closed FIFO while it
 	// is closed and holds valid lines.
 	prev, next *logT
-}
-
-// lmtEntry is a Line-Map Table entry: in hardware a valid bit + log
-// index. The hardware entry also holds the line's modified bit; the
-// model keeps that on the line record, where UnlimitedTags mode, which
-// has no LMT, finds it too. The owner address and line index are
-// simulator bookkeeping standing in for the tag check the hardware
-// performs against the log's compressed tag store. Each valid entry
-// owns exactly one line, so the outcomes are identical; the timing
-// model still charges the tag decode. The recency stamp doubles as the
-// valid bit: every stamp is at least 1, and a free entry's is 0.
-type lmtEntry struct {
-	logIdx  int32
-	lineIdx int32
-	owner   uint64
-	seq     uint64 // recency for way replacement; 0 marks a free entry
 }
 
 // Cache is a MORC last-level cache.
@@ -93,23 +123,32 @@ type Cache struct {
 	reuse    []*logT
 	fifoHead *logT
 	fifoTail *logT
-	lmt      []lmtEntry
+	recs     recPool
+	// lmt is the Line-Map Table. An entry is, in hardware, a valid bit
+	// and a log index; the model stores the id of the record the entry
+	// maps plus one, and 0 for a free entry. The record holds the owner
+	// address, the recency stamp and the (log, line) position: simulator
+	// bookkeeping standing in for the tag check the hardware performs
+	// against the log's compressed tag store. Each valid entry owns
+	// exactly one line, so the outcomes are identical; the timing model
+	// still charges the tag decode. The hardware entry also holds the
+	// line's modified bit; the model keeps that on the record, where
+	// UnlimitedTags mode, which has no LMT, finds it too.
+	lmt      []uint32
 	seq      uint64 // stamps LMT recency and log closing order
 	st       Stats
 	symTotal lbe.SymbolStats // aggregated from retired logs
-	// unlimited-mode index (UnlimitedTags): addr -> lmt slot is replaced
-	// by a plain map to (log, line).
-	unlIndex map[uint64][2]int32
+	// unlIndex replaces the LMT under UnlimitedTags: an exact map from
+	// each valid line's address to its record id.
+	unlIndex map[uint64]uint32
 	// group holds the active logs' dictionaries, slot i for
 	// c.actives[i], and sizes a line in all of them in one walk.
 	group  *lbe.Group
 	trials []trial // per-insert scratch, one per active log
-	// wbs are the write-backs the last Fill or WriteBack returned and
-	// wbLines the lines they carry. Each is a copy: the log that a flush
-	// or an LMT-conflict eviction empties can take the inserted line in
-	// the same call. The next Fill or WriteBack reuses both.
-	wbs     []cache.Writeback
-	wbLines [][cache.LineSize]byte
+	// wb holds the write-backs the last Fill or WriteBack returned, as
+	// copies: the log that a flush or an LMT-conflict eviction empties
+	// can take the inserted line in the same call.
+	wb cache.WritebackBuffer
 }
 
 // trial is one active log's sizing of the line being inserted.
@@ -146,10 +185,10 @@ func New(cfg Config) *Cache {
 		c.logs[i] = lg
 	}
 	if cfg.UnlimitedTags {
-		c.unlIndex = make(map[uint64][2]int32)
+		c.unlIndex = make(map[uint64]uint32)
 	} else {
 		linesAt1x := cfg.CacheBytes / cache.LineSize
-		c.lmt = make([]lmtEntry, linesAt1x*cfg.LMTFactor)
+		c.lmt = make([]uint32, linesAt1x*cfg.LMTFactor)
 	}
 	c.st.LatencyBytes = stats.NewHistogram([]float64{64, 128, 196, 256, 320, 384, 448, 512})
 	return c
@@ -188,8 +227,8 @@ func (c *Cache) Ratio() float64 {
 func (c *Cache) InvalidFraction() float64 {
 	total, invalid := 0, 0
 	for _, lg := range c.logs {
-		total += len(lg.lines)
-		invalid += len(lg.lines) - lg.valid
+		total += len(lg.recs)
+		invalid += len(lg.recs) - lg.valid
 	}
 	if total == 0 {
 		return 0
@@ -244,30 +283,17 @@ func (c *Cache) lmtCandidates(addr uint64, buf []int) []int {
 	return buf
 }
 
-// lmtLookup finds the LMT entry owned by addr, or -1.
-func (c *Cache) lmtLookup(addr uint64) int {
-	la := cache.LineAddr(addr)
-	var cand [8]int
-	for _, i := range c.lmtCandidates(addr, cand[:0]) {
-		if c.lmt[i].seq != 0 && c.lmt[i].owner == la {
-			return i
-		}
-	}
-	return -1
-}
-
-// lmtValidWays returns addr's valid candidate entries (an aliased miss
-// must decode every pointed-to log's tags before declaring the miss),
-// filtering the candidates in place in buf.
-func (c *Cache) lmtValidWays(addr uint64, buf []int) []int {
-	cands := c.lmtCandidates(addr, buf)
-	ways := cands[:0]
+// lmtFind returns the candidate entry that maps line address la, and
+// the record it maps, or -1 and nil: the tag check.
+func (c *Cache) lmtFind(la uint64, cands []int) (int, *lineRec) {
 	for _, i := range cands {
-		if c.lmt[i].seq != 0 {
-			ways = append(ways, i)
+		if e := c.lmt[i]; e != 0 {
+			if rec := c.recs.at(e - 1); rec.addr == la {
+				return i, rec
+			}
 		}
 	}
-	return ways
+	return -1, nil
 }
 
 // tagDecodeCycles is the latency of decompressing n tags at 8 tags/cycle
@@ -283,54 +309,56 @@ func dataDecodeCycles(idx int) int { return (idx + 1) * cache.LineSize / 16 }
 // Read implements the demand-lookup path of Figure 4.
 func (c *Cache) Read(addr uint64) cache.ReadResult {
 	c.st.Reads++
-	logIdx, lineIdx, ok, missExtra := c.locate(addr)
-	if !ok {
+	rec, missExtra := c.locate(cache.LineAddr(addr))
+	if rec == nil {
 		c.st.Misses++
 		c.st.ExtraCycles += uint64(missExtra)
 		return cache.ReadResult{ExtraCycles: missExtra}
 	}
-	extra := tagDecodeCycles(lineIdx+1) + dataDecodeCycles(lineIdx)
+	pos := int(rec.pos)
+	extra := tagDecodeCycles(pos+1) + dataDecodeCycles(pos)
 	c.st.Hits++
 	c.st.ExtraCycles += uint64(extra)
-	c.st.TagCycles += uint64(tagDecodeCycles(lineIdx + 1))
-	c.st.Decompressed += uint64((lineIdx + 1) * cache.LineSize)
-	c.st.LatencyBytes.Add(float64((lineIdx + 1) * cache.LineSize))
-	return cache.ReadResult{Hit: true, Data: c.logs[logIdx].lines[lineIdx].data[:], ExtraCycles: extra}
+	c.st.TagCycles += uint64(tagDecodeCycles(pos + 1))
+	c.st.Decompressed += uint64((pos + 1) * cache.LineSize)
+	c.st.LatencyBytes.Add(float64((pos + 1) * cache.LineSize))
+	return cache.ReadResult{Hit: true, Data: rec.data[:], ExtraCycles: extra}
 }
 
-// locate resolves addr to (log, line). missExtra is the tag-decode
-// latency charged when the miss could only be declared after a tag check
-// (the "LMT aliased-miss" of §3.1).
-func (c *Cache) locate(addr uint64) (logIdx, lineIdx int, ok bool, missExtra int) {
-	la := cache.LineAddr(addr)
+// locate resolves line address la to its record, refreshing its LMT
+// recency, or returns nil. missExtra is the tag-decode latency charged
+// when the miss could only be declared after a tag check (the "LMT
+// aliased-miss" of §3.1).
+func (c *Cache) locate(la uint64) (rec *lineRec, missExtra int) {
 	if c.cfg.UnlimitedTags {
-		if pos, found := c.unlIndex[la]; found {
-			return int(pos[0]), int(pos[1]), true, 0
+		if id, found := c.unlIndex[la]; found {
+			return c.recs.at(id), 0
 		}
 		c.st.FastMisses++
-		return 0, 0, false, 0
+		return nil, 0
 	}
-	if i := c.lmtLookup(addr); i >= 0 {
-		e := &c.lmt[i]
+	var cand [MaxLMTAssoc]int
+	cands := c.lmtCandidates(la, cand[:0])
+	if _, rec := c.lmtFind(la, cands); rec != nil {
 		c.seq++
-		e.seq = c.seq
-		return int(e.logIdx), int(e.lineIdx), true, 0
-	}
-	var buf [8]int
-	ways := c.lmtValidWays(addr, buf[:0])
-	if len(ways) == 0 {
-		c.st.FastMisses++
-		return 0, 0, false, 0
+		rec.seq = c.seq
+		return rec, 0
 	}
 	// Aliased miss: every valid way's log tags must be decoded in full.
-	c.st.AliasedMisses++
-	for _, i := range ways {
-		lg := c.logs[c.lmt[i].logIdx]
-		cycles := tagDecodeCycles(len(lg.lines))
-		missExtra += cycles
-		c.st.TagCycles += uint64(cycles)
+	ways := 0
+	for _, i := range cands {
+		if e := c.lmt[i]; e != 0 {
+			ways++
+			missExtra += tagDecodeCycles(len(c.logs[c.recs.at(e-1).log].recs))
+		}
 	}
-	return 0, 0, false, missExtra
+	if ways == 0 {
+		c.st.FastMisses++
+		return nil, 0
+	}
+	c.st.AliasedMisses++
+	c.st.TagCycles += uint64(missExtra)
+	return nil, missExtra
 }
 
 // --- fill / write-back -------------------------------------------------
@@ -355,65 +383,48 @@ func (c *Cache) insert(addr uint64, data []byte, modified bool) []cache.Writebac
 		panic(fmt.Sprintf("core: insert of %d bytes", len(data)))
 	}
 	la := cache.LineAddr(addr)
-	c.wbs, c.wbLines = c.wbs[:0], c.wbLines[:0]
+	c.wb.Reset()
 
 	// Invalidate any existing copy (write-back of a line we hold, or a
 	// refill of a line that aliased). The old data is stale: no memory
 	// write-back is needed, but the new copy inherits its modified bit.
-	wasModified := false
 	if c.cfg.UnlimitedTags {
-		if pos, found := c.unlIndex[la]; found {
-			wasModified = c.invalidateLine(int(pos[0]), int(pos[1]))
-			delete(c.unlIndex, la)
+		if id, found := c.unlIndex[la]; found {
+			modified = c.invalidate(c.recs.at(id)) || modified
 		}
-	} else if i := c.lmtLookup(addr); i >= 0 {
-		e := &c.lmt[i]
-		wasModified = c.invalidateLine(int(e.logIdx), int(e.lineIdx))
-		e.seq = 0
-	}
-
-	// Allocate the LMT entry (may evict a conflicting line).
-	lmtIdx := -1
-	if !c.cfg.UnlimitedTags {
-		lmtIdx = c.allocLMT(addr)
-	}
-
-	logIdx, lineIdx := c.append(la, data, modified || wasModified)
-
-	if c.cfg.UnlimitedTags {
-		c.unlIndex[la] = [2]int32{int32(logIdx), int32(lineIdx)}
+		c.unlIndex[la] = c.append(la, data, modified)
 	} else {
-		c.seq++
-		c.lmt[lmtIdx] = lmtEntry{
-			logIdx:  int32(logIdx),
-			lineIdx: int32(lineIdx),
-			owner:   la,
-			seq:     c.seq,
+		var cand [MaxLMTAssoc]int
+		cands := c.lmtCandidates(la, cand[:0])
+		if i, rec := c.lmtFind(la, cands); rec != nil {
+			modified = c.invalidate(rec) || modified
+			c.lmt[i] = 0
 		}
-		c.logs[logIdx].lines[lineIdx].lmtIdx = lmtIdx
+		// Allocate the LMT entry (may evict a conflicting line).
+		entry := c.allocLMT(cands)
+		id := c.append(la, data, modified)
+		rec := c.recs.at(id)
+		c.seq++
+		rec.seq = c.seq
+		rec.lmtIdx = int32(entry)
+		c.lmt[entry] = id + 1
 	}
-	for i := range c.wbs {
-		c.wbs[i].Data = c.wbLines[i][:]
-	}
-	return c.wbs
+	return c.wb.Writebacks()
 }
 
 // toMemory queues a copy of a modified line leaving the cache for
-// memory. insert points the write-back at its copy once no copy can
-// move.
+// memory.
 func (c *Cache) toMemory(rec *lineRec) {
 	c.st.MemWBs++
-	c.wbs = append(c.wbs, cache.Writeback{Addr: rec.addr})
-	c.wbLines = append(c.wbLines, rec.data)
+	c.wb.Add(rec.addr, &rec.data)
 }
 
-// invalidateLine marks a valid log entry invalid and reports whether it
-// was modified. The streams are untouched: in hardware only the tag's
+// invalidate marks a valid line invalid and reports whether it was
+// modified. The streams are untouched: in hardware only the tag's
 // validity bit flips, which changes neither stream's size.
-func (c *Cache) invalidateLine(logIdx, lineIdx int) (modified bool) {
-	lg := c.logs[logIdx]
-	rec := &lg.lines[lineIdx]
+func (c *Cache) invalidate(rec *lineRec) (modified bool) {
 	rec.valid = false
+	lg := c.logs[rec.log]
 	lg.valid--
 	if !lg.active && lg.valid == 0 {
 		c.fifoRemove(lg)
@@ -422,33 +433,30 @@ func (c *Cache) invalidateLine(logIdx, lineIdx int) (modified bool) {
 	return rec.modified
 }
 
-// allocLMT returns a free candidate entry for addr, evicting the LRU
-// conflicting entry if all candidates are taken.
-func (c *Cache) allocLMT(addr uint64) int {
-	var cand [8]int
-	cands := c.lmtCandidates(addr, cand[:0])
+// allocLMT returns a free entry among an address's candidates, evicting
+// the line of the least recently used one if all are taken.
+func (c *Cache) allocLMT(cands []int) int {
 	for _, i := range cands {
-		if c.lmt[i].seq == 0 {
+		if c.lmt[i] == 0 {
 			return i
 		}
 	}
 	// LMT conflict: evict the least-recently-used candidate (§3.1's
 	// "LMT-conflict eviction").
-	victim := cands[0]
+	victim, rec := cands[0], c.recs.at(c.lmt[cands[0]]-1)
 	for _, i := range cands[1:] {
-		if c.lmt[i].seq < c.lmt[victim].seq {
-			victim = i
+		if r := c.recs.at(c.lmt[i] - 1); r.seq < rec.seq {
+			victim, rec = i, r
 		}
 	}
 	c.st.LMTConflicts++
-	e := &c.lmt[victim]
-	if rec := &c.logs[e.logIdx].lines[e.lineIdx]; rec.modified {
+	if rec.modified {
 		// The modified line must be decompressed and sent to memory.
-		c.st.Decompressed += uint64((int(e.lineIdx) + 1) * cache.LineSize)
+		c.st.Decompressed += uint64((int(rec.pos) + 1) * cache.LineSize)
 		c.toMemory(rec)
 	}
-	c.invalidateLine(int(e.logIdx), int(e.lineIdx))
-	e.seq = 0
+	c.invalidate(rec)
+	c.lmt[victim] = 0
 	return victim
 }
 
@@ -481,8 +489,9 @@ func (c *Cache) fit(lg *logT, tag uint64, dataBits int) (tagBits int, fits bool)
 }
 
 // append compresses the line into the best active log (content-aware
-// multi-log selection, §3.2.3), opening a fresh log when nothing fits.
-func (c *Cache) append(la uint64, data []byte, modified bool) (logIdx, lineIdx int) {
+// multi-log selection, §3.2.3), opening a fresh log when nothing fits,
+// and returns the id of its record.
+func (c *Cache) append(la uint64, data []byte, modified bool) uint32 {
 	tag := cache.LineTag(la)
 
 	// One group trial sizes the line's data in every active log.
@@ -533,7 +542,7 @@ func (c *Cache) append(la uint64, data []byte, modified bool) (logIdx, lineIdx i
 		if _, fits := c.fit(lg, tag, db); !fits {
 			panic(fmt.Sprintf("core: line does not fit in an empty %dB log", c.cfg.LogBytes))
 		}
-		return lg.id, c.commitAppend(fullest, tag, la, data, modified)
+		return c.commitAppend(fullest, tag, la, data, modified)
 	}
 
 	// Fudge-factor diversification: when best and worst are within the
@@ -553,7 +562,7 @@ func (c *Cache) append(la uint64, data []byte, modified bool) (logIdx, lineIdx i
 		choice = least
 	}
 
-	return c.actives[choice], c.commitAppend(choice, tag, la, data, modified)
+	return c.commitAppend(choice, tag, la, data, modified)
 }
 
 // occBits returns a log's current occupancy in bits.
@@ -565,9 +574,10 @@ func (c *Cache) occBits(lg *logT) int {
 }
 
 // commitAppend appends the line to the active log in slot (index into
-// c.actives), the one log that keeps it, and records the line: the
-// slot keeps the group's last trial, which sized the line in it.
-func (c *Cache) commitAppend(slot int, tag, la uint64, data []byte, modified bool) int {
+// c.actives), the one log that keeps it, and records the line in a
+// record from the pool, whose id it returns: the slot keeps the group's
+// last trial, which sized the line in it.
+func (c *Cache) commitAppend(slot int, tag, la uint64, data []byte, modified bool) uint32 {
 	lg := c.logs[c.actives[slot]]
 	if c.cfg.DisableCompression {
 		lg.bits += rawBits
@@ -577,15 +587,19 @@ func (c *Cache) commitAppend(slot int, tag, la uint64, data []byte, modified boo
 		lg.syms.Add(syms)
 		lg.tags.Append(tag)
 	}
-	lg.lines = append(lg.lines, lineRec{
+	id := c.recs.alloc()
+	*c.recs.at(id) = lineRec{
 		addr:     la,
+		endBits:  lg.bits,
+		log:      int32(lg.id),
+		pos:      int32(len(lg.recs)),
 		valid:    true,
 		modified: modified,
-		endBits:  lg.bits,
 		data:     [cache.LineSize]byte(data),
-	})
+	}
+	lg.recs = append(lg.recs, id)
 	lg.valid++
-	return len(lg.lines) - 1
+	return id
 }
 
 // recycle closes the active log at slot (index into c.actives), selects a
@@ -708,10 +722,10 @@ func (c *Cache) flush(lg *logT) {
 	// Sequential decompression of the whole log (energy accounting; the
 	// flush is off the critical path so no latency is charged, §3.1).
 	if !c.cfg.DisableCompression {
-		c.st.Decompressed += uint64(len(lg.lines) * cache.LineSize)
+		c.st.Decompressed += uint64(len(lg.recs) * cache.LineSize)
 	}
-	for i := range lg.lines {
-		rec := &lg.lines[i]
+	for _, id := range lg.recs {
+		rec := c.recs.at(id)
 		if !rec.valid {
 			continue
 		}
@@ -721,18 +735,19 @@ func (c *Cache) flush(lg *logT) {
 		if c.cfg.UnlimitedTags {
 			delete(c.unlIndex, rec.addr)
 		} else {
-			c.lmt[rec.lmtIdx].seq = 0
+			c.lmt[rec.lmtIdx] = 0
 		}
 	}
 }
 
-// resetLog aggregates the retiring log's symbol counts and empties the
-// log in place.
+// resetLog aggregates the retiring log's symbol counts, returns its
+// records to the pool and empties the log in place.
 func (c *Cache) resetLog(lg *logT) {
 	c.symTotal.Add(lg.syms)
 	lg.bits, lg.syms = 0, lbe.SymbolStats{}
 	lg.tags.Reset()
-	lg.lines = lg.lines[:0]
+	c.recs.release(lg.recs)
+	lg.recs = lg.recs[:0]
 	lg.valid = 0
 }
 

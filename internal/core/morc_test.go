@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"unsafe"
 
 	"morc/internal/cache"
 	"morc/internal/rng"
@@ -424,8 +425,8 @@ func TestDisableCompressionStoresEightPerLog(t *testing.T) {
 	}
 	// 8KB cache / 64B = 125... logs hold exactly LogBytes/64 = 8 lines.
 	for _, lg := range c.logs {
-		if len(lg.lines) > cfg.LogBytes/cache.LineSize {
-			t.Fatalf("log holds %d raw lines, max %d", len(lg.lines), cfg.LogBytes/cache.LineSize)
+		if len(lg.recs) > cfg.LogBytes/cache.LineSize {
+			t.Fatalf("log holds %d raw lines, max %d", len(lg.recs), cfg.LogBytes/cache.LineSize)
 		}
 	}
 	if c.Ratio() > 1.01 {
@@ -553,5 +554,18 @@ func TestStatsConsistency(t *testing.T) {
 	}
 	if st.FastMisses+st.AliasedMisses != st.Misses {
 		t.Fatalf("fast %d + aliased %d != misses %d", st.FastMisses, st.AliasedMisses, st.Misses)
+	}
+}
+
+// TestStorageSizes pins the per-line bookkeeping: an LMT entry is a
+// record id in 4 bytes, and a line record, its 64 bytes included, at
+// most 104.
+func TestStorageSizes(t *testing.T) {
+	var c Cache
+	if got := unsafe.Sizeof(c.lmt[0]); got != 4 {
+		t.Errorf("an LMT entry is %d bytes, want 4", got)
+	}
+	if got := unsafe.Sizeof(lineRec{}); got > 104 {
+		t.Errorf("a line record is %d bytes, want at most 104", got)
 	}
 }

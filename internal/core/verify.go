@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"morc/internal/cache"
 	"morc/internal/compress/lbe"
@@ -17,11 +18,15 @@ import (
 // group's index of which slots hold each value agrees with them; the
 // tag stream, rebuilt from the lines' tags and validity, is as long as
 // the log's sizer counted and decodes back to them; occupancy never
-// exceeds capacity, the LMT and logs agree about which lines are live,
-// and every closed log is in the one victim structure its state calls
-// for. It is O(cache contents) and meant for tests.
+// exceeds capacity, every record is held by one log or free, the LMT
+// and logs agree about which lines are live, and every closed log is in
+// the one victim structure its state calls for. It is O(cache contents)
+// and meant for tests.
 func (c *Cache) CheckInvariants() error {
 	if err := c.checkVictims(); err != nil {
+		return err
+	}
+	if err := c.checkPool(); err != nil {
 		return err
 	}
 	slotOf := make(map[int]int, len(c.actives))
@@ -53,45 +58,82 @@ func (c *Cache) CheckInvariants() error {
 		if len(c.unlIndex) != validLines {
 			return fmt.Errorf("index has %d entries, logs have %d valid lines", len(c.unlIndex), validLines)
 		}
+		for _, lg := range c.logs {
+			for _, id := range lg.recs {
+				rec := c.recs.at(id)
+				if got, ok := c.unlIndex[rec.addr]; rec.valid && (!ok || got != id) {
+					return fmt.Errorf("index: %#x maps to record %d (present %v), its valid line is record %d", rec.addr, got, ok, id)
+				}
+			}
+		}
 		return nil
 	}
 	validEntries := 0
-	for i := range c.lmt {
-		e := &c.lmt[i]
-		if e.seq == 0 {
+	for i, e := range c.lmt {
+		if e == 0 {
 			continue
 		}
 		validEntries++
-		if int(e.logIdx) >= len(c.logs) {
-			return fmt.Errorf("LMT %d: log index %d out of range", i, e.logIdx)
+		if e > c.recs.n {
+			return fmt.Errorf("LMT %d: record %d out of range %d", i, e-1, c.recs.n)
 		}
-		lg := c.logs[e.logIdx]
-		if int(e.lineIdx) >= len(lg.lines) {
-			return fmt.Errorf("LMT %d: line index %d out of range %d", i, e.lineIdx, len(lg.lines))
-		}
-		rec := &lg.lines[e.lineIdx]
+		rec := c.recs.at(e - 1)
 		if !rec.valid {
-			return fmt.Errorf("LMT %d: points to invalid line %d of log %d", i, e.lineIdx, e.logIdx)
+			return fmt.Errorf("LMT %d: maps invalid line %d of log %d", i, rec.pos, rec.log)
 		}
-		if rec.addr != e.owner {
-			return fmt.Errorf("LMT %d: owner %#x but line addr %#x", i, e.owner, rec.addr)
-		}
-		if rec.lmtIdx != i {
+		if int(rec.lmtIdx) != i {
 			return fmt.Errorf("LMT %d: line back-pointer is %d", i, rec.lmtIdx)
 		}
-		var cand [8]int
-		found := false
-		for _, ci := range c.lmtCandidates(e.owner, cand[:0]) {
-			if ci == i {
-				found = true
-			}
+		if rec.seq == 0 || rec.seq > c.seq {
+			return fmt.Errorf("LMT %d: recency stamp %d outside [1, %d]", i, rec.seq, c.seq)
 		}
-		if !found {
-			return fmt.Errorf("LMT %d: owner %#x does not hash to this entry", i, e.owner)
+		var cand [MaxLMTAssoc]int
+		if !slices.Contains(c.lmtCandidates(rec.addr, cand[:0]), i) {
+			return fmt.Errorf("LMT %d: owner %#x does not hash to this entry", i, rec.addr)
 		}
 	}
 	if validEntries != validLines {
 		return fmt.Errorf("%d valid LMT entries but %d valid lines", validEntries, validLines)
+	}
+	return nil
+}
+
+// checkPool verifies the record pool against the logs: every record the
+// pool has handed out is held by exactly one log, at the position and
+// in the log it records, or is free.
+func (c *Cache) checkPool() error {
+	p := &c.recs
+	if want := (int(p.n) + recPageLen - 1) / recPageLen; len(p.pages) != want {
+		return fmt.Errorf("record pool: %d pages for %d records", len(p.pages), p.n)
+	}
+	held := make([]bool, p.n)
+	hold := func(id uint32, owner string) error {
+		if id >= p.n {
+			return fmt.Errorf("record pool: %s holds record %d of %d", owner, id, p.n)
+		}
+		if held[id] {
+			return fmt.Errorf("record pool: record %d held twice (again by %s)", id, owner)
+		}
+		held[id] = true
+		return nil
+	}
+	for _, lg := range c.logs {
+		for pos, id := range lg.recs {
+			if err := hold(id, fmt.Sprintf("log %d", lg.id)); err != nil {
+				return err
+			}
+			if rec := p.at(id); int(rec.log) != lg.id || int(rec.pos) != pos {
+				return fmt.Errorf("log %d: line %d's record says log %d, line %d", lg.id, pos, rec.log, rec.pos)
+			}
+		}
+	}
+	for _, id := range p.free {
+		if err := hold(id, "the free list"); err != nil {
+			return err
+		}
+	}
+	if i := slices.Index(held, false); i >= 0 {
+		return fmt.Errorf("record pool: record %d is neither held nor free", i)
 	}
 	return nil
 }
@@ -134,8 +176,8 @@ func (c *Cache) checkVictims() error {
 		switch {
 		case lg.id >= c.fresh:
 			want = "never opened"
-			if lg.active || len(lg.lines) != 0 {
-				return fmt.Errorf("log %d: never opened, but active %v with %d lines", lg.id, lg.active, len(lg.lines))
+			if lg.active || len(lg.recs) != 0 {
+				return fmt.Errorf("log %d: never opened, but active %v with %d lines", lg.id, lg.active, len(lg.recs))
 			}
 		case lg.active:
 			want = "active"
@@ -154,9 +196,11 @@ func (c *Cache) checkVictims() error {
 // checkLog checks one log, rebuilding its stream in enc; slot is its
 // group slot, or -1 if it is closed.
 func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
+	lines := make([]*lineRec, len(lg.recs))
 	validCount := 0
-	for i := range lg.lines {
-		if lg.lines[i].valid {
+	for i, id := range lg.recs {
+		lines[i] = c.recs.at(id)
+		if lines[i].valid {
 			validCount++
 		}
 	}
@@ -184,8 +228,8 @@ func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 	}
 	if c.cfg.DisableCompression {
 		// A raw log holds rawBits per line and no tags.
-		if lg.bits != len(lg.lines)*rawBits || lg.tags.Count() != 0 {
-			return fmt.Errorf("raw log of %d lines holds %d bits and %d tags", len(lg.lines), lg.bits, lg.tags.Count())
+		if lg.bits != len(lines)*rawBits || lg.tags.Count() != 0 {
+			return fmt.Errorf("raw log of %d lines holds %d bits and %d tags", len(lines), lg.bits, lg.tags.Count())
 		}
 		return nil
 	}
@@ -194,10 +238,10 @@ func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 	// log's bit and symbol counts and decode to exactly the recorded
 	// lines, and an active log's slot must hold its dictionaries.
 	enc.Reset()
-	for i := range lg.lines {
-		enc.AppendCommit(lg.lines[i].data[:])
-		if enc.Bits() != lg.lines[i].endBits {
-			return fmt.Errorf("line %d: the rebuilt stream ends at bit %d, recorded %d", i, enc.Bits(), lg.lines[i].endBits)
+	for i, rec := range lines {
+		enc.AppendCommit(rec.data[:])
+		if enc.Bits() != rec.endBits {
+			return fmt.Errorf("line %d: the rebuilt stream ends at bit %d, recorded %d", i, enc.Bits(), rec.endBits)
 		}
 	}
 	if enc.Bits() != lg.bits {
@@ -207,13 +251,13 @@ func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 		return fmt.Errorf("the rebuilt stream's symbols %v, recorded %v", enc.Stats(), lg.syms)
 	}
 	dec := lbe.NewDecoder(c.cfg.LBE, enc.Bytes(), enc.Bits())
-	for i := range lg.lines {
+	for i, rec := range lines {
 		got, err := dec.Next(cache.LineSize)
 		if err != nil {
 			return fmt.Errorf("line %d: decode: %w", i, err)
 		}
-		if !bytes.Equal(got, lg.lines[i].data[:]) {
-			return fmt.Errorf("line %d: stream decodes to %x, recorded %x", i, got[:8], lg.lines[i].data[:8])
+		if !bytes.Equal(got, rec.data[:]) {
+			return fmt.Errorf("line %d: stream decodes to %x, recorded %x", i, got[:8], rec.data[:8])
 		}
 	}
 	if slot >= 0 {
@@ -223,10 +267,10 @@ func (c *Cache) checkLog(lg *logT, slot int, enc *lbe.Encoder) error {
 	}
 	// The tag stream rebuilt from the lines must be as long as the log's
 	// sizer counted and decode to exactly the lines' tags and validity.
-	tags := make([]uint64, len(lg.lines))
-	valid := make([]bool, len(lg.lines))
-	for i := range lg.lines {
-		tags[i], valid[i] = cache.LineTag(lg.lines[i].addr), lg.lines[i].valid
+	tags := make([]uint64, len(lines))
+	valid := make([]bool, len(lines))
+	for i, rec := range lines {
+		tags[i], valid[i] = cache.LineTag(rec.addr), rec.valid
 	}
 	data, nbits := tagdelta.Encode(c.cfg.Tag, tags, valid)
 	if nbits != lg.tags.Bits() || len(tags) != lg.tags.Count() {

@@ -112,7 +112,7 @@ func (v *victimRun) insert(addr uint64, data []byte, writeBack bool) {
 	if after.LogEvictions+after.LogReuses == st.LogEvictions+st.LogReuses {
 		return
 	}
-	victim := int(c.lmt[c.lmtLookup(addr)].logIdx)
+	victim := int(c.peek(addr).log)
 	slot := -1
 	for i, li := range c.actives {
 		if li == victim {

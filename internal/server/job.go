@@ -130,7 +130,11 @@ func (sp JobSpec) Validate() error {
 		}
 	}
 	// The job's system sets the core count, as sim.NewSingle and
-	// sim.NewMix do.
+	// sim.NewMix do, so a Cores override never runs; one above its
+	// ceiling is refused all the same.
+	if err := cfg.CheckCeilings(); err != nil {
+		return err
+	}
 	cfg.Cores = 1
 	if sp.Mix != "" {
 		cfg.Cores = len(trace.MultiProgramMixes()[sp.Mix])

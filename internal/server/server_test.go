@@ -367,6 +367,50 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
+	// Sizes and run lengths above their ceilings get a 400 that names
+	// the field and the ceiling. A job's system sets its core count, but
+	// a Cores override above the ceiling is refused too; a mix is sized
+	// with its 16 cores. JSON's exponent form cannot decode into an
+	// integer field, and that error names the field as well.
+	morcWith := func(mod func(*core.Config)) string {
+		mc := core.DefaultConfig(128 << 10)
+		mod(&mc)
+		b, err := json.Marshal(mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	ceilings := []struct{ body, want string }{
+		{`{"workload":"gcc","config":{"L1Bytes":1099511627776}}`,
+			fmt.Sprintf("L1Bytes 1099511627776 exceeds the ceiling %d", sim.MaxL1Bytes)},
+		{`{"workload":"gcc","config":{"LLCBytesPerCore":33554432}}`,
+			fmt.Sprintf("LLCBytesPerCore 33554432 × Cores 1 exceeds the ceiling %d", sim.MaxLLCBytes)},
+		{`{"mix":"M0","config":{"LLCBytesPerCore":2097152}}`,
+			fmt.Sprintf("LLCBytesPerCore 2097152 × Cores 16 exceeds the ceiling %d", sim.MaxLLCBytes)},
+		{`{"workload":"gcc","config":{"Cores":65}}`,
+			fmt.Sprintf("Cores 65 exceeds the ceiling %d", sim.MaxCores)},
+		{`{"workload":"gcc","config":{"WarmupInstr":10000000001}}`,
+			fmt.Sprintf("WarmupInstr 10000000001 exceeds the ceiling %d", uint64(sim.MaxPhaseInstr))},
+		{`{"workload":"gcc","config":{"MeasureInstr":1000000000000000}}`,
+			fmt.Sprintf("MeasureInstr 1000000000000000 exceeds the ceiling %d", uint64(sim.MaxPhaseInstr))},
+		{`{"workload":"gcc","config":{"MeasureInstr":1e15}}`, "MeasureInstr"},
+		{`{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":` + morcWith(func(mc *core.Config) { mc.LMTFactor = 65 }) + `}}`,
+			fmt.Sprintf("LMTFactor 65 must be in [1, %d]", core.MaxLMTFactor)},
+		{`{"workload":"gcc","scheme":"MORC","config":{"MORCConfig":` + morcWith(func(mc *core.Config) { mc.LMTAssoc = 9 }) + `}}`,
+			fmt.Sprintf("LMTAssoc 9 must be in [1, %d]", core.MaxLMTAssoc)},
+	}
+	for _, tc := range ceilings {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s: HTTP %d %s, want a 400 naming %q", tc.body, resp.StatusCode, msg, tc.want)
+		}
+	}
 	// Cache geometries every scheme's constructors panic on get a 400
 	// that names the geometry. A mix job is checked with its 16 cores.
 	for _, sch := range sim.AllSchemes() {

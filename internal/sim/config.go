@@ -115,13 +115,53 @@ func DefaultConfig() Config {
 	}
 }
 
+// The ceilings Validate holds sizes and run lengths to, so that no
+// configuration makes New allocate without bound or a run last without
+// end. Each admits every registered experiment at the full budget, the
+// benchmark's workloads and the examples with room to spare: their
+// largest LLC is fig11's 4 MB on one core, their most cores a Table 6
+// mix's 16, their largest L1 Table 5's 32 KB and their longest phase
+// 2M instructions per core.
+const (
+	MaxCores    = 64
+	MaxL1Bytes  = 1 << 20  // per core
+	MaxLLCBytes = 16 << 20 // LLCBytesPerCore × Cores
+	// MaxPhaseInstr bounds WarmupInstr and MeasureInstr, per core.
+	MaxPhaseInstr = 10_000_000_000
+)
+
+// CheckCeilings reports the first of Cores, L1Bytes, LLCBytesPerCore ×
+// Cores, WarmupInstr and MeasureInstr above its ceiling, naming the
+// field and the ceiling. Validate calls it.
+func (cfg Config) CheckCeilings() error {
+	switch {
+	case cfg.Cores > MaxCores:
+		return fmt.Errorf("bad config: Cores %d exceeds the ceiling %d", cfg.Cores, MaxCores)
+	case cfg.L1Bytes > MaxL1Bytes:
+		return fmt.Errorf("bad config: L1Bytes %d exceeds the ceiling %d", cfg.L1Bytes, MaxL1Bytes)
+	// A huge LLCBytesPerCore is refused before the product can overflow.
+	case cfg.LLCBytesPerCore > MaxLLCBytes || cfg.LLCBytesPerCore*cfg.Cores > MaxLLCBytes:
+		return fmt.Errorf("bad config: LLCBytesPerCore %d × Cores %d exceeds the ceiling %d",
+			cfg.LLCBytesPerCore, cfg.Cores, MaxLLCBytes)
+	case cfg.WarmupInstr > MaxPhaseInstr:
+		return fmt.Errorf("bad config: WarmupInstr %d exceeds the ceiling %d", cfg.WarmupInstr, uint64(MaxPhaseInstr))
+	case cfg.MeasureInstr > MaxPhaseInstr:
+		return fmt.Errorf("bad config: MeasureInstr %d exceeds the ceiling %d", cfg.MeasureInstr, uint64(MaxPhaseInstr))
+	}
+	return nil
+}
+
 // Validate reports whether New can build this configuration and the run
 // it describes means something: positive bandwidth and clock (the memory
 // controller divides by them), a nonzero ratio-sampling interval, at
-// least one CGMT thread, a non-negative LLC latency, and cache
-// geometries CheckGeometry accepts. NewSingle, NewMix and RunCtx return
-// its error; job validation calls it at submit.
+// least one CGMT thread, a non-negative LLC latency, sizes and phase
+// lengths within their ceilings (CheckCeilings), and cache geometries
+// CheckGeometry accepts. NewSingle, NewMix and RunCtx return its error;
+// job validation calls it at submit.
 func (cfg Config) Validate() error {
+	if err := cfg.CheckCeilings(); err != nil {
+		return err
+	}
 	switch {
 	case !(cfg.BWPerCore > 0):
 		return fmt.Errorf("bad config: BWPerCore %v must be positive", cfg.BWPerCore)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"morc/internal/energy"
@@ -244,6 +245,36 @@ func TestMixedWorkloadProfilesResolve(t *testing.T) {
 		progs := trace.MultiProgramMixes()[mix]
 		if len(trace.MixPrograms(progs)) != 16 {
 			t.Fatalf("%s: bad program list", mix)
+		}
+	}
+}
+
+// TestValidateCeilings admits a 16-core system with every size and
+// phase at its ceiling, and refuses each one past it with an error that
+// names the field, an LLCBytesPerCore whose product with Cores would
+// overflow among them.
+func TestValidateCeilings(t *testing.T) {
+	at := DefaultConfig()
+	at.Cores, at.LLCBytesPerCore, at.L1Bytes = 16, MaxLLCBytes/16, MaxL1Bytes
+	at.WarmupInstr, at.MeasureInstr = MaxPhaseInstr, MaxPhaseInstr
+	if err := at.Validate(); err != nil {
+		t.Fatalf("a configuration at every ceiling: %v", err)
+	}
+	for _, tc := range []struct {
+		field string
+		over  func(*Config)
+	}{
+		{"Cores", func(c *Config) { c.Cores = MaxCores + 1 }},
+		{"L1Bytes", func(c *Config) { c.L1Bytes = 2 * MaxL1Bytes }},
+		{"LLCBytesPerCore", func(c *Config) { c.LLCBytesPerCore = 2 * MaxLLCBytes / 16 }},
+		{"LLCBytesPerCore", func(c *Config) { c.LLCBytesPerCore = 1 << 62 }},
+		{"WarmupInstr", func(c *Config) { c.WarmupInstr = MaxPhaseInstr + 1 }},
+		{"MeasureInstr", func(c *Config) { c.MeasureInstr = MaxPhaseInstr + 1 }},
+	} {
+		cfg := at
+		tc.over(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s past its ceiling: Validate = %v, want an error naming it", tc.field, err)
 		}
 	}
 }
