@@ -6,6 +6,7 @@ package morc_test
 // the compression codecs and the MORC cache operations.
 
 import (
+	"context"
 	"encoding/binary"
 	"io"
 	"runtime"
@@ -46,7 +47,11 @@ func runExperiment(b *testing.B, id string) {
 	budget := benchBudget()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, t := range e.Run(budget) {
+		tables, err := e.Run(context.Background(), budget)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, t := range tables {
 			t.Render(io.Discard)
 		}
 	}

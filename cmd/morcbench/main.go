@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -99,7 +100,12 @@ func main() {
 		}
 		start := time.Now()
 		fmt.Fprintf(os.Stderr, "running %s: %s...\n", e.ID, e.Title)
-		for _, t := range e.Run(budget) {
+		tables, err := e.Run(context.Background(), budget)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "morcbench: %s: %v\n", e.ID, err)
+			os.Exit(1)
+		}
+		for _, t := range tables {
 			switch {
 			case *jsonOut:
 				jsonTables = append(jsonTables, t)

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -61,6 +62,20 @@ func goldenCases() []goldenCase {
 		{name: "fig8", budget: fig8, heavy: true},
 		{name: "fig8", file: "fig8-full", budget: exp.Full(), heavy: true, full: true},
 		{name: "fig9", budget: tiny, heavy: true},
+		{name: "fig10", budget: tiny, heavy: true},
+		{name: "fig11", budget: tiny, heavy: true},
+		{name: "fig12", budget: tiny, heavy: true},
+		{name: "fig13a", budget: tiny, heavy: true},
+		{name: "fig13b", budget: tiny, heavy: true},
+		{name: "fig14", budget: tiny, heavy: true},
+		{name: "fig15", budget: tiny, heavy: true},
+		{name: "ablate", budget: tiny, heavy: true},
+		{name: "ext", budget: tiny, heavy: true},
+		{name: "ratiots", budget: tiny, heavy: true},
+		// No simulator: fig2 runs the oracle caches and codecs the
+		// codecs on an L1-filtered fill stream.
+		{name: "fig2", budget: tiny, heavy: true},
+		{name: "codecs", budget: tiny, heavy: true},
 		// Static tables need no simulation and stay in the -short lane.
 		{name: "tab1"},
 		{name: "tab4"},
@@ -92,7 +107,10 @@ func TestGoldenResults(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %q is not registered", gc.name)
 			}
-			got := e.Run(gc.budget)
+			got, err := e.Run(context.Background(), gc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
 			path := filepath.Join("testdata", "golden", gc.stem()+".json")
 			if *update {
 				fh, err := os.Create(path)

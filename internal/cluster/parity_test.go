@@ -189,6 +189,13 @@ var parityCases = []parityCase{
 		want: `400 {"error":"trace: unknown workload \"nope\""}`,
 	},
 	{
+		// The coordinator would forward it to a peer, whose runner the
+		// unknown name used to panic.
+		name: "unknown workload in an experiment job",
+		do:   request("POST", "/v1/jobs", `{"experiment":"fig15","workloads":["gcc","nosuch","nope"]}`),
+		want: `400 {"error":"unknown workloads \"nosuch\", \"nope\""}`,
+	},
+	{
 		name: "cache geometry no scheme can build",
 		do:   request("POST", "/v1/jobs", `{"mix":"M0","scheme":"Skewed","config":{"L1Ways":3}}`),
 		want: `400 {"error":"bad cache geometry: L1: cache: bad geometry size=32768 ways=3 (want a positive multiple of ways×64 bytes)"}`,

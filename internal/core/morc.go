@@ -23,6 +23,12 @@ type Stats struct {
 	LatencyBytes *stats.Histogram
 }
 
+// latencyBounds are LatencyBytes' bucket bounds. A hit at log position
+// p decompresses (p+1)×64 bytes, and a bucket holds the samples below
+// its bound, so positions 0 to 7 land one to a bucket (≤64, 65-128, …,
+// 449-512) and every later one in the last (>512).
+var latencyBounds = []float64{65, 129, 193, 257, 321, 385, 449, 513}
+
 // lineRec is the bookkeeping for one appended (compressed) line. Every
 // record lives in the cache's pool (recPool), which hands a log a record
 // per line and takes them all back when the log is reset. A record holds
@@ -190,7 +196,7 @@ func New(cfg Config) *Cache {
 		linesAt1x := cfg.CacheBytes / cache.LineSize
 		c.lmt = make([]uint32, linesAt1x*cfg.LMTFactor)
 	}
-	c.st.LatencyBytes = stats.NewHistogram([]float64{64, 128, 196, 256, 320, 384, 448, 512})
+	c.st.LatencyBytes = stats.NewHistogram(latencyBounds)
 	return c
 }
 

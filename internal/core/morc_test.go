@@ -505,6 +505,32 @@ func TestLatencyHistogramPopulated(t *testing.T) {
 	}
 }
 
+// TestLatencyBucketsOnePerPosition: a read hit at log position p
+// decompresses (p+1)×64 bytes, so hits at positions 0 to 8 land one in
+// each of Figure 14's nine buckets (≤64, 65-128, …, 449-512, >512).
+func TestLatencyBucketsOnePerPosition(t *testing.T) {
+	cfg := smallConfig()
+	cfg.ActiveLogs = 1 // one log takes every line, in fill order
+	c := New(cfg)
+	for i := 0; i < 9; i++ {
+		c.Fill(uint64(i)*cache.LineSize, make([]byte, cache.LineSize))
+	}
+	for i := 0; i < 9; i++ {
+		if !c.Read(uint64(i) * cache.LineSize).Hit {
+			t.Fatalf("line %d missed", i)
+		}
+	}
+	h := c.MorcStats().LatencyBytes
+	if len(h.Counts) != 9 {
+		t.Fatalf("%d buckets, want 9", len(h.Counts))
+	}
+	for b, n := range h.Counts {
+		if n != 1 {
+			t.Errorf("bucket %d holds %d hits, want 1: %v", b, n, h.Counts)
+		}
+	}
+}
+
 func TestBadConfigRejected(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.CacheBytes = 1000 },               // not multiple of log

@@ -93,7 +93,7 @@ func newRefCache(cfg Config) *refCache {
 	} else {
 		c.lmt = make([]refLMTEntry, cfg.CacheBytes/cache.LineSize*cfg.LMTFactor)
 	}
-	c.st.LatencyBytes = stats.NewHistogram([]float64{64, 128, 196, 256, 320, 384, 448, 512})
+	c.st.LatencyBytes = stats.NewHistogram([]float64{65, 129, 193, 257, 321, 385, 449, 513})
 	return c
 }
 

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"morc/internal/core"
 	"morc/internal/sim"
 	"morc/internal/stats"
@@ -11,7 +13,7 @@ func init() {
 	register(Experiment{
 		ID:    "ablate",
 		Title: "MORC design-choice ablations (fudge factor, multi-base tags, tag region, codec)",
-		Run:   runAblate,
+		run:   runAblate,
 	})
 }
 
@@ -26,11 +28,8 @@ type ablateVariant struct {
 // compression (§3.2.4), the compressed-tag region size, and LBE's large
 // blocks (by restricting matches to 32-bit granularity, i.e. a C-Pack-
 // like dictionary), plus the single- vs multi-log gap.
-func runAblate(b Budget) []*Table {
-	workloads := b.Workloads
-	if workloads == nil {
-		workloads = trace.BaseBenchmarks()
-	}
+func runAblate(ctx context.Context, b Budget) []*Table {
+	workloads := b.workloads(trace.BaseBenchmarks())
 	variants := []ablateVariant{
 		{"default", func(*core.Config) {}},
 		{"no-fudge", func(c *core.Config) { c.FudgeFactor = 0 }},
@@ -44,19 +43,22 @@ func runAblate(b Budget) []*Table {
 			c.LBE.Dict64, c.LBE.Dict128, c.LBE.Dict256 = 1, 1, 1
 		}},
 	}
+	cfgs := make([]sim.Config, len(variants))
+	for vi, v := range variants {
+		cfgs[vi] = b.Config(sim.MORC)
+		mc := core.DefaultConfig(cfgs[vi].LLCBytesPerCore)
+		v.mutate(&mc)
+		cfgs[vi].MORCConfig = &mc
+	}
+	results := grid(ctx, singles(workloads), cfgs, nil)
 
 	t := &Table{ID: "ablate", Title: "GMean compression ratio by MORC variant",
 		Columns: []string{"variant", "GMean ratio", "vs default %"}}
 	ratios := make([]float64, len(variants))
-	for vi, v := range variants {
-		results := runSingleSet(b, workloads, []sim.Scheme{sim.MORC}, func(c *sim.Config) {
-			mc := core.DefaultConfig(c.LLCBytesPerCore)
-			v.mutate(&mc)
-			c.MORCConfig = &mc
-		})
+	for vi := range variants {
 		var rs []float64
 		for wi := range workloads {
-			rs = append(rs, results[wi][0].CompRatio)
+			rs = append(rs, results[wi][vi].CompRatio)
 		}
 		ratios[vi] = stats.GeoMean(rs)
 	}

@@ -1,12 +1,13 @@
 package exp
 
 import (
+	"context"
+
 	"morc/internal/cache"
 	"morc/internal/compress/cpack"
 	"morc/internal/compress/fpc"
 	"morc/internal/compress/lbe"
 	"morc/internal/compress/lzref"
-	"morc/internal/stats"
 	"morc/internal/trace"
 )
 
@@ -14,7 +15,7 @@ func init() {
 	register(Experiment{
 		ID:    "codecs",
 		Title: "Codec comparison on LLC fill streams: LBE vs LZ vs C-Pack vs FPC (§3.2.5, §6)",
-		Run:   runCodecs,
+		run:   runCodecs,
 	})
 }
 
@@ -23,16 +24,13 @@ func init() {
 // fill stream of an L1-filtered run is compressed in 512-byte-log-sized
 // windows for the streaming codecs (LBE, LZ) and per line for the
 // intra-line codecs (C-Pack, FPC).
-func runCodecs(b Budget) []*Table {
-	workloads := b.Workloads
-	if workloads == nil {
-		workloads = trace.BaseBenchmarks()
-	}
+func runCodecs(ctx context.Context, b Budget) []*Table {
+	workloads := b.workloads(trace.BaseBenchmarks())
 	t := &Table{ID: "codecs", Title: "Fill-stream compression ratio (x)",
 		Columns: []string{"workload", "LBE", "LZ", "C-Pack", "FPC"}}
 
 	rows := make([][4]float64, len(workloads))
-	parallelFor(len(workloads), func(i int) {
+	check(forEach(ctx, len(workloads), func(_ context.Context, i int) error {
 		p := trace.MustGet(workloads[i])
 		gen := trace.NewSynthGen(p)
 		memv := trace.NewMemory(p)
@@ -77,7 +75,7 @@ func runCodecs(b Budget) []*Table {
 		lzBits += lzEnc.Bits()
 		lzIn += lzEnc.InputBytes()
 		if lbeBits == 0 || lzBits == 0 || cpackBits == 0 || fpcBits == 0 {
-			return
+			return nil
 		}
 		rows[i] = [4]float64{
 			float64(lbeIn*8) / float64(lbeBits),
@@ -85,15 +83,8 @@ func runCodecs(b Budget) []*Table {
 			float64(rawBits) / float64(cpackBits),
 			float64(rawBits) / float64(fpcBits),
 		}
-	})
-	agg := make([][]float64, 4)
-	for i, w := range workloads {
-		t.AddRow(w, rows[i][0], rows[i][1], rows[i][2], rows[i][3])
-		for k := 0; k < 4; k++ {
-			agg[k] = append(agg[k], rows[i][k])
-		}
-	}
-	t.AddRow("GMean", stats.GeoMean(agg[0]), stats.GeoMean(agg[1]),
-		stats.GeoMean(agg[2]), stats.GeoMean(agg[3]))
+		return nil
+	}))
+	t.addRows(workloads, func(i, c int) float64 { return rows[i][c] }, gmean)
 	return []*Table{t}
 }

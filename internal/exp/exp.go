@@ -1,7 +1,9 @@
 // Package exp implements one experiment per table and figure in the MORC
-// paper's evaluation (§5). Each experiment builds the workloads, runs the
-// simulator for every scheme/configuration the paper compares, and
-// returns text tables whose rows mirror the paper's x-axes and series.
+// paper's evaluation (§5). Each experiment lists the simulations it
+// needs, every workload or mix under every configuration the paper
+// compares; one runner executes the list on a pool under a context; and
+// the experiment returns text tables whose rows mirror the paper's
+// x-axes and series.
 //
 // cmd/morcbench is the CLI front-end; bench_test.go exposes each
 // experiment as a testing.B benchmark; EXPERIMENTS.md records the
@@ -9,15 +11,18 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
 
 	"morc/internal/sim"
+	"morc/internal/stats"
+	"morc/internal/trace"
 )
 
 // Budget sets the simulation window. The paper runs 100M+30M instructions
@@ -31,28 +36,75 @@ type Budget struct {
 	// the experiment's full paper set).
 	Workloads []string
 	// Schemes optionally restricts an experiment's scheme series to the
-	// listed organizations (nil = the experiment's full paper set).
-	// Schemes an experiment does not compare are ignored.
+	// listed organizations (nil = the experiment's full paper set). The
+	// first scheme of the paper set, which the other series are measured
+	// against, always runs; schemes an experiment does not compare are
+	// ignored.
 	Schemes []sim.Scheme
 }
 
-// restrictSchemes intersects an experiment's scheme series with the
-// budget's Schemes filter, preserving the experiment's order.
-func (b Budget) restrictSchemes(schemes []sim.Scheme) []sim.Scheme {
-	if b.Schemes == nil {
-		return schemes
-	}
-	var out []sim.Scheme
-	for _, s := range schemes {
-		for _, want := range b.Schemes {
-			if s == want {
-				out = append(out, s)
-				break
-			}
+// Validate refuses a budget whose Workloads names a workload the
+// catalog does not have, naming every one.
+func (b Budget) Validate() error {
+	var bad []string
+	for _, w := range b.Workloads {
+		if _, err := trace.Get(w); err != nil {
+			bad = append(bad, strconv.Quote(w))
 		}
 	}
-	if len(out) == 0 {
-		return schemes // filter excluded everything; keep the paper set
+	if len(bad) > 0 {
+		return fmt.Errorf("unknown workloads %s", strings.Join(bad, ", "))
+	}
+	return nil
+}
+
+// Config returns sim.DefaultConfig running scheme s over b's window.
+func (b Budget) Config(s sim.Scheme) sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.Scheme = s
+	cfg.WarmupInstr, cfg.MeasureInstr, cfg.SampleEvery = b.Warmup, b.Measure, b.SampleEvery
+	return cfg
+}
+
+// configs returns b's configuration of each scheme.
+func (b Budget) configs(schemes []sim.Scheme) []sim.Config {
+	cfgs := make([]sim.Config, len(schemes))
+	for i, s := range schemes {
+		cfgs[i] = b.Config(s)
+	}
+	return cfgs
+}
+
+// mix is the budget of a sixteen-core mix, each core of which runs a
+// quarter of b's window: four times a single program's work.
+func (b Budget) mix() Budget {
+	b.Warmup, b.Measure = b.Warmup/4, b.Measure/4
+	return b
+}
+
+// workloads returns the budget's workload filter, or paper, the
+// experiment's own set, when it has none.
+func (b Budget) workloads(paper []string) []string {
+	if b.Workloads == nil {
+		return paper
+	}
+	return b.Workloads
+}
+
+// restrictSchemes intersects an experiment's scheme series with the
+// budget's Schemes filter, preserving the experiment's order and always
+// keeping its first scheme, the baseline. A filter that names none of
+// the series keeps them all.
+func (b Budget) restrictSchemes(schemes []sim.Scheme) []sim.Scheme {
+	named := func(s sim.Scheme) bool { return slices.Contains(b.Schemes, s) }
+	if !slices.ContainsFunc(schemes, named) {
+		return schemes // no filter, or one that names none of the series
+	}
+	out := schemes[:1:1]
+	for _, s := range schemes[1:] {
+		if named(s) {
+			out = append(out, s)
+		}
 	}
 	return out
 }
@@ -87,6 +139,58 @@ func (t *Table) AddRow(label string, values ...float64) {
 		panic(fmt.Sprintf("exp: row %q has %d values for %d columns", label, len(values), len(t.Columns)-1))
 	}
 	t.Rows = append(t.Rows, RowData{Label: label, Values: values})
+}
+
+// aggregate names a summary row and the statistic it takes of a column.
+type aggregate struct {
+	label string
+	of    func([]float64) float64
+}
+
+var (
+	amean = aggregate{"AMean", stats.Mean}
+	gmean = aggregate{"GMean", stats.GeoMean}
+)
+
+// addRows adds a row per label of cell(i, c) for each value column c,
+// then a row per aggregate of each column's cells.
+func (t *Table) addRows(labels []string, cell func(i, c int) float64, aggs ...aggregate) {
+	cols := make([][]float64, len(t.Columns)-1)
+	for i, label := range labels {
+		row := make([]float64, len(cols))
+		for c := range row {
+			row[c] = cell(i, c)
+			cols[c] = append(cols[c], row[c])
+		}
+		t.AddRow(label, row...)
+	}
+	for _, a := range aggs {
+		row := make([]float64, len(cols))
+		for c, vals := range cols {
+			row[c] = a.of(vals)
+		}
+		t.AddRow(a.label, row...)
+	}
+}
+
+// asPercent rewrites every value of t, a ratio to a baseline, as the
+// improvement over the baseline in percent.
+func (t *Table) asPercent() *Table {
+	for _, row := range t.Rows {
+		for c, v := range row.Values {
+			row.Values[c] = (v - 1) * 100
+		}
+	}
+	return t
+}
+
+// columns heads a table: its row-label column, then one per scheme.
+func columns(label string, schemes []sim.Scheme) []string {
+	cols := []string{label}
+	for _, s := range schemes {
+		cols = append(cols, s.String())
+	}
+	return cols
 }
 
 // Render writes the table as aligned text. fmt pads to a width in
@@ -143,7 +247,26 @@ func formatValue(v float64) string {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Budget) []*Table
+	run   func(context.Context, Budget) []*Table
+}
+
+// Run runs the experiment at budget b: every simulation it needs, on
+// one pool, under ctx. It returns the tables, or the first error a run
+// met (a panic included), or ctx's error once ctx is done.
+func (e Experiment) Run(ctx context.Context, b Budget) (tables []*Table, err error) {
+	if err := b.Validate(); err != nil {
+		return nil, err
+	}
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case failed:
+			tables, err = nil, r.err
+		default:
+			panic(r)
+		}
+	}()
+	return e.run(ctx, b), nil
 }
 
 var registry = map[string]Experiment{}
@@ -169,37 +292,6 @@ func IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// parallelFor runs fn(i) for i in [0,n) across GOMAXPROCS workers,
-// preserving deterministic result placement (fn writes to its own index).
-func parallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // pct returns the improvement of x over base in percent.

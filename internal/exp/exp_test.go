@@ -2,10 +2,18 @@ package exp
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"morc/internal/cache"
 	"morc/internal/energy"
 	"morc/internal/sim"
 )
@@ -17,6 +25,16 @@ func skipIfShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; run without -short")
 	}
+}
+
+// mustRun runs e at b and fails the test on an error.
+func mustRun(t *testing.T, e Experiment, b Budget) []*Table {
+	t.Helper()
+	tables, err := e.Run(context.Background(), b)
+	if err != nil {
+		t.Fatalf("%s: %v", e.ID, err)
+	}
+	return tables
 }
 
 // tiny returns a minimal budget restricted to three contrasting
@@ -80,7 +98,7 @@ func TestAddRowArityPanics(t *testing.T) {
 func TestStaticTables(t *testing.T) {
 	for _, id := range []string{"tab1", "tab4", "tab5", "tab7"} {
 		e, _ := Get(id)
-		tables := e.Run(Budget{})
+		tables := mustRun(t, e, Budget{})
 		if len(tables) == 0 || len(tables[0].Rows) == 0 {
 			t.Fatalf("%s produced no rows", id)
 		}
@@ -112,7 +130,7 @@ func TestTab7PrintsTheModel(t *testing.T) {
 		{"64B off-chip access energy (nJ)", p.DRAMAccessJ, nJ},
 	}
 	e, _ := Get("tab7")
-	rows := e.Run(Budget{})[0].Rows
+	rows := mustRun(t, e, Budget{})[0].Rows
 	if len(rows) != len(want) {
 		t.Fatalf("tab7 has %d rows, the model %d constants", len(rows), len(want))
 	}
@@ -126,7 +144,7 @@ func TestTab7PrintsTheModel(t *testing.T) {
 
 func TestTab4MORCOverheads(t *testing.T) {
 	e, _ := Get("tab4")
-	tab := e.Run(Budget{})[0]
+	tab := mustRun(t, e, Budget{})[0]
 	for _, row := range tab.Rows {
 		if row.Label == "MORCMerged" {
 			// Merged has no separate tag store; metadata is the LMT.
@@ -143,7 +161,7 @@ func TestTab4MORCOverheads(t *testing.T) {
 func TestFig2Runs(t *testing.T) {
 	skipIfShort(t)
 	e, _ := Get("fig2")
-	tables := e.Run(tiny())
+	tables := mustRun(t, e, tiny())
 	if len(tables) != 2 {
 		t.Fatalf("fig2 returned %d tables", len(tables))
 	}
@@ -159,7 +177,7 @@ func TestFig2Runs(t *testing.T) {
 func TestFig6Runs(t *testing.T) {
 	skipIfShort(t)
 	e, _ := Get("fig6")
-	tables := e.Run(tiny())
+	tables := mustRun(t, e, tiny())
 	if len(tables) != 4 {
 		t.Fatalf("fig6 returned %d tables", len(tables))
 	}
@@ -183,7 +201,7 @@ func TestFig6Runs(t *testing.T) {
 func TestFig7SharesSumToOne(t *testing.T) {
 	skipIfShort(t)
 	e, _ := Get("fig7")
-	tab := e.Run(tiny())[0]
+	tab := mustRun(t, e, tiny())[0]
 	for _, row := range tab.Rows {
 		sum := 0.0
 		for _, v := range row.Values[:7] { // m256..u8 partition the data
@@ -198,7 +216,7 @@ func TestFig7SharesSumToOne(t *testing.T) {
 func TestFig12InclusiveWorse(t *testing.T) {
 	skipIfShort(t)
 	e, _ := Get("fig12")
-	tab := e.Run(tiny())[0]
+	tab := mustRun(t, e, tiny())[0]
 	last := tab.Rows[len(tab.Rows)-1] // AMean
 	if last.Values[0] <= last.Values[1] {
 		t.Fatalf("inclusive invalid %% %.1f not above non-inclusive %.1f",
@@ -210,7 +228,7 @@ func TestFig13bMoreLogsNoWorse(t *testing.T) {
 	skipIfShort(t)
 	e, _ := Get("fig13b")
 	b := tiny()
-	tab := e.Run(b)[0]
+	tab := mustRun(t, e, b)[0]
 	first := tab.Rows[0].Values[0]              // 1 active log
 	best := tab.Rows[len(tab.Rows)-1].Values[0] // 64 logs
 	for _, row := range tab.Rows {
@@ -226,7 +244,7 @@ func TestFig13bMoreLogsNoWorse(t *testing.T) {
 func TestFig15Runs(t *testing.T) {
 	skipIfShort(t)
 	e, _ := Get("fig15")
-	tab := e.Run(tiny())[0]
+	tab := mustRun(t, e, tiny())[0]
 	gmean := tab.Rows[len(tab.Rows)-1]
 	// Merged sacrifices only limited ratio (paper: <0.5x for most).
 	if gmean.Values[1] < gmean.Values[0]*0.5 {
@@ -238,7 +256,7 @@ func TestRatioTSExperiment(t *testing.T) {
 	skipIfShort(t)
 	e, _ := Get("ratiots")
 	b := tiny()
-	tables := e.Run(b)
+	tables := mustRun(t, e, b)
 	if len(tables) != len(b.Workloads) {
 		t.Fatalf("ratiots returned %d tables for %d workloads", len(tables), len(b.Workloads))
 	}
@@ -266,7 +284,7 @@ func TestRatioTSExperiment(t *testing.T) {
 func TestCodecsExperiment(t *testing.T) {
 	skipIfShort(t)
 	e, _ := Get("codecs")
-	tab := e.Run(tiny())[0]
+	tab := mustRun(t, e, tiny())[0]
 	gm := tab.Rows[len(tab.Rows)-1]
 	lbeR, lzR, cpackR, fpcR := gm.Values[0], gm.Values[1], gm.Values[2], gm.Values[3]
 	// Paper claims: LZ ~ LBE; C-Pack ~ FPC; streaming beats intra-line.
@@ -284,7 +302,7 @@ func TestCodecsExperiment(t *testing.T) {
 func TestAblateExperiment(t *testing.T) {
 	skipIfShort(t)
 	e, _ := Get("ablate")
-	tab := e.Run(tiny())[0]
+	tab := mustRun(t, e, tiny())[0]
 	if len(tab.Rows) < 6 {
 		t.Fatalf("ablation has %d variants", len(tab.Rows))
 	}
@@ -305,7 +323,7 @@ func TestAblateExperiment(t *testing.T) {
 func TestExtensionsExperiment(t *testing.T) {
 	skipIfShort(t)
 	e, _ := Get("ext")
-	tables := e.Run(tiny())
+	tables := mustRun(t, e, tiny())
 	if len(tables) != 3 {
 		t.Fatalf("ext returned %d tables", len(tables))
 	}
@@ -340,7 +358,7 @@ func TestFig6ColumnHeaders(t *testing.T) {
 	e, _ := Get("fig6")
 	b := tiny()
 	b.Workloads = []string{"gcc"}
-	tables := e.Run(b)
+	tables := mustRun(t, e, b)
 	if got := tables[0].Columns[1]; got != "Uncompressed" {
 		t.Fatalf("fig6a column 1 = %q, want Uncompressed", got)
 	}
@@ -350,6 +368,60 @@ func TestFig6ColumnHeaders(t *testing.T) {
 	if len(tables[2].Columns) != len(tables[0].Columns)-1 {
 		t.Fatalf("improvement panel has %d columns, ratio %d",
 			len(tables[2].Columns), len(tables[0].Columns))
+	}
+}
+
+// TestSchemesFilterKeepsTheBaseline: an experiment's first scheme, the
+// baseline the others are measured against, runs under any Schemes
+// filter, so MORC's fig6c, fig6d and fig9b values under {SC2, MORC} are
+// the unfiltered run's. fig9 leaves its MORC panels out when the filter
+// drops MORC.
+func TestSchemesFilterKeepsTheBaseline(t *testing.T) {
+	skipIfShort(t)
+	filtered := tiny()
+	filtered.Schemes = []sim.Scheme{sim.SC2, sim.MORC}
+	panels := map[string]*Table{}
+	var want []*Table
+	for _, id := range []string{"fig6", "fig9"} {
+		e, _ := Get(id)
+		want = append(want, mustRun(t, e, tiny())...)
+		for _, tab := range mustRun(t, e, filtered) {
+			panels[tab.ID] = tab
+		}
+	}
+	morc := func(tab *Table, row int) []float64 {
+		if c := slices.Index(tab.Columns, "MORC"); c > 0 {
+			return tab.Rows[row].Values[c-1 : c]
+		}
+		return tab.Rows[row].Values // every fig9b column is MORC's
+	}
+	for _, w := range want {
+		got := panels[w.ID]
+		switch w.ID {
+		case "fig6c", "fig6d", "fig9b":
+		default:
+			continue
+		}
+		if got == nil || len(got.Rows) != len(w.Rows) {
+			t.Fatalf("%s: filtered run has %v, want %d rows", w.ID, got, len(w.Rows))
+		}
+		for r := range w.Rows {
+			if g, x := morc(got, r), morc(w, r); !slices.Equal(g, x) {
+				t.Errorf("%s %s: MORC %v under the filter, %v without", w.ID, w.Rows[r].Label, g, x)
+			}
+		}
+	}
+	if got := panels["fig6a"].Columns; strings.Join(got, ",") != "workload,Uncompressed,SC2,MORC" {
+		t.Errorf("fig6a columns %v", got)
+	}
+
+	e, _ := Get("fig9")
+	noMORC := tiny()
+	noMORC.Workloads = []string{"gcc"}
+	noMORC.Schemes = []sim.Scheme{sim.SC2}
+	tables := mustRun(t, e, noMORC)
+	if len(tables) != 1 || tables[0].ID != "fig9a" || strings.Join(tables[0].Columns, ",") != "workload,Uncompressed,SC2" {
+		t.Errorf("fig9 without MORC: %d tables, first %s %v", len(tables), tables[0].ID, tables[0].Columns)
 	}
 }
 
@@ -366,17 +438,102 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversAllIndices(t *testing.T) {
-	n := 100
-	hit := make([]bool, n)
-	parallelFor(n, func(i int) { hit[i] = true })
-	for i, h := range hit {
-		if !h {
-			t.Fatalf("index %d not visited", i)
+// TestRunnerPlacesRunsAndStopsOnCancel: grid returns each simulation's
+// outcome at its [set][configuration] index, equal to the same
+// simulation run alone, with what its read took from the finished LLC.
+// A cancelled context stops the pool: calls already running see their
+// ctx cancelled, no further call starts, and the pool returns ctx's
+// error; under a context cancelled before it starts, it calls nothing.
+func TestRunnerPlacesRunsAndStopsOnCancel(t *testing.T) {
+	b := Budget{Warmup: 10_000, Measure: 20_000, SampleEvery: 10_000}
+	workloads := []string{"gcc", "mcf", "lbm"}
+	cfgs := b.configs([]sim.Scheme{sim.Uncompressed, sim.SC2, sim.MORC})
+	fills := func(llc cache.LLC) []float64 { return []float64{float64(llc.Stats().Fills)} }
+	out := grid(context.Background(), singles(workloads), cfgs, fills)
+	for wi, w := range workloads {
+		for ci, cfg := range cfgs {
+			s, err := sim.NewSingle(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := s.RunCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := json.Marshal(out[wi][ci].Result)
+			ref, _ := json.Marshal(want)
+			if string(got) != string(ref) {
+				t.Errorf("%s/%v: grid's result differs from a lone run", w, cfg.Scheme)
+			}
+			if n := float64(s.LLC().Stats().Fills); !slices.Equal(out[wi][ci].llc, []float64{n}) {
+				t.Errorf("%s/%v: read %v, want [%g]", w, cfg.Scheme, out[wi][ci].llc, n)
+			}
 		}
 	}
-	// Zero work is a no-op.
-	parallelFor(0, func(int) { t.Fatal("called for n=0") })
+}
+
+// TestRunReturnsTheFirstError: a simulation whose configuration fails
+// validation, or whose read panics, ends Experiment.Run with that error
+// (the panic as one) instead of a crash, and the runs still going stop.
+func TestRunReturnsTheFirstError(t *testing.T) {
+	long := Budget{Warmup: 10_000, Measure: 4_000_000_000, SampleEvery: 100_000} // runs for minutes
+	short := Budget{Warmup: 10_000, Measure: 20_000, SampleEvery: 10_000}
+	bad := short.Config(sim.MORC)
+	bad.BWPerCore = 0
+	for _, tc := range []struct {
+		name string
+		cfg  sim.Config
+		read func(cache.LLC) []float64
+		want string
+	}{
+		{"invalid config", bad, nil, "BWPerCore"},
+		{"panic", short.Config(sim.MORC), func(cache.LLC) []float64 { panic("read failed") }, "panicked: read failed"},
+	} {
+		failing := Experiment{ID: "failing", run: func(ctx context.Context, b Budget) []*Table {
+			grid(ctx, singles([]string{"gcc"}), []sim.Config{tc.cfg}, tc.read)
+			t.Errorf("%s: grid returned", tc.name)
+			return nil
+		}}
+		// The failing run first, so that a one-worker pool reaches it.
+		slow := Experiment{ID: "slow", run: func(ctx context.Context, b Budget) []*Table {
+			grid(ctx, singles([]string{"gcc", "mcf"}), append([]sim.Config{tc.cfg}, long.configs([]sim.Scheme{sim.MORC, sim.SC2})...), tc.read)
+			return nil
+		}}
+		for _, e := range []Experiment{failing, slow} {
+			start := time.Now()
+			tables, err := e.Run(context.Background(), Budget{})
+			if tables != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s/%s: %v, error %v; want one containing %q", tc.name, e.ID, tables, err, tc.want)
+			}
+			if d := time.Since(start); d > 20*time.Second {
+				t.Errorf("%s/%s: the other runs went on for %v", tc.name, e.ID, d)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var started atomic.Int64
+	n := 1000
+	err := forEach(ctx, n, func(ctx context.Context, i int) error {
+		if started.Add(1) == 1 {
+			cancel()
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled", err)
+	}
+	if got := started.Load(); got > int64(runtime.GOMAXPROCS(0)) {
+		t.Errorf("%d calls started after the cancel, want at most one per worker", got)
+	}
+	err = forEach(ctx, n, func(context.Context, int) error {
+		t.Error("called under a cancelled context")
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("error %v under a cancelled context", err)
+	}
 }
 
 func TestFormatValue(t *testing.T) {
@@ -398,12 +555,10 @@ func TestFormatValue(t *testing.T) {
 // reads 0, and fig8b's Mean, which would divide 0 by 0, leaves it out;
 // the table's note names it, and Render prints the note.
 func TestFig8BWMeanLeavesOutZeroTrafficMixes(t *testing.T) {
-	results := [][]sim.Result{
-		{{MemBytes: 1000}, {MemBytes: 750}},
-		{{MemBytes: 0}, {MemBytes: 0}},
-		{{MemBytes: 0}, {MemBytes: 64}},
-		{{MemBytes: 500}, {MemBytes: 450}},
+	mix := func(base, morc uint64) []outcome {
+		return []outcome{{Result: sim.Result{MemBytes: base}}, {Result: sim.Result{MemBytes: morc}}}
 	}
+	results := [][]outcome{mix(1000, 750), mix(0, 0), mix(0, 64), mix(500, 450)}
 	tb := fig8BW([]string{"A", "B", "C", "D"}, results, []string{"mix", "MORC"})
 	want := []struct {
 		label string

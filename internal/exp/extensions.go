@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"morc/internal/sim"
 	"morc/internal/stats"
 	"morc/internal/trace"
@@ -10,7 +12,7 @@ func init() {
 	register(Experiment{
 		ID:    "ext",
 		Title: "Extensions: Skewed cache, memory-link compression, synchronized threads",
-		Run:   runExtensions,
+		run:   runExtensions,
 	})
 }
 
@@ -18,77 +20,57 @@ func init() {
 // evaluate: the Skewed Compressed Cache as a Decoupled-class baseline
 // (§6), memory-link compression as a complement to cache compression
 // (§6), and instruction-synchronized same-program threads (§5.2).
-func runExtensions(b Budget) []*Table {
+func runExtensions(ctx context.Context, b Budget) []*Table {
 	return []*Table{
-		extSkewed(b),
-		extLinkCompression(b),
-		extSyncedThreads(b),
+		extSkewed(ctx, b),
+		extLinkCompression(ctx, b),
+		extSyncedThreads(ctx, b),
 	}
 }
 
 // extSkewed compares Skewed against Decoupled and MORC.
-func extSkewed(b Budget) *Table {
-	workloads := b.Workloads
-	if workloads == nil {
-		workloads = trace.BaseBenchmarks()
-	}
+func extSkewed(ctx context.Context, b Budget) *Table {
+	workloads := b.workloads(trace.BaseBenchmarks())
 	schemes := []sim.Scheme{sim.Decoupled, sim.Skewed, sim.MORC}
-	results := runSingleSet(b, workloads, schemes, nil)
+	results := grid(ctx, singles(workloads), b.configs(schemes), nil)
 	t := &Table{ID: "ext-skewed", Title: "Skewed Compressed Cache vs Decoupled vs MORC (ratio)",
 		Columns: []string{"workload", "Decoupled", "Skewed", "MORC"}}
-	agg := make([][]float64, len(schemes))
-	for wi, w := range workloads {
-		var row []float64
-		for si := range schemes {
-			row = append(row, results[wi][si].CompRatio)
-			agg[si] = append(agg[si], results[wi][si].CompRatio)
-		}
-		t.AddRow(w, row...)
-	}
-	t.AddRow("GMean", stats.GeoMean(agg[0]), stats.GeoMean(agg[1]), stats.GeoMean(agg[2]))
+	t.addRows(workloads, func(i, c int) float64 { return results[i][c].CompRatio }, gmean)
 	return t
 }
 
 // extLinkCompression measures off-chip traffic and throughput with and
 // without C-Pack on the memory channel, for the uncompressed baseline
 // and MORC — showing the two techniques compose.
-func extLinkCompression(b Budget) *Table {
-	workloads := b.Workloads
-	if workloads == nil {
-		workloads = trace.BaseBenchmarks()
-	}
-	t := &Table{ID: "ext-link",
-		Title:   "Memory-link compression (gmean normalized throughput vs plain Uncompressed)",
-		Columns: []string{"configuration", "norm. throughput", "norm. channel busy"}}
-
-	type cfgPoint struct {
+func extLinkCompression(ctx context.Context, b Budget) *Table {
+	workloads := b.workloads(trace.BaseBenchmarks())
+	points := []struct {
 		name   string
 		scheme sim.Scheme
 		link   bool
-	}
-	points := []cfgPoint{
+	}{
 		{"Uncompressed", sim.Uncompressed, false},
 		{"Uncompressed+link", sim.Uncompressed, true},
 		{"MORC", sim.MORC, false},
 		{"MORC+link", sim.MORC, true},
 	}
-	// Collect per-point gmeans relative to the first point.
-	base := make([]sim.Result, len(workloads))
+	cfgs := make([]sim.Config, len(points))
 	for pi, pt := range points {
-		results := runSingleSet(b, workloads, []sim.Scheme{pt.scheme}, func(c *sim.Config) {
-			c.LinkCompression = pt.link
-		})
-		if pi == 0 {
-			for wi := range workloads {
-				base[wi] = results[wi][0]
-			}
-		}
+		cfgs[pi] = b.Config(pt.scheme)
+		cfgs[pi].LinkCompression = pt.link
+	}
+	results := grid(ctx, singles(workloads), cfgs, nil)
+	t := &Table{ID: "ext-link",
+		Title:   "Memory-link compression (gmean normalized throughput vs plain Uncompressed)",
+		Columns: []string{"configuration", "norm. throughput", "norm. channel busy"}}
+	// Each point's gmeans are relative to the first point.
+	for pi, pt := range points {
 		var tput, traffic []float64
 		for wi := range workloads {
-			r := results[wi][0]
-			tput = append(tput, r.Throughput/base[wi].Throughput)
-			if base[wi].MemBytes > 0 {
-				traffic = append(traffic, float64(r.MemBytes)/float64(base[wi].MemBytes))
+			r, base := results[wi][pi], results[wi][0]
+			tput = append(tput, r.Throughput/base.Throughput)
+			if base.MemBytes > 0 {
+				traffic = append(traffic, float64(r.MemBytes)/float64(base.MemBytes))
 			}
 		}
 		t.AddRow(pt.name, stats.GeoMean(tput), stats.Mean(traffic))
@@ -97,45 +79,20 @@ func extLinkCompression(b Budget) *Table {
 }
 
 // extSyncedThreads reruns the same-program mixes with perfectly
-// in-phase threads and compares MORC's compression ratio.
-func extSyncedThreads(b Budget) *Table {
+// in-phase threads and compares MORC's off-chip traffic.
+func extSyncedThreads(ctx context.Context, b Budget) *Table {
 	mixes := []string{"S1", "S2", "S4"}
+	var sets [][]trace.Profile // [mix][async, synced], flattened
+	for _, m := range mixes {
+		progs := trace.MultiProgramMixes()[m]
+		sets = append(sets, trace.MixPrograms(progs), trace.MixProgramsSynced(progs))
+	}
+	results := grid(ctx, sets, []sim.Config{b.mix().Config(sim.MORC)}, nil)
 	t := &Table{ID: "ext-sync",
 		Title:   "Same-program mixes: asynchronous vs synchronized threads (MORC off-chip GB per billion instructions)",
 		Columns: []string{"mix", "async", "synced"}}
-	type job struct {
-		mi     int
-		synced bool
-	}
-	var jobs []job
-	vals := make([][2]float64, len(mixes))
-	for mi := range mixes {
-		jobs = append(jobs, job{mi, false}, job{mi, true})
-	}
-	parallelFor(len(jobs), func(j int) {
-		mi, synced := jobs[j].mi, jobs[j].synced
-		cfg := sim.DefaultConfig()
-		cfg.Scheme = sim.MORC
-		cfg.WarmupInstr = b.Warmup / 4
-		cfg.MeasureInstr = b.Measure / 4
-		cfg.SampleEvery = b.SampleEvery
-		progs := trace.MultiProgramMixes()[mixes[mi]]
-		var ps []trace.Profile
-		if synced {
-			ps = trace.MixProgramsSynced(progs)
-		} else {
-			ps = trace.MixPrograms(progs)
-		}
-		cfg.Cores = len(ps)
-		r := sim.New(cfg, ps).Run()
-		if synced {
-			vals[mi][1] = r.GBPerBillionInstr
-		} else {
-			vals[mi][0] = r.GBPerBillionInstr
-		}
-	})
 	for mi, m := range mixes {
-		t.AddRow(m, vals[mi][0], vals[mi][1])
+		t.AddRow(m, results[2*mi][0].GBPerBillionInstr, results[2*mi+1][0].GBPerBillionInstr)
 	}
 	return t
 }

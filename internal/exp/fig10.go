@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"morc/internal/sim"
@@ -12,7 +13,7 @@ func init() {
 	register(Experiment{
 		ID:    "fig10",
 		Title: "Normalized IPC and throughput across per-core bandwidth (1600/400/100/12.5 MB/s)",
-		Run:   runFig10,
+		run:   runFig10,
 	})
 }
 
@@ -22,32 +23,30 @@ var fig10Bandwidths = []float64{1600e6, 400e6, 100e6, 12.5e6}
 // runFig10 reproduces Figure 10: geometric-mean IPC and throughput of
 // each compression scheme normalized to the uncompressed baseline at the
 // same bandwidth.
-func runFig10(b Budget) []*Table {
-	workloads := b.Workloads
-	if workloads == nil {
-		workloads = trace.BaseBenchmarks()
+func runFig10(ctx context.Context, b Budget) []*Table {
+	workloads := b.workloads(trace.BaseBenchmarks())
+	schemes := sim.ComparedSchemes()
+	var cfgs []sim.Config // [bandwidth][scheme], flattened
+	for _, bw := range fig10Bandwidths {
+		for _, cfg := range b.configs(schemes) {
+			cfg.BWPerCore = bw
+			cfgs = append(cfgs, cfg)
+		}
 	}
-	schemes := fig6Schemes()
+	results := grid(ctx, singles(workloads), cfgs, nil)
 
 	ipcT := &Table{ID: "fig10a", Title: "Normalized IPC (gmean over workloads)",
-		Columns: []string{"bandwidth"}}
+		Columns: columns("bandwidth", schemes[1:])}
 	tputT := &Table{ID: "fig10b", Title: "Normalized throughput (gmean over workloads)",
-		Columns: []string{"bandwidth"}}
-	for _, s := range schemes[1:] {
-		ipcT.Columns = append(ipcT.Columns, s.String())
-		tputT.Columns = append(tputT.Columns, s.String())
-	}
-
-	for _, bw := range fig10Bandwidths {
-		results := runSingleSet(b, workloads, schemes, func(c *sim.Config) {
-			c.BWPerCore = bw
-		})
+		Columns: columns("bandwidth", schemes[1:])}
+	for bi, bw := range fig10Bandwidths {
+		point := bi * len(schemes)
 		ipcRel := make([][]float64, len(schemes))
 		tputRel := make([][]float64, len(schemes))
 		for wi := range workloads {
-			base := results[wi][0]
+			base := results[wi][point]
 			for si := 1; si < len(schemes); si++ {
-				r := results[wi][si]
+				r := results[wi][point+si]
 				ipcRel[si] = append(ipcRel[si], r.IPC/base.IPC)
 				tputRel[si] = append(tputRel[si], r.Throughput/base.Throughput)
 			}

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"context"
+
+	"morc/internal/cache"
 	"morc/internal/core"
 	"morc/internal/sim"
 	"morc/internal/trace"
@@ -10,7 +13,7 @@ func init() {
 	register(Experiment{
 		ID:    "fig14",
 		Title: "Distribution of MORC access latencies (bytes decompressed per hit, 16B/cycle)",
-		Run:   runFig14,
+		run:   runFig14,
 	})
 }
 
@@ -19,28 +22,17 @@ func init() {
 // requested line is available (divide by 16 for cycles). The paper's
 // finding — cache-line usefulness is position-independent — shows up as
 // a fairly even spread.
-func runFig14(b Budget) []*Table {
-	workloads := b.Workloads
-	if workloads == nil {
-		workloads = trace.BaseBenchmarks()
+func runFig14(ctx context.Context, b Budget) []*Table {
+	workloads := b.workloads(trace.BaseBenchmarks())
+	latency := func(llc cache.LLC) []float64 {
+		return llc.(*core.Cache).MorcStats().LatencyBytes.Fraction()
 	}
-	cols := []string{"workload", "<64", "65-128", "129-196", "197-256",
+	results := grid(ctx, singles(workloads), []sim.Config{b.Config(sim.MORC)}, latency)
+	cols := []string{"workload", "≤64", "65-128", "129-192", "193-256",
 		"257-320", "321-384", "385-448", "449-512", ">512"}
 	t := &Table{ID: "fig14", Title: "Hit fraction by decompressed bytes", Columns: cols}
-
-	rows := make([][]float64, len(workloads))
-	parallelFor(len(workloads), func(i int) {
-		cfg := sim.DefaultConfig()
-		cfg.Scheme = sim.MORC
-		cfg.WarmupInstr = b.Warmup
-		cfg.MeasureInstr = b.Measure
-		cfg.SampleEvery = b.SampleEvery
-		run := sim.RunSingleSystem(workloads[i], cfg)
-		h := run.System.LLC().(*core.Cache).MorcStats().LatencyBytes
-		rows[i] = h.Fraction()
-	})
 	for i, w := range workloads {
-		t.AddRow(w, rows[i]...)
+		t.AddRow(w, results[i][0].llc...)
 	}
 	return []*Table{t}
 }

@@ -1,8 +1,9 @@
 package exp
 
 import (
+	"context"
+
 	"morc/internal/sim"
-	"morc/internal/stats"
 	"morc/internal/trace"
 )
 
@@ -10,29 +11,18 @@ func init() {
 	register(Experiment{
 		ID:    "fig15",
 		Title: "MORC vs MORCMerged (co-located tags and data) compression ratio",
-		Run:   runFig15,
+		run:   runFig15,
 	})
 }
 
 // runFig15 reproduces Figure 15: the separated-tag default against the
 // merged layout where extra tags overflow into the data log (§3.2.6).
-func runFig15(b Budget) []*Table {
-	workloads := b.Workloads
-	if workloads == nil {
-		workloads = trace.BaseBenchmarks()
-	}
-	schemes := []sim.Scheme{sim.MORC, sim.MORCMerged}
-	results := runSingleSet(b, workloads, schemes, nil)
+func runFig15(ctx context.Context, b Budget) []*Table {
+	workloads := b.workloads(trace.BaseBenchmarks())
+	results := grid(ctx, singles(workloads), b.configs([]sim.Scheme{sim.MORC, sim.MORCMerged}), nil)
 
 	t := &Table{ID: "fig15", Title: "Compression ratio (x)",
 		Columns: []string{"workload", "MORC", "MORCMerged"}}
-	var a, m []float64
-	for wi, w := range workloads {
-		t.AddRow(w, results[wi][0].CompRatio, results[wi][1].CompRatio)
-		a = append(a, results[wi][0].CompRatio)
-		m = append(m, results[wi][1].CompRatio)
-	}
-	t.AddRow("AMean", stats.Mean(a), stats.Mean(m))
-	t.AddRow("GMean", stats.GeoMean(a), stats.GeoMean(m))
+	t.addRows(workloads, func(i, c int) float64 { return results[i][c].CompRatio }, amean, gmean)
 	return []*Table{t}
 }

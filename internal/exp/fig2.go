@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"morc/internal/cache"
 	"morc/internal/compress/oracle"
 	"morc/internal/stats"
@@ -11,7 +13,7 @@ func init() {
 	register(Experiment{
 		ID:    "fig2",
 		Title: "Oracle intra-line vs inter-line compression (ratio and bandwidth reduction)",
-		Run:   runFig2,
+		run:   runFig2,
 	})
 }
 
@@ -19,20 +21,14 @@ func init() {
 // inter-line word-dedup caches (footnote 1) on every base benchmark,
 // reporting compression ratio and bandwidth reduction vs. an
 // uncompressed cache of the same size.
-func runFig2(b Budget) []*Table {
-	workloads := b.Workloads
-	if workloads == nil {
-		workloads = trace.BaseBenchmarks()
-	}
+func runFig2(ctx context.Context, b Budget) []*Table {
+	workloads := b.workloads(trace.BaseBenchmarks())
 	const cacheBytes = 128 * 1024
 
-	type result struct {
-		intraRatio, interRatio float64
-		intraBW, interBW       float64
-	}
-	results := make([]result, len(workloads))
+	// [workload][Oracle-Intra, Oracle-Inter]
+	ratios, bws := make([][2]float64, len(workloads)), make([][2]float64, len(workloads))
 
-	parallelFor(len(workloads), func(i int) {
+	check(forEach(ctx, len(workloads), func(_ context.Context, i int) error {
 		p := trace.MustGet(workloads[i])
 		gen := trace.NewSynthGen(p)
 		memv := trace.NewMemory(p)
@@ -73,39 +69,25 @@ func runFig2(b Budget) []*Table {
 				interRatios = append(interRatios, inter.Ratio())
 			}
 		}
-		r := result{
-			intraRatio: stats.Mean(intraRatios),
-			interRatio: stats.Mean(interRatios),
+		ratios[i] = [2]float64{stats.Mean(intraRatios), stats.Mean(interRatios)}
+		if ratios[i][0] == 0 {
+			ratios[i][0] = intra.Ratio()
 		}
-		if r.intraRatio == 0 {
-			r.intraRatio = intra.Ratio()
-		}
-		if r.interRatio == 0 {
-			r.interRatio = inter.Ratio()
+		if ratios[i][1] == 0 {
+			ratios[i][1] = inter.Ratio()
 		}
 		if baseMiss > 0 {
-			r.intraBW = 100 * (1 - float64(intraMiss)/float64(baseMiss))
-			r.interBW = 100 * (1 - float64(interMiss)/float64(baseMiss))
+			bws[i][0] = 100 * (1 - float64(intraMiss)/float64(baseMiss))
+			bws[i][1] = 100 * (1 - float64(interMiss)/float64(baseMiss))
 		}
-		results[i] = r
-	})
+		return nil
+	}))
 
 	ratio := &Table{ID: "fig2a", Title: "Oracle compression ratio (x)",
 		Columns: []string{"workload", "Oracle-Intra", "Oracle-Inter"}}
+	ratio.addRows(workloads, func(i, c int) float64 { return ratios[i][c] }, amean, gmean)
 	bw := &Table{ID: "fig2b", Title: "Oracle bandwidth reduction (%)",
 		Columns: []string{"workload", "Oracle-Intra", "Oracle-Inter"}}
-	var ir, xr, ib, xb []float64
-	for i, w := range workloads {
-		r := results[i]
-		ratio.AddRow(w, r.intraRatio, r.interRatio)
-		bw.AddRow(w, r.intraBW, r.interBW)
-		ir = append(ir, r.intraRatio)
-		xr = append(xr, r.interRatio)
-		ib = append(ib, r.intraBW)
-		xb = append(xb, r.interBW)
-	}
-	ratio.AddRow("AMean", stats.Mean(ir), stats.Mean(xr))
-	ratio.AddRow("GMean", stats.GeoMean(ir), stats.GeoMean(xr))
-	bw.AddRow("AMean", stats.Mean(ib), stats.Mean(xb))
+	bw.addRows(workloads, func(i, c int) float64 { return bws[i][c] }, amean)
 	return []*Table{ratio, bw}
 }

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"context"
+	"slices"
+
 	"morc/internal/sim"
 	"morc/internal/stats"
 	"morc/internal/trace"
@@ -10,7 +13,7 @@ func init() {
 	register(Experiment{
 		ID:    "fig9",
 		Title: "Memory-subsystem energy (Table 7 model)",
-		Run:   runFig9,
+		run:   runFig9,
 	})
 }
 
@@ -23,38 +26,27 @@ func fig9Schemes() []sim.Scheme {
 
 // runFig9 reproduces Figure 9a (absolute energy per scheme) and 9b
 // (MORC's energy normalized to the uncompressed baseline, broken down by
-// component).
-func runFig9(b Budget) []*Table {
-	workloads := b.Workloads
-	if workloads == nil {
-		workloads = trace.BaseBenchmarks()
-	}
+// component). A Schemes filter that drops MORC leaves out 9b and its
+// summary.
+func runFig9(ctx context.Context, b Budget) []*Table {
+	workloads := b.workloads(trace.BaseBenchmarks())
 	schemes := b.restrictSchemes(fig9Schemes())
-	results := runSingleSet(b, workloads, schemes, nil)
+	results := grid(ctx, singles(workloads), b.configs(schemes), nil)
 
-	cols := []string{"workload"}
-	for _, s := range schemes {
-		cols = append(cols, s.String())
-	}
 	// Energies reported in millijoules for readability.
-	eT := &Table{ID: "fig9a", Title: "Memory-subsystem energy (mJ)", Columns: cols}
+	eT := &Table{ID: "fig9a", Title: "Memory-subsystem energy (mJ)", Columns: columns("workload", schemes)}
+	eT.addRows(workloads, func(i, c int) float64 { return results[i][c].Energy.Total() * 1e3 }, amean)
+
+	mi := slices.Index(schemes, sim.MORC)
+	if mi < 0 {
+		return []*Table{eT}
+	}
 	bT := &Table{ID: "fig9b", Title: "MORC energy normalized to Uncompressed (breakdown)",
 		Columns: []string{"workload", "Total", "Static", "DRAM", "SRAM", "Comp", "Decomp"}}
-
-	agg := make([][]float64, len(schemes))
 	var reduction []float64
 	for wi, w := range workloads {
-		var row []float64
-		for si := range schemes {
-			mj := results[wi][si].Energy.Total() * 1e3
-			row = append(row, mj)
-			agg[si] = append(agg[si], mj)
-		}
-		eT.AddRow(w, row...)
-
-		base := results[wi][0].Energy
-		morc := results[wi][len(schemes)-1].Energy
-		total := base.Total()
+		total := results[wi][0].Energy.Total()
+		morc := results[wi][mi].Energy
 		bT.AddRow(w,
 			morc.Total()/total,
 			(morc.StaticJ+morc.DRAMStaticJ)/total,
@@ -65,12 +57,6 @@ func runFig9(b Budget) []*Table {
 		)
 		reduction = append(reduction, morc.Total()/total)
 	}
-	var am []float64
-	for si := range schemes {
-		am = append(am, stats.Mean(agg[si]))
-	}
-	eT.AddRow("AMean", am...)
-
 	sum := &Table{ID: "fig9sum", Title: "MORC energy reduction vs Uncompressed (%)",
 		Columns: []string{"metric", "value"}}
 	sum.AddRow("mean reduction %", 100*(1-stats.Mean(reduction)))

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"morc/internal/sim"
@@ -11,7 +12,7 @@ func init() {
 	register(Experiment{
 		ID:    "ratiots",
 		Title: "Compression ratio vs. instructions (per-epoch telemetry)",
-		Run:   runRatioTS,
+		run:   runRatioTS,
 	})
 }
 
@@ -30,24 +31,20 @@ const ratioTSEpochs = 12
 // epoch's compression ratio: one table per workload, one column per
 // scheme, one row per epoch boundary. It is the longitudinal view behind
 // Figure 6a's single averaged bar.
-func runRatioTS(b Budget) []*Table {
-	workloads := b.Workloads
-	if workloads == nil {
-		workloads = ratioTSWorkloads
-	}
+func runRatioTS(ctx context.Context, b Budget) []*Table {
+	workloads := b.workloads(ratioTSWorkloads)
 	schemes := b.restrictSchemes(sim.ComparedSchemes())
 	every := b.Measure / ratioTSEpochs
 	if every == 0 {
 		every = 1
 	}
-	results := runSingleSet(b, workloads, schemes, func(cfg *sim.Config) {
-		cfg.Telemetry = telemetry.Config{Every: every}
-	})
-
-	cols := []string{"instructions"}
-	for _, s := range schemes {
-		cols = append(cols, s.String())
+	cfgs := b.configs(schemes)
+	for i := range cfgs {
+		cfgs[i].Telemetry = telemetry.Config{Every: every}
 	}
+	results := grid(ctx, singles(workloads), cfgs, nil)
+
+	cols := columns("instructions", schemes)
 	var tables []*Table
 	for wi, w := range workloads {
 		t := &Table{

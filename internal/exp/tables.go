@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"morc/internal/cache"
 	"morc/internal/core"
 	"morc/internal/energy"
@@ -10,27 +12,27 @@ func init() {
 	register(Experiment{
 		ID:    "tab1",
 		Title: "Energy of on-chip and off-chip operations on 64b of data",
-		Run:   runTab1,
+		run:   runTab1,
 	})
 	register(Experiment{
 		ID:    "tab4",
 		Title: "Tag/metadata/engine overheads normalized to cache capacity",
-		Run:   runTab4,
+		run:   runTab4,
 	})
 	register(Experiment{
 		ID:    "tab5",
 		Title: "System configuration (Table 5)",
-		Run:   runTab5,
+		run:   runTab5,
 	})
 	register(Experiment{
 		ID:    "tab7",
 		Title: "Energy simulation parameters (Table 7)",
-		Run:   runTab7,
+		run:   runTab7,
 	})
 }
 
 // runTab1 reprints the paper's Table 1 (motivational constants).
-func runTab1(Budget) []*Table {
+func runTab1(context.Context, Budget) []*Table {
 	t := &Table{ID: "tab1", Title: "Operation energy (pJ) and scale vs 64b comparison",
 		Columns: []string{"operation", "energy pJ", "scale x"}}
 	t.AddRow("64b comparison (65nm)", 2, 1)
@@ -45,7 +47,7 @@ func runTab1(Budget) []*Table {
 // runTab4 computes the overhead analysis of Table 4 from the actual
 // configurations: tags, metadata (LMT or set metadata), both normalized
 // to a 128KB cache with a 48-bit physical address space.
-func runTab4(Budget) []*Table {
+func runTab4(context.Context, Budget) []*Table {
 	const (
 		cacheBytes = 128 * 1024
 		lines      = cacheBytes / cache.LineSize // 2048
@@ -79,7 +81,7 @@ func runTab4(Budget) []*Table {
 }
 
 // runTab5 prints the evaluated system configuration.
-func runTab5(Budget) []*Table {
+func runTab5(context.Context, Budget) []*Table {
 	t := &Table{ID: "tab5", Title: "System configuration",
 		Columns: []string{"component", "value"}}
 	t.AddRow("Core clock (GHz)", 2)
@@ -100,7 +102,7 @@ func runTab5(Budget) []*Table {
 
 // runTab7 prints the energy model constants the simulator charges:
 // energy.TableDefaults and the three engines.
-func runTab7(Budget) []*Table {
+func runTab7(context.Context, Budget) []*Table {
 	const pJ, nJ, mW = 1e-12, 1e-9, 1e-3
 	p := energy.TableDefaults()
 	t := &Table{ID: "tab7", Title: "Energy model (Table 7)",

@@ -79,7 +79,8 @@ type JobSpec struct {
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
-// Validate checks the spec against the catalog of runnable work, and the
+// Validate checks the spec against the catalog of runnable work: an
+// experiment job's workloads against exp.Budget.Validate, and the
 // configuration a workload or mix job would run with against
 // sim.Config.Validate, so no job the simulator would reject is queued.
 func (sp JobSpec) Validate() error {
@@ -118,7 +119,7 @@ func (sp JobSpec) Validate() error {
 		if len(sp.Config) > 0 {
 			return fmt.Errorf("config overrides are only available for workload and mix jobs (an experiment runs its own configurations)")
 		}
-		return nil
+		return sp.budget().Validate()
 	}
 	cfg, err := sp.simConfig()
 	if err != nil {
@@ -163,14 +164,9 @@ func (sp JobSpec) budget() exp.Budget {
 }
 
 // simConfig builds the effective sim.Config for a workload/mix job:
-// defaults, then the budget window, then the raw overrides.
+// defaults over the budget window, then the raw overrides.
 func (sp JobSpec) simConfig() (sim.Config, error) {
-	cfg := sim.DefaultConfig()
-	b := sp.budget()
-	cfg.WarmupInstr = b.Warmup
-	cfg.MeasureInstr = b.Measure
-	cfg.SampleEvery = b.SampleEvery
-	cfg.Scheme = sp.Scheme
+	cfg := sp.budget().Config(sp.Scheme)
 	if sp.Telemetry > 0 {
 		cfg.Telemetry.Every = sp.Telemetry
 	}

@@ -227,8 +227,10 @@ func (s *Server) runJob(j *Job) {
 }
 
 // execute runs the spec under ctx and maps the outcome to a terminal
-// state. Panics in the simulator are contained as job failures so one
-// bad configuration cannot take down the server.
+// state: ctx's cancellation is cancelled, an error or a panic failed.
+// Panics in the simulator are contained as job failures so one bad
+// configuration cannot take down the server; an experiment's runner
+// returns the panics of the runs it spreads over goroutines as errors.
 func (s *Server) execute(ctx context.Context, j *Job) (st Status, res *sim.Result, tables []*exp.Table, errMsg string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -239,17 +241,29 @@ func (s *Server) execute(ctx context.Context, j *Job) (st Status, res *sim.Resul
 		return StatusCancelled, nil, nil, ""
 	}
 	sp := j.Spec
+	var err error
 	if sp.Experiment != "" {
-		// Experiment jobs run morcbench's whole-figure pipeline; they
-		// check cancellation only before starting (the experiment runner
-		// has no context plumbing).
 		e, _ := exp.Get(sp.Experiment)
-		return StatusDone, nil, e.Run(sp.budget()), ""
+		tables, err = e.Run(ctx, sp.budget())
+	} else {
+		res, err = s.simulate(ctx, j)
 	}
+	switch {
+	case errors.Is(err, context.Canceled):
+		return StatusCancelled, nil, nil, ""
+	case err != nil:
+		return StatusFailed, nil, nil, err.Error()
+	}
+	return StatusDone, res, tables, ""
+}
 
+// simulate runs a workload or mix job's system under ctx, reporting its
+// progress, phases and telemetry epochs to j.
+func (s *Server) simulate(ctx context.Context, j *Job) (*sim.Result, error) {
+	sp := j.Spec
 	cfg, err := sp.simConfig()
 	if err != nil {
-		return StatusFailed, nil, nil, err.Error()
+		return nil, err
 	}
 	var sys *sim.System
 	if sp.Mix != "" {
@@ -258,7 +272,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (st Status, res *sim.Resul
 		sys, err = sim.NewSingle(sp.Workload, cfg)
 	}
 	if err != nil {
-		return StatusFailed, nil, nil, err.Error()
+		return nil, err
 	}
 	sys.OnProgress = j.setProgress
 	sys.OnPhase = j.notePhase
@@ -266,13 +280,10 @@ func (s *Server) execute(ctx context.Context, j *Job) (st Status, res *sim.Resul
 		sys.OnEpoch = j.publishEpoch
 	}
 	r, err := sys.RunCtx(ctx)
-	switch {
-	case errors.Is(err, context.Canceled):
-		return StatusCancelled, nil, nil, ""
-	case err != nil:
-		return StatusFailed, nil, nil, err.Error()
+	if err != nil {
+		return nil, err
 	}
-	return StatusDone, &r, nil, ""
+	return &r, nil
 }
 
 // Shutdown stops accepting jobs and drains the queue and in-flight work.

@@ -324,6 +324,7 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown workload", `{"workload":"nope"}`},
 		{"unknown mix", `{"mix":"M99"}`},
 		{"unknown experiment", `{"experiment":"fig99"}`},
+		{"unknown experiment workload", `{"experiment":"fig15","workloads":["gcc","nosuch"]}`},
 		{"bad scheme", `{"workload":"gcc","scheme":"ZIP"}`},
 		{"bad budget", `{"workload":"gcc","budget":"huge"}`},
 		{"unknown config field", `{"workload":"gcc","config":{"Warmup":1}}`},
@@ -542,11 +543,42 @@ func TestExperimentJob(t *testing.T) {
 	}
 
 	e, _ := exp.Get("tab5")
-	want := e.Run(exp.Quick())
+	want, err := e.Run(context.Background(), exp.Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, _ := json.Marshal(final.Tables)
 	ref, _ := json.Marshal(want)
 	if string(got) != string(ref) {
 		t.Errorf("experiment tables differ:\n got %s\nwant %s", got, ref)
+	}
+}
+
+// TestExperimentJobCancel: a DELETE reaches an experiment job's runs
+// through the job's context, so a running quick fig10 (80 simulations on
+// one worker) ends cancelled within 2 s instead of running to done.
+func TestExperimentJobCancel(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	_, v := postJob(t, ts, JobSpec{Experiment: "fig10"})
+	pollUntil(t, ts, v.ID, 30*time.Second, func(v JobView) bool { return v.Status == StatusRunning })
+	time.Sleep(200 * time.Millisecond)
+	cancelJob(t, ts, v.ID)
+	final := pollUntil(t, ts, v.ID, 2*time.Second, func(v JobView) bool { return v.Status.Terminal() })
+	if final.Status != StatusCancelled {
+		t.Fatalf("experiment job ended %s, want cancelled", final.Status)
+	}
+}
+
+// TestExperimentRunErrorFailsJob: an experiment whose run fails ends its
+// job failed, with the error, and the server goes on. The spec skips
+// admission, which refuses it.
+func TestExperimentRunErrorFailsJob(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Shutdown(context.Background())
+	j := &Job{Spec: JobSpec{Experiment: "fig15", Workloads: []string{"nosuch"}}}
+	st, _, tables, errMsg := s.execute(context.Background(), j)
+	if st != StatusFailed || tables != nil || !strings.Contains(errMsg, `"nosuch"`) {
+		t.Fatalf("execute = %s, %d tables, error %q; want failed naming the workload", st, len(tables), errMsg)
 	}
 }
 

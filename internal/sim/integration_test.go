@@ -38,8 +38,9 @@ func TestMORCInvariantsAfterSimulation(t *testing.T) {
 		cfg := quickCfg(MORC)
 		cfg.WarmupInstr = 100_000
 		cfg.MeasureInstr = 150_000
-		run := RunSingleSystem(wl, cfg)
-		if err := run.System.LLC().(*core.Cache).CheckInvariants(); err != nil {
+		s := mustNewSingle(t, wl, cfg)
+		s.Run()
+		if err := s.LLC().(*core.Cache).CheckInvariants(); err != nil {
 			t.Fatalf("%s: %v", wl, err)
 		}
 	}
@@ -90,8 +91,9 @@ func TestMORCConfigOverride(t *testing.T) {
 	mc := core.DefaultConfig(cfg.LLCBytesPerCore)
 	mc.LogBytes = 1024
 	cfg.MORCConfig = &mc
-	run := RunSingleSystem("gcc", cfg)
-	if got := run.System.LLC().(*core.Cache).Config().LogBytes; got != 1024 {
+	s := mustNewSingle(t, "gcc", cfg)
+	s.Run()
+	if got := s.LLC().(*core.Cache).Config().LogBytes; got != 1024 {
 		t.Fatalf("override ignored: LogBytes %d", got)
 	}
 }

@@ -74,19 +74,3 @@ func NewMix(mixName string, cfg Config) (*System, error) {
 	}
 	return New(cfg, trace.MixPrograms(progs)), nil
 }
-
-// SingleRun bundles a finished system with its result for callers that
-// need post-run access to the LLC (calibration tools, experiments).
-type SingleRun struct {
-	System *System
-	Result Result
-}
-
-// RunSingleSystem is RunSingle, additionally returning the system.
-func RunSingleSystem(workload string, cfg Config) SingleRun {
-	s, err := NewSingle(workload, cfg)
-	if err != nil {
-		panic("sim: " + err.Error())
-	}
-	return SingleRun{System: s, Result: s.Run()}
-}

@@ -28,6 +28,16 @@ func quickCfg(s Scheme) Config {
 	return cfg
 }
 
+// mustNewSingle is NewSingle that fails the test on an error.
+func mustNewSingle(t *testing.T, workload string, cfg Config) *System {
+	t.Helper()
+	s, err := NewSingle(workload, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestRunSingleAllSchemes(t *testing.T) {
 	skipIfShort(t)
 	for _, s := range AllSchemes() {
