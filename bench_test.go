@@ -251,7 +251,7 @@ func BenchmarkSimulatorMORCTelemetry(b *testing.B) {
 
 // BenchmarkHotPathAllocs measures allocations on the paths the morclint
 // hotalloc pass guards: the retained line copy, a private L1's accesses,
-// the MORC fill and read-hit operations stepAccess drives, the whole
+// the MORC fill and read-hit operations serviceMiss drives, the whole
 // per-access simulation step, and the timeseries NDJSON encoding morcd
 // streams. Each leg's allocation count comes from testing.AllocsPerRun
 // (exact, not sampled); the b.N loop supplies ns/op. When every leg runs
@@ -280,10 +280,14 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	for i := 0; i < 1024; i++ {
 		readCache.Fill(uint64(i)*cache.LineSize, warm[i%256])
 	}
-	// A warm L1 holding the 512 most recent sequential lines, each made
-	// dirty by a store hit after its fill, so the next fill evicts a
-	// dirty line.
+	// Two warm L1s holding the 512 most recent sequential lines, each
+	// made dirty by a store hit after its fill, so the next fill evicts a
+	// dirty line: a cache.SetAssoc, and the simulator's split of one, the
+	// front end's cache.Tags and the back end's arena of line bytes.
 	l1 := cache.NewSetAssoc(32*1024, 4, cache.LRU)
+	tags := cache.NewTags(32*1024, 4, cache.LRU)
+	arena := make([]byte, 32*1024)
+	var spill [cache.LineSize]byte
 	var l1Next uint64
 	var victim byte
 	l1Access := func() {
@@ -295,6 +299,17 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		for _, wb := range l1.Fill(l1Next*cache.LineSize, line) {
 			victim ^= wb.Data[0]
 		}
+		tags.Access(last, false)
+		if slot, hit, _, _ := tags.Access(last, true); hit {
+			arena[slot*cache.LineSize+int(l1Next%cache.LineSize)]++
+		}
+		slot, _, _, writeBack := tags.Access(l1Next*cache.LineSize, false)
+		l := arena[slot*cache.LineSize : (slot+1)*cache.LineSize]
+		if writeBack {
+			copy(spill[:], l)
+			victim ^= spill[0]
+		}
+		copy(l, line)
 		l1Next++
 	}
 	for l1Next = 1; l1Next <= 512; {
@@ -352,13 +367,13 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 			fn:   func() { cloned = cache.CloneLine(line) },
 		},
 		{
-			name: "cache/l1-access", perWhat: "access", div: 3,
-			note: "a warm 32KB 4-way cache.SetAssoc L1: a read hit, an in-place store hit, and a fill that evicts a dirty victim",
+			name: "cache/l1-access", perWhat: "access", div: 6,
+			note: "a warm 32KB 4-way L1, as a cache.SetAssoc and as the simulator's cache.Tags plus byte arena: on each, a read hit, an in-place store hit, and a fill that evicts a dirty victim",
 			fn:   l1Access,
 		},
 		{
 			name: "core/fill", perWhat: "fill", div: 1,
-			note: "core.Cache.Fill on a warm 128KB MORC cache, the stepAccess miss-service path",
+			note: "core.Cache.Fill on a warm 128KB MORC cache, an LLC miss on the serviceMiss path",
 			fn: func() {
 				fillCache.Fill(fillAddr%(1<<20)*cache.LineSize, line)
 				fillAddr++
@@ -366,7 +381,7 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		},
 		{
 			name: "core/read-hit", perWhat: "read", div: 1,
-			note: "core.Cache.Read hit on a warm 128KB MORC cache, the stepAccess hit path",
+			note: "core.Cache.Read hit on a warm 128KB MORC cache, an LLC hit on the serviceMiss path",
 			fn: func() {
 				readCache.Read(readAddr % 1024 * cache.LineSize)
 				readAddr++
@@ -374,12 +389,12 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 		},
 		{
 			name: "trace/read-line", perWhat: "line", div: 3,
-			note: "trace.Memory on a warm value model: ReadLineInto of a synthesized line in a built region, ReadLineInto of a written-back line, and a WriteLine overwrite, the LLC-miss path's memory reads and write-backs",
+			note: "trace.Memory on a warm value model: ReadLineInto (ReadWritten, then Pristine) of a synthesized line in a built region, ReadLineInto of a written-back line, and a WriteLine overwrite, the LLC-miss path's memory reads and write-backs",
 			fn:   readLine,
 		},
 		{
 			name: "sim/run-single", perWhat: "kinstr", div: 70, // 70k instructions per run
-			note: "sim.RunSingle gcc/MORC at 20k warmup + 50k measured instructions; normalized per 1000 instructions, so the number is the steady-state stepAccess cost plus amortized setup",
+			note: "sim.RunSingle gcc/MORC at 20k warmup + 50k measured instructions; normalized per 1000 instructions, so the number is the steady-state cost of an access (the front end, stepAccess and serviceMiss) plus amortized setup. AllocsPerRun sets GOMAXPROCS to 1, so no helper runs the front end ahead",
 			fn:   func() { simRes = sim.RunSingle("gcc", simCfg) },
 		},
 		{
@@ -410,8 +425,9 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	_, _, _ = cloned, simRes, victim
 
 	// A retained copy is one allocation and nothing more. The L1 copies
-	// into its arena and returns victims through its own buffer, so its
-	// accesses allocate nothing. A MORC fill allocates nothing: the log's
+	// into its arena and returns victims through its own buffer, and the
+	// split L1's tags only name slots of an arena the caller keeps, so
+	// their accesses allocate nothing. A MORC fill allocates nothing: the log's
 	// record holds the line's bytes, trial compression into every active
 	// log is allocation-free, write-backs go out through the cache's own
 	// buffers, and a MORC read hit returns the record's bytes. The value
@@ -422,7 +438,7 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 			b.Fatalf("CloneLine allocates %.0f objects per clone, want exactly 1", l.allocs)
 		}
 		if l.ran && l.name == "cache/l1-access" && l.allocs != 0 {
-			b.Fatalf("a warm L1's read hit, store hit and dirty eviction allocate %.0f objects, want 0", l.allocs)
+			b.Fatalf("a warm L1's read hits, store hits and dirty evictions allocate %.0f objects, want 0", l.allocs)
 		}
 		if l.ran && l.name == "core/fill" && l.allocs != 0 {
 			b.Fatalf("a warm MORC fill allocates %.0f objects, want 0", l.allocs)

@@ -19,9 +19,12 @@ import (
 // hot roots —
 //
 //	sim.(*System).stepAccess, sim.(*System).serviceMiss,
+//	sim.(*frontEnd).next, sim.(*frontEnd).fill,
 //	server.writeEvent, server.(*Server).handleTimeseries
 //
-// — and flags the allocation idioms inside them:
+// (the back end's hit and miss paths, the front end's per-access step
+// and the batch fill a helper goroutine runs ahead of the loop) —
+// and flags the allocation idioms inside them:
 //
 //   - append with a freshly allocated destination (append([]T(nil), …),
 //     append([]T{}, …)): one heap slice per call;
@@ -48,7 +51,8 @@ import (
 // old one-entry-per-miss missLats slice was: a slice field that grows by
 // one element per simulated access, reaching gigabytes over a full run
 // before it was replaced with an online histogram. From the loop roots
-// (functions named run, Run, RunCtx, or step in loopPkgs) it flags
+// (functions named run, Run, RunCtx, or step in loopPkgs, and the front
+// end's next and fill, which the helper goroutine runs) it flags
 // every append whose destination is a field reached through a pointer
 // (receiver, pointer parameter) or package-level or closed-over state —
 // growth that outlives the call. Appends into value-typed locals (a
@@ -82,11 +86,12 @@ func (*HotAlloc) Scope(prog *Program, u *Unit) bool {
 // function names.
 var hotRootSuffixes = []string{
 	".System.stepAccess", ".System.serviceMiss",
+	".frontEnd.next", ".frontEnd.fill",
 	"internal/server.writeEvent", ".Server.handleTimeseries",
 }
 
 // loopRootSuffixes name the simulation-loop entry points.
-var loopRootSuffixes = []string{".run", ".Run", ".RunCtx", ".step"}
+var loopRootSuffixes = []string{".run", ".Run", ".RunCtx", ".step", ".frontEnd.next", ".frontEnd.fill"}
 
 func (h *HotAlloc) Run(prog *Program, u *Unit) []Finding {
 	return prog.analyzeOnce(h.Name(), analyzeAllocs)[u]

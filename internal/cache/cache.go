@@ -150,16 +150,16 @@ const (
 	FIFO
 )
 
-// SetAssoc is a conventional uncompressed set-associative cache. It is
-// both the baseline LLC and the building block for the private L1s.
+// Tags is the tag half of a set-associative cache: each way's address,
+// valid and dirty bits and its replacement rank, and no line bytes. A
+// way is named by its slot, set*ways+way, which indexes an arena of
+// LineSize bytes per slot kept beside the tags: SetAssoc keeps both,
+// while the simulator keeps a core's L1 tags with the core's trace and
+// the L1's bytes with the shared LLC (DESIGN.md, "Canonical order").
 //
-// Its state is flat, indexed by set*ways+way: tags and flags in meta,
-// replacement ranks in rank (with one clock per set), and every line's
-// payload in one arena of LineSize bytes per way. Fills and write-backs
-// copy into the arena, Read returns the arena's own bytes, and a dirty
-// victim is copied into victim and returned through wb, so no operation
-// allocates.
-type SetAssoc struct {
+// Its state is flat, indexed by slot: tags and flags in meta, and
+// replacement ranks in rank, with one clock per set.
+type Tags struct {
 	sets, ways int
 	// pow2 is set when sets is a power of two: setOf then masks the
 	// line number with mask instead of taking it modulo sets.
@@ -173,11 +173,6 @@ type SetAssoc struct {
 	// every filled way.
 	rank  []uint64
 	clock []uint64 // per set: the last rank handed out
-	data  []byte   // the arena: sets*ways*LineSize bytes
-
-	victim [LineSize]byte
-	wb     [1]Writeback
-	stats  Stats
 }
 
 // way is one way's tag and state.
@@ -200,14 +195,14 @@ func CheckGeometry(sizeBytes, ways int) error {
 	return nil
 }
 
-// NewSetAssoc builds a cache of the given total size, which must pass
-// CheckGeometry.
-func NewSetAssoc(sizeBytes, ways int, repl ReplacementKind) *SetAssoc {
+// NewTags builds the tags of a cache of the given total size, which
+// must pass CheckGeometry; the cache's arena is sizeBytes long.
+func NewTags(sizeBytes, ways int, repl ReplacementKind) Tags {
 	if err := CheckGeometry(sizeBytes, ways); err != nil {
 		panic(err)
 	}
 	sets := sizeBytes / (ways * LineSize)
-	return &SetAssoc{
+	return Tags{
 		sets:  sets,
 		ways:  ways,
 		pow2:  sets&(sets-1) == 0,
@@ -216,28 +211,21 @@ func NewSetAssoc(sizeBytes, ways int, repl ReplacementKind) *SetAssoc {
 		meta:  make([]way, sets*ways),
 		rank:  make([]uint64, sets*ways),
 		clock: make([]uint64, sets),
-		data:  make([]byte, sizeBytes),
 	}
 }
 
-// Sets returns the number of sets.
-func (c *SetAssoc) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.ways }
-
-func (c *SetAssoc) setOf(addr uint64) int {
-	if c.pow2 {
-		return int(LineTag(addr) & c.mask)
+func (t *Tags) setOf(addr uint64) int {
+	if t.pow2 {
+		return int(LineTag(addr) & t.mask)
 	}
-	return int(LineTag(addr) % uint64(c.sets))
+	return int(LineTag(addr) % uint64(t.sets))
 }
 
 // find returns the set addr indexes to and the way holding it, or -1.
-func (c *SetAssoc) find(addr uint64) (set, w int) {
+func (t *Tags) find(addr uint64) (set, w int) {
 	la := LineAddr(addr)
-	set = c.setOf(addr)
-	for w, m := range c.meta[set*c.ways : (set+1)*c.ways] {
+	set = t.setOf(addr)
+	for w, m := range t.meta[set*t.ways : (set+1)*t.ways] {
 		if m.valid && m.tag == la {
 			return set, w
 		}
@@ -245,31 +233,24 @@ func (c *SetAssoc) find(addr uint64) (set, w int) {
 	return set, -1
 }
 
-// line returns way i's payload in the arena, capped so an append cannot
-// reach the next way.
-func (c *SetAssoc) line(i int) []byte {
-	off := i * LineSize
-	return c.data[off : off+LineSize : off+LineSize]
-}
-
 // touch records a use of way w of set s; FIFO ignores uses.
-func (c *SetAssoc) touch(s, w int) {
-	if c.repl == LRU {
-		c.arrive(s, w)
+func (t *Tags) touch(s, w int) {
+	if t.repl == LRU {
+		t.arrive(s, w)
 	}
 }
 
 // arrive records the arrival of a line in way w of set s.
-func (c *SetAssoc) arrive(s, w int) {
-	c.clock[s]++
-	c.rank[s*c.ways+w] = c.clock[s]
+func (t *Tags) arrive(s, w int) {
+	t.clock[s]++
+	t.rank[s*t.ways+w] = t.clock[s]
 }
 
 // victimWay returns the way of set s with the lowest rank, the lowest
 // way index on a tie. Ways that never held a line rank 0, so they fill
 // first, lowest index first.
-func (c *SetAssoc) victimWay(s int) int {
-	ranks := c.rank[s*c.ways : (s+1)*c.ways]
+func (t *Tags) victimWay(s int) int {
+	ranks := t.rank[s*t.ways : (s+1)*t.ways]
 	v := 0
 	for w, r := range ranks {
 		if r < ranks[v] {
@@ -279,19 +260,143 @@ func (c *SetAssoc) victimWay(s int) int {
 	return v
 }
 
+// place makes addr resident in set s (way w when it already is, w < 0
+// otherwise), dirty if dirty is set, and records its arrival. It returns
+// the slot and, when it evicts a dirty line, that line's address.
+func (t *Tags) place(addr uint64, s, w int, dirty bool) (slot int, victim uint64, writeBack bool) {
+	if w < 0 {
+		w = t.victimWay(s)
+		v := &t.meta[s*t.ways+w]
+		if v.valid && v.dirty {
+			victim, writeBack = v.tag, true
+		}
+		*v = way{tag: LineAddr(addr), valid: true}
+	}
+	slot = s*t.ways + w
+	t.meta[slot].dirty = t.meta[slot].dirty || dirty
+	t.arrive(s, w)
+	return slot, victim, writeBack
+}
+
+// Access is one demand access of a write-allocate private cache: a hit
+// touches addr's way, and a store hit marks it dirty; a miss places addr
+// in its set's victim way, dirty for a store. It returns addr's slot
+// and, when a miss evicts a dirty line, that line's address: the
+// caller writes the slot's old bytes back before it fills the slot.
+// It leaves the ways in the order SetAssoc's Read, then Fill on a miss,
+// then Update on a store would: LRU ranks only order a set's ways.
+func (t *Tags) Access(addr uint64, store bool) (slot int, hit bool, victim uint64, writeBack bool) {
+	s, w := t.find(addr)
+	if w < 0 {
+		slot, victim, writeBack = t.place(addr, s, w, store)
+		return slot, false, victim, writeBack
+	}
+	slot = s*t.ways + w
+	if store {
+		t.meta[slot].dirty = true
+	}
+	t.touch(s, w)
+	return slot, true, 0, false
+}
+
+// checkInvariants verifies the tags' structural invariants: every
+// valid line is line-aligned, stored in the set its address indexes to,
+// and no set holds two copies of the same address; and the replacement
+// state is the one victim selection relies on (a valid way's rank is
+// unique in its set and in [1, the set's clock], an empty way ranks 0
+// and is clean).
+func (t *Tags) checkInvariants() error {
+	n := t.sets * t.ways
+	if len(t.meta) != n || len(t.rank) != n || len(t.clock) != t.sets {
+		return fmt.Errorf("cache: tags sized %d/%d/%d for %d sets of %d ways",
+			len(t.meta), len(t.rank), len(t.clock), t.sets, t.ways)
+	}
+	for s := 0; s < t.sets; s++ {
+		for w := 0; w < t.ways; w++ {
+			i := s*t.ways + w
+			l, r := &t.meta[i], t.rank[i]
+			if !l.valid {
+				if r != 0 || l.dirty {
+					return fmt.Errorf("cache: set %d way %d is empty but ranks %d (dirty %v)", s, w, r, l.dirty)
+				}
+				continue
+			}
+			if l.tag != LineAddr(l.tag) {
+				return fmt.Errorf("cache: set %d way %d holds unaligned address %#x", s, w, l.tag)
+			}
+			if t.setOf(l.tag) != s {
+				return fmt.Errorf("cache: set %d way %d holds %#x, which indexes to set %d",
+					s, w, l.tag, t.setOf(l.tag))
+			}
+			if r < 1 || r > t.clock[s] {
+				return fmt.Errorf("cache: set %d way %d ranks %d, outside [1, %d]", s, w, r, t.clock[s])
+			}
+			for u := 0; u < w; u++ {
+				o := s*t.ways + u
+				if t.meta[o].valid && t.meta[o].tag == l.tag {
+					return fmt.Errorf("cache: set %d holds duplicate copies of %#x", s, l.tag)
+				}
+				if t.meta[o].valid && t.rank[o] == r {
+					return fmt.Errorf("cache: set %d ways %d and %d share rank %d", s, u, w, r)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// SetAssoc is a conventional uncompressed set-associative cache: the
+// baseline LLC. The simulator's private L1s are its two halves apart,
+// a core's Tags and an arena of its L1's bytes.
+//
+// It is a Tags and an arena of LineSize bytes per slot. Fills and
+// write-backs copy into the arena, Read returns the arena's own bytes,
+// and a dirty victim is copied into victim and returned through wb, so
+// no operation allocates.
+type SetAssoc struct {
+	tags Tags
+	data []byte // the arena: sets*ways*LineSize bytes
+
+	victim [LineSize]byte
+	wb     [1]Writeback
+	stats  Stats
+}
+
+// NewSetAssoc builds a cache of the given total size, which must pass
+// CheckGeometry.
+func NewSetAssoc(sizeBytes, ways int, repl ReplacementKind) *SetAssoc {
+	return &SetAssoc{
+		tags: NewTags(sizeBytes, ways, repl),
+		data: make([]byte, sizeBytes),
+	}
+}
+
+// Sets returns the number of sets.
+func (c *SetAssoc) Sets() int { return c.tags.sets }
+
+// Ways returns the associativity.
+func (c *SetAssoc) Ways() int { return c.tags.ways }
+
+// line returns way i's payload in the arena, capped so an append cannot
+// reach the next way.
+func (c *SetAssoc) line(i int) []byte {
+	off := i * LineSize
+	return c.data[off : off+LineSize : off+LineSize]
+}
+
 // Read implements LLC. A hit's Data is the line in the arena: it stays
 // valid until the next Fill, WriteBack or Update, and a private cache's
 // owner may mutate it in place and then call Update.
 func (c *SetAssoc) Read(addr uint64) ReadResult {
 	c.stats.Reads++
-	s, w := c.find(addr)
+	s, w := c.tags.find(addr)
 	if w < 0 {
 		c.stats.Misses++
 		return ReadResult{}
 	}
-	c.touch(s, w)
+	c.tags.touch(s, w)
 	c.stats.Hits++
-	return ReadResult{Hit: true, Data: c.line(s*c.ways + w)}
+	return ReadResult{Hit: true, Data: c.line(s*c.tags.ways + w)}
 }
 
 // insert places data for addr (replacing any existing copy), returning a
@@ -300,23 +405,16 @@ func (c *SetAssoc) insert(addr uint64, data []byte, dirty bool) []Writeback {
 	if len(data) != LineSize {
 		panic(fmt.Sprintf("cache: insert of %d bytes", len(data)))
 	}
-	s, w := c.find(addr)
+	s, w := c.tags.find(addr)
+	i, victim, writeBack := c.tags.place(addr, s, w, dirty)
 	var wbs []Writeback
-	if w < 0 {
-		w = c.victimWay(s)
-		v := &c.meta[s*c.ways+w]
-		if v.valid && v.dirty {
-			copy(c.victim[:], c.line(s*c.ways+w))
-			c.wb[0] = Writeback{Addr: v.tag, Data: c.victim[:]}
-			wbs = c.wb[:]
-			c.stats.MemWBs++
-		}
-		*v = way{tag: LineAddr(addr), valid: true}
+	if writeBack {
+		copy(c.victim[:], c.line(i))
+		c.wb[0] = Writeback{Addr: victim, Data: c.victim[:]}
+		wbs = c.wb[:]
+		c.stats.MemWBs++
 	}
-	i := s*c.ways + w
-	c.meta[i].dirty = c.meta[i].dirty || dirty
 	copy(c.line(i), data)
-	c.arrive(s, w)
 	return wbs
 }
 
@@ -338,21 +436,21 @@ func (c *SetAssoc) WriteBack(addr uint64, data []byte) []Writeback {
 // on store hits: data may be the slice Read returned for addr, mutated
 // in place, and then only the dirty bit and the recency change.
 func (c *SetAssoc) Update(addr uint64, data []byte, dirty bool) bool {
-	s, w := c.find(addr)
+	s, w := c.tags.find(addr)
 	if w < 0 {
 		return false
 	}
 	if len(data) != LineSize {
 		panic(fmt.Sprintf("cache: update of %d bytes", len(data)))
 	}
-	i := s*c.ways + w
+	i := s*c.tags.ways + w
 	if l := c.line(i); &data[0] != &l[0] {
 		copy(l, data)
 	}
 	if dirty {
-		c.meta[i].dirty = true
+		c.tags.meta[i].dirty = true
 	}
-	c.touch(s, w)
+	c.tags.touch(s, w)
 	return true
 }
 
@@ -360,12 +458,12 @@ func (c *SetAssoc) Update(addr uint64, data []byte, dirty bool) bool {
 // its occupancy (≤ 1).
 func (c *SetAssoc) Ratio() float64 {
 	valid := 0
-	for _, m := range c.meta {
+	for _, m := range c.tags.meta {
 		if m.valid {
 			valid++
 		}
 	}
-	return float64(valid) / float64(len(c.meta))
+	return float64(valid) / float64(len(c.tags.meta))
 }
 
 // Stats implements LLC.
@@ -377,52 +475,15 @@ func (c *SetAssoc) Probes() map[string]float64 {
 	return map[string]float64{"occupancy": c.Ratio()}
 }
 
-// CheckInvariants verifies the cache's structural invariants: every
-// valid line is line-aligned, stored in the set its address indexes to,
-// and no set holds two copies of the same address; the replacement
-// state is the one victim selection relies on (a valid way's rank is
-// unique in its set and in [1, the set's clock], an empty way ranks 0
-// and is clean); and the arena holds LineSize bytes per way. It exists
-// for the internal/check differential harness; the compressed
+// CheckInvariants verifies the cache's structural invariants: the
+// tags' (checkInvariants), and an arena of LineSize bytes per way.
+// It exists for the internal/check differential harness; the compressed
 // organizations have analogous (much deeper) checkers.
 func (c *SetAssoc) CheckInvariants() error {
-	n := c.sets * c.ways
-	if len(c.meta) != n || len(c.rank) != n || len(c.clock) != c.sets || len(c.data) != n*LineSize {
-		return fmt.Errorf("cache: state sized %d/%d/%d/%d for %d sets of %d ways",
-			len(c.meta), len(c.rank), len(c.clock), len(c.data), c.sets, c.ways)
+	if n := c.tags.sets * c.tags.ways * LineSize; len(c.data) != n {
+		return fmt.Errorf("cache: arena of %d bytes for %d sets of %d ways", len(c.data), c.tags.sets, c.tags.ways)
 	}
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			i := s*c.ways + w
-			l, r := &c.meta[i], c.rank[i]
-			if !l.valid {
-				if r != 0 || l.dirty {
-					return fmt.Errorf("cache: set %d way %d is empty but ranks %d (dirty %v)", s, w, r, l.dirty)
-				}
-				continue
-			}
-			if l.tag != LineAddr(l.tag) {
-				return fmt.Errorf("cache: set %d way %d holds unaligned address %#x", s, w, l.tag)
-			}
-			if c.setOf(l.tag) != s {
-				return fmt.Errorf("cache: set %d way %d holds %#x, which indexes to set %d",
-					s, w, l.tag, c.setOf(l.tag))
-			}
-			if r < 1 || r > c.clock[s] {
-				return fmt.Errorf("cache: set %d way %d ranks %d, outside [1, %d]", s, w, r, c.clock[s])
-			}
-			for u := 0; u < w; u++ {
-				o := s*c.ways + u
-				if c.meta[o].valid && c.meta[o].tag == l.tag {
-					return fmt.Errorf("cache: set %d holds duplicate copies of %#x", s, l.tag)
-				}
-				if c.meta[o].valid && c.rank[o] == r {
-					return fmt.Errorf("cache: set %d ways %d and %d share rank %d", s, u, w, r)
-				}
-			}
-		}
-	}
-	return nil
+	return c.tags.checkInvariants()
 }
 
 // assert interface compliance.

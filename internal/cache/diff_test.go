@@ -284,7 +284,7 @@ func (d *differential) same(what string, addr uint64) {
 	s := d.o.setOf(addr)
 	for w := 0; w < d.g.ways; w++ {
 		i := s*d.g.ways + w
-		m, l := d.c.meta[i], d.o.lines[i]
+		m, l := d.c.tags.meta[i], d.o.lines[i]
 		if m.valid != l.valid || m.valid && (m.tag != l.tag || m.dirty != l.dirty || !bytes.Equal(d.c.line(i), l.data)) {
 			d.t.Fatalf("%v op %d: after %s(%#x) set %d way %d holds %+v, oracle valid %v tag %#x dirty %v",
 				d.g, d.op, what, addr, s, w, m, l.valid, l.tag, l.dirty)

@@ -8,6 +8,7 @@ import (
 	"morc/internal/compress/fpc"
 	"morc/internal/compress/lbe"
 	"morc/internal/compress/lzref"
+	"morc/internal/sim"
 	"morc/internal/trace"
 )
 
@@ -31,6 +32,7 @@ func runCodecs(ctx context.Context, b Budget) []*Table {
 
 	rows := make([][4]float64, len(workloads))
 	check(forEach(ctx, len(workloads), func(_ context.Context, i int) error {
+		defer sim.Busy()()
 		p := trace.MustGet(workloads[i])
 		gen := trace.NewSynthGen(p)
 		memv := trace.NewMemory(p)

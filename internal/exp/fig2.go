@@ -5,6 +5,7 @@ import (
 
 	"morc/internal/cache"
 	"morc/internal/compress/oracle"
+	"morc/internal/sim"
 	"morc/internal/stats"
 	"morc/internal/trace"
 )
@@ -29,6 +30,7 @@ func runFig2(ctx context.Context, b Budget) []*Table {
 	ratios, bws := make([][2]float64, len(workloads)), make([][2]float64, len(workloads))
 
 	check(forEach(ctx, len(workloads), func(_ context.Context, i int) error {
+		defer sim.Busy()()
 		p := trace.MustGet(workloads[i])
 		gen := trace.NewSynthGen(p)
 		memv := trace.NewMemory(p)

@@ -39,6 +39,10 @@ func (s Scheme) row() schemeRow {
 	return schemes[s]
 }
 
+// compresses reports whether the scheme's LLC compresses lines: it
+// charges a compression engine.
+func (s Scheme) compresses() bool { return s.row().engine != energy.Engine{} }
+
 // String returns the paper's name for the scheme.
 func (s Scheme) String() string {
 	if name := s.row().name; name != "" {

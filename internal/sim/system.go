@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"morc/internal/cache"
@@ -17,18 +19,28 @@ import (
 // and bandwidth-wall queueing pushes into the thousands.
 var missLatBounds = []float64{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
 
-// coreState is one in-order core with its private L1 and workload.
+// coreState is one in-order core. Its front end (fe) makes its accesses;
+// the rest is the back end's: the clocks and counters, the bytes of the
+// private L1 and the core's backing store.
 type coreState struct {
-	id   int
-	gen  *trace.SynthGen
+	id int
+	fe *frontEnd
+	// memv is the core's backing store (ReadWritten, WriteLine). Its
+	// value model (StoreChunk, Pristine) is fe's: the back end
+	// synthesizes with it only while it runs fe inline.
 	memv *trace.Memory
-	l1   *cache.SetAssoc
-	// store is the line a store miss mutates before it enters the L1:
-	// the data the miss path hands back may be the LLC's own bytes.
-	store [cache.LineSize]byte
-	// fetch receives a line read from memory on an LLC miss; the LLC
-	// and L1 fills copy it.
-	fetch [cache.LineSize]byte
+	// l1 holds the L1's bytes, LineSize per slot of fe's tags.
+	l1 []byte
+	// fetch receives a written-back line read from memory on an LLC
+	// miss, victim a dirty L1 victim on its way to the LLC; the LLC and
+	// the L1 copy what they keep.
+	fetch, victim [cache.LineSize]byte
+
+	// batch is the run of ops being consumed while a helper runs the
+	// front ends ahead, next its next op and line its next pristine
+	// line; nil when the back end runs fe one access at a time.
+	batch      *batch
+	next, line int
 
 	now    uint64 // local cycle count
 	instr  uint64
@@ -61,6 +73,17 @@ type System struct {
 	memSnap   mem.Stats
 	measuring bool
 	tel       *telemetry.Recorder
+
+	started bool // RunCtx has begun
+
+	// ahead runs the front ends on a helper goroutine while RunCtx runs,
+	// when aheadFor decides one pays; nil otherwise. For tests,
+	// aheadMode and batchCap override that decision and the batch size,
+	// and onHelperFill runs on the helper before each batch it fills.
+	ahead        *ahead
+	aheadMode    aheadMode
+	batchCap     int
+	onHelperFill func(core int)
 
 	// OnProgress, when set, is called at most every checkEvery accesses
 	// with the instructions retired so far (clamped to the total) and the
@@ -131,11 +154,12 @@ func New(cfg Config, programs []trace.Profile) *System {
 		ratio: stats.NewSampler(cfg.SampleEvery),
 	}
 	for i, p := range programs {
+		memv := trace.NewMemory(p)
 		s.cores = append(s.cores, &coreState{
 			id:   i,
-			gen:  trace.NewSynthGen(p),
-			memv: trace.NewMemory(p),
-			l1:   cache.NewSetAssoc(cfg.L1Bytes, cfg.L1Ways, cache.LRU),
+			fe:   newFrontEnd(cfg, trace.NewSynthGen(p), memv),
+			memv: memv,
+			l1:   make([]byte, cfg.L1Bytes),
 		})
 	}
 	return s
@@ -148,58 +172,77 @@ func (s *System) LLC() cache.LLC { return s.llc }
 // Memory exposes the memory controller.
 func (s *System) Memory() *mem.Controller { return s.memctl }
 
-// step executes one access on core c.
+// step executes core c's next access: the op its front end makes, or
+// the next one of its batch while a helper runs the front ends ahead.
 func (s *System) step(c *coreState) {
-	if a, miss := s.stepAccess(c); miss {
-		s.serviceMiss(c, a)
+	if c.batch != nil {
+		if c.next == c.batch.n {
+			s.ahead.refill(c)
+		}
+		o := &c.batch.ops[c.next]
+		c.next++
+		if s.stepAccess(c, o) {
+			pristine := c.batch.line(c.line)
+			c.line++
+			s.serviceMiss(c, o, pristine)
+		}
+		return
+	}
+	var o op
+	c.fe.next(&o)
+	if s.stepAccess(c, &o) {
+		s.serviceMiss(c, &o, nil)
 	}
 }
 
-// stepAccess executes the hit path of one access: the trace generator,
-// the per-core clocks, and the private L1 (including store-hit
-// mutation, made in place on the L1's own line). It touches no
-// cross-core state. On an L1 miss it returns the access for serviceMiss
-// to complete; the core is then mid-access (clocks advanced, L1
-// untouched) until serviceMiss runs.
-func (s *System) stepAccess(c *coreState) (a trace.Access, miss bool) {
-	a = c.gen.Next()
-	c.now += uint64(a.NonMem) + 1
-	c.instr += a.Instructions()
+// stepAccess executes the back end's hit path of one op: the per-core
+// clocks and counters, and a store hit's chunk, written into the L1's
+// bytes. It touches no cross-core state. On an L1 miss it reports true
+// for serviceMiss to complete the op; the core is then mid-access
+// (clocks advanced, the L1's bytes untouched) until serviceMiss runs.
+func (s *System) stepAccess(c *coreState, o *op) (miss bool) {
+	n := uint64(o.nonMem) + 1
+	c.now += n
+	c.instr += n
 	c.refs++
-
-	if a.Kind == trace.Load {
-		if c.l1.Read(a.Addr).Hit {
-			return a, false
-		}
-		return a, true
+	if o.flags&opMiss != 0 {
+		return true
 	}
-	// Store: write-allocate into the L1.
-	if res := c.l1.Read(a.Addr); res.Hit {
-		c.memv.ApplyStore(res.Data, a.Addr)
-		c.l1.Update(a.Addr, res.Data, true)
-		return a, false
+	if o.flags&opStore != 0 {
+		binary.LittleEndian.PutUint64(c.l1[int(o.slot)*cache.LineSize+int(o.off):], o.value)
 	}
-	return a, true
+	return false
 }
 
 // serviceMiss is the miss path: it completes an L1 miss begun by
-// stepAccess with the LLC lookup, memory access, fills, and the core's
-// stall accounting. Everything that reads or writes cross-core state
-// (the shared LLC, the memory controller's bandwidth queues) happens
-// here, as does most of a compressed LLC's host time; keeping it out of
-// stepAccess leaves the per-access hit path short, and lets profiles and
-// the hotalloc lint pass name the two paths apart.
-func (s *System) serviceMiss(c *coreState, a trace.Access) {
-	if a.Kind == trace.Load {
-		data, lat := s.llcAccess(c, a.Addr, false)
-		s.l1Insert(c, a.Addr, data, false)
-		s.block(c, lat)
-		return
+// stepAccess with the LLC lookup, memory access, the fill of the L1's
+// bytes (and a store's chunk), the write-back of a dirty L1 victim, and
+// the core's stall accounting. Everything that reads or writes
+// cross-core state (the shared LLC, the memory controller's bandwidth
+// queues) happens here, as does most of a compressed LLC's host time;
+// keeping it out of stepAccess leaves the per-access hit path short,
+// and lets profiles and the hotalloc lint pass name the two paths
+// apart. pristine is the line memory holds at o.addr unless it was
+// written back, when the front end synthesized it; nil makes llcAccess
+// synthesize it on an LLC miss.
+func (s *System) serviceMiss(c *coreState, o *op, pristine []byte) {
+	store := o.flags&opStore != 0
+	data, lat := s.llcAccess(c, o.addr, store, pristine)
+	off := int(o.slot) * cache.LineSize
+	line := c.l1[off : off+cache.LineSize]
+	wb := o.flags&opWriteBack != 0
+	if wb {
+		copy(c.victim[:], line)
 	}
-	data, lat := s.llcAccess(c, a.Addr, true)
-	copy(c.store[:], data)
-	c.memv.ApplyStore(c.store[:], a.Addr)
-	s.l1Insert(c, a.Addr, c.store[:], true)
+	// data may be the LLC's own bytes: the L1 copies them before the
+	// victim's write-back can overwrite them.
+	copy(line, data)
+	if store {
+		binary.LittleEndian.PutUint64(line[o.off:], o.value)
+	}
+	if wb {
+		s.handleWBs(c, s.llc.WriteBack(o.victim, c.victim[:]))
+	}
 	s.block(c, lat)
 }
 
@@ -217,34 +260,28 @@ func (s *System) block(c *coreState, lat uint64) {
 // Non-inclusive LLCs do not allocate on store misses (§5.4.2); the line
 // arrives later as an L1 write-back. On an LLC hit data is the LLC's
 // read result, valid until the LLC's next Fill or WriteBack; on a miss
-// it is the core's fetch buffer, valid until its next LLC miss.
-func (s *System) llcAccess(c *coreState, addr uint64, isStore bool) (data []byte, lat uint64) {
+// it is the core's fetch buffer, valid until its next LLC miss, or
+// pristine when memory holds the pristine line.
+func (s *System) llcAccess(c *coreState, addr uint64, isStore bool, pristine []byte) (data []byte, lat uint64) {
 	res := s.llc.Read(addr)
 	lat = uint64(s.cfg.LLCLatency) + uint64(res.ExtraCycles)
 	if res.Hit {
 		return res.Data, lat
 	}
 	data = c.fetch[:]
-	c.memv.ReadLineInto(data, addr)
+	if !c.memv.ReadWritten(data, addr) {
+		if pristine != nil {
+			data = pristine
+		} else {
+			c.memv.Pristine(data, addr)
+		}
+	}
 	done := s.memctl.Read(c.now+lat, addr, s.transferBytes(data))
 	lat = done - c.now
 	if !isStore || s.cfg.Inclusive {
 		s.handleWBs(c, s.llc.Fill(addr, data))
 	}
 	return data, lat
-}
-
-// l1Insert fills the private L1, forwarding any dirty victim to the LLC
-// as a write-back. The fill copies data before the LLC write-back can
-// overwrite it.
-func (s *System) l1Insert(c *coreState, addr uint64, data []byte, dirty bool) {
-	wbs := c.l1.Fill(addr, data)
-	if dirty {
-		c.l1.Update(addr, data, true)
-	}
-	for _, wb := range wbs {
-		s.handleWBs(c, s.llc.WriteBack(wb.Addr, wb.Data))
-	}
 }
 
 // handleWBs sends LLC-evicted dirty lines to memory: backing-store update
@@ -409,9 +446,24 @@ func (s *System) Run() Result {
 // stops within checkEvery accesses and returns ctx.Err() with a zero
 // Result; the System's counters stay internally consistent (each core
 // simply halts short of its target) but the run cannot be resumed.
+//
+// While it runs, a helper goroutine may run the cores' front ends ahead
+// of the loop (aheadFor); RunCtx joins it before it returns, and raises
+// a panic on it again on its own goroutine. A System runs once: the
+// front ends may have run past where a cancelled run stopped, so a
+// second RunCtx returns an error.
 func (s *System) RunCtx(ctx context.Context) (Result, error) {
 	if err := s.cfg.Validate(); err != nil {
 		return Result{}, err
+	}
+	if s.started {
+		return Result{}, errors.New("sim: RunCtx runs a System once")
+	}
+	s.started = true
+	running.Add(1)
+	defer running.Add(-1)
+	if s.ahead = s.aheadFor(); s.ahead != nil {
+		defer s.ahead.join(s)
 	}
 	s.emitPhase("warmup")
 	for _, c := range s.cores {

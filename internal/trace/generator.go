@@ -38,9 +38,11 @@ type genDraws struct {
 // pPhaseJump is the chance a stream jumps to a new region at a burst.
 var pPhaseJump = rng.ThresholdOf(0.01)
 
-// regionBase spaces workloads apart in the address space; multi-program
-// runs give each core its own generator and memory, so overlap would not
-// be harmful, but distinct bases keep traces easy to tell apart.
+// regionBase spaces workloads apart in the address space. Every copy of
+// one program starts at the same base, so in a shared LLC the copies of
+// a multi-program run share lines although each core has its own
+// generator and value model: ROADMAP's item on giving each core its own
+// physical addresses is the fix.
 const regionBase = 1 << 36
 
 // NewSynthGen builds a generator. Streams of the same profile with

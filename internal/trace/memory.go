@@ -183,18 +183,41 @@ func (m *Memory) ReadLine(addr uint64) []byte {
 }
 
 // ReadLineInto writes the 64-byte line at addr (line-aligned
-// internally) into dst, which must be 64 bytes long.
+// internally) into dst, which must be 64 bytes long: ReadWritten, then
+// Pristine if the line was never written back.
 func (m *Memory) ReadLineInto(dst []byte, addr uint64) {
+	if !m.ReadWritten(dst, addr) {
+		m.synthLine(dst, cache.LineAddr(addr))
+	}
+}
+
+// ReadWritten counts one line read from memory (ReadLines) and, if the
+// line at addr was ever written back, copies its latest contents into
+// dst and reports true. Otherwise memory holds the pristine line, which
+// Pristine synthesizes, and dst is untouched. dst must be 64 bytes long.
+//
+// ReadWritten and WriteLine use only the backing store, and Pristine and
+// StoreChunk only the value model: one goroutine may run each pair.
+func (m *Memory) ReadWritten(dst []byte, addr uint64) bool {
 	if len(dst) != cache.LineSize {
-		panic(fmt.Sprintf("trace: ReadLineInto %d bytes", len(dst)))
+		panic(fmt.Sprintf("trace: read of a line into %d bytes", len(dst)))
 	}
-	la := cache.LineAddr(addr)
 	m.ReadLines++
-	if r := m.written.find(la); r != nil {
+	if r := m.written.find(cache.LineAddr(addr)); r != nil {
 		copy(dst, r.data[:])
-		return
+		return true
 	}
-	m.synthLine(dst, la)
+	return false
+}
+
+// Pristine writes the line at addr as it was before any write-back, a
+// function of the profile's seed and the address alone, into dst, which
+// must be 64 bytes long. It counts no read.
+func (m *Memory) Pristine(dst []byte, addr uint64) {
+	if len(dst) != cache.LineSize {
+		panic(fmt.Sprintf("trace: Pristine into %d bytes", len(dst)))
+	}
+	m.synthLine(dst, cache.LineAddr(addr))
 }
 
 // WriteLine records a line written back from the cache hierarchy.
@@ -255,24 +278,30 @@ func (m *Memory) fillRegion(r *rng.RNG, line []byte, off int, region uint64) {
 }
 
 // ApplyStore mutates line (the current cached value of addr) in place to
-// reflect one store. Stores write an aligned 8-byte chunk — compressible
-// pool/narrow data with probability StoreComp, random bytes otherwise.
+// reflect one store: it writes StoreChunk's 8 bytes at its offset.
 func (m *Memory) ApplyStore(line []byte, addr uint64) {
 	if len(line) != cache.LineSize {
 		panic(fmt.Sprintf("trace: ApplyStore on %d bytes", len(line)))
 	}
-	off := int(m.storeR.Intn(cache.LineSize/8)) * 8
-	if m.storeR.Chance(m.draws.storeComp) {
-		if m.storeR.Chance(pStorePool) {
-			region := cache.LineAddr(addr) / RegionBytes
-			copy(line[off:off+8], pick(&m.storeR, m.pool(m.regionPools(region), 2, region), 8))
-		} else {
-			binary.LittleEndian.PutUint32(line[off:], uint32(m.storeR.Trials(gStoreNarrow)))
-			binary.LittleEndian.PutUint32(line[off+4:], 0)
-		}
-	} else {
-		binary.LittleEndian.PutUint64(line[off:], m.storeR.Uint64())
+	off, v := m.StoreChunk(addr)
+	binary.LittleEndian.PutUint64(line[off:], v)
+}
+
+// StoreChunk draws the next store to addr's line: the offset of the
+// aligned 8-byte chunk it writes and the chunk, little-endian. The chunk
+// is compressible pool or narrow data with probability StoreComp and
+// random bytes otherwise; it does not depend on the line's contents.
+func (m *Memory) StoreChunk(addr uint64) (off int, v uint64) {
+	off = int(m.storeR.Intn(cache.LineSize/8)) * 8
+	if !m.storeR.Chance(m.draws.storeComp) {
+		return off, m.storeR.Uint64()
 	}
+	if m.storeR.Chance(pStorePool) {
+		region := cache.LineAddr(addr) / RegionBytes
+		return off, binary.LittleEndian.Uint64(pick(&m.storeR, m.pool(m.regionPools(region), 2, region), 8))
+	}
+	// A narrow value in the low word and zero in the high word.
+	return off, uint64(uint32(m.storeR.Trials(gStoreNarrow)))
 }
 
 // WrittenLines returns how many distinct lines hold written-back data.
